@@ -179,7 +179,7 @@ def cmd_asymptotics(cfg: RunConfig, report: VerificationReport) -> None:
     report.add("asymptotics.slope_deviation", "asymptotics.slope",
                fit["relative_deviation"], 0.02)
     lo, hi = fit["window"]
-    branch = np.sort(spec.nonzero()[spec.nonzero().real > spec.tol_zero].real)
+    branch = np.sort(spec.branch("plus").real)
     jj = np.arange(lo, hi + 1)
     emit_plot_data(_out_dir(cfg), slope_fit={
         "j": jj, "re_lambda": branch[lo - 1:hi],

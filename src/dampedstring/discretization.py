@@ -163,13 +163,11 @@ def assemble_dirac(T: np.ndarray, Tstar: np.ndarray) -> np.ndarray:
     return D
 
 
-def assemble_damping(alpha: CoefficientSpec, rho: CoefficientSpec,
-                     grid: WeightedGrid) -> np.ndarray:
-    m = len(grid.nodes)
-    n = grid.n
-    B = np.zeros((m + n, m + n), dtype=complex)
-    c = np.asarray(alpha.sample(grid.nodes)) / np.asarray(rho.sample(grid.nodes)) ** 2
-    B[:m, :m] = np.diag(-1j * c)
+def assemble_damping(C: np.ndarray, n_cells: int) -> np.ndarray:
+    """Damping block diag(-i C, 0) on node + cell space."""
+    m = len(C)
+    B = np.zeros((m + n_cells, m + n_cells), dtype=complex)
+    B[:m, :m] = np.diag(-1j * C)
     return B
 
 
@@ -185,7 +183,12 @@ def assemble_generator(TstarT: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteOperatorSet:
-    """All assembled matrices for one (n, rho, alpha, bc) configuration."""
+    """All matrices for one (n, rho, alpha, bc) configuration.
+
+    T and Tstar are assembled up front; everything derived from them (D, B,
+    G, the frame factor and its singular values, the zero threshold, the
+    spectra of T*T and TT*, and (T*T)^{-1}) is formed on first use and kept.
+    """
 
     grid: WeightedGrid
     bc: BoundaryCondition
@@ -193,9 +196,6 @@ class DiscreteOperatorSet:
     alpha: CoefficientSpec
     T: np.ndarray
     Tstar: np.ndarray
-    D: np.ndarray
-    B: np.ndarray
-    G: np.ndarray
     wu: np.ndarray
     wv: np.ndarray
 
@@ -206,6 +206,18 @@ class DiscreteOperatorSet:
     @property
     def n_cells(self) -> int:
         return self.T.shape[0]
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return assemble_dirac(self.T, self.Tstar)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return assemble_damping(self.C, self.n_cells)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return assemble_generator(self.H1, self.C)
 
     @cached_property
     def H1(self) -> np.ndarray:
@@ -229,26 +241,39 @@ class DiscreteOperatorSet:
         return np.concatenate([self.wu, self.wv])
 
     @cached_property
-    def tol_zero(self) -> float:
-        """Zero-mode threshold: 1e-10 times the largest singular value of D.
+    def Tf(self) -> np.ndarray:
+        """Frame factor Wv^{1/2} T Wu^{-1/2}: T as a Euclidean map, with
+        Tf^H the frame form of Tstar."""
+        return np.sqrt(self.wv)[:, None] * self.T / np.sqrt(self.wu)[None, :]
 
-        ||D||_2 equals the top singular value of the frame factor T, computed
-        by power iteration on T^H T (deterministic start, cheap at any n).
-        """
-        su = np.sqrt(self.wu)
-        sv = np.sqrt(self.wv)
-        Tf = sv[:, None] * self.T / su[None, :]
-        v = np.full(Tf.shape[1], 1.0 / np.sqrt(Tf.shape[1]), dtype=complex)
-        sigma = 0.0
-        for _ in range(200):
-            w = Tf.conj().T @ (Tf @ v)
-            nw = np.linalg.norm(w)
-            v = w / nw
-            if abs(np.sqrt(nw) - sigma) <= 1e-6 * max(sigma, 1.0):
-                sigma = np.sqrt(nw)
-                break
-            sigma = np.sqrt(nw)
-        return 1e-10 * float(sigma)
+    @cached_property
+    def sv(self) -> np.ndarray:
+        """Singular values of Tf, descending: the nonzero ones are the
+        square roots of the common nonzero spectrum of T*T and TT*."""
+        return np.linalg.svd(self.Tf, compute_uv=False)
+
+    @cached_property
+    def tol_zero(self) -> float:
+        """Zero-mode threshold: 1e-10 times ||D||_2, the top singular value of Tf."""
+        return 1e-10 * float(self.sv[0])
+
+    @cached_property
+    def H1_eigvals(self) -> np.ndarray:
+        """Spectrum of T*T from its Hermitian frame form, ascending."""
+        return np.linalg.eigvalsh(self.node_frame(self.H1))
+
+    @cached_property
+    def H2_eigvals(self) -> np.ndarray:
+        """Spectrum of TT* from its Hermitian frame form, ascending."""
+        return np.linalg.eigvalsh(self.cell_frame(self.H2))
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """(T*T)^{-1}; LinAlgError when T*T is numerically singular for this bc."""
+        sv = np.linalg.svd(self.H1, compute_uv=False)
+        if sv[-1] < self.tol_zero * max(sv[0], 1.0):
+            raise np.linalg.LinAlgError("T*T is numerically singular for this bc")
+        return np.linalg.solve(self.H1, np.eye(self.n_nodes))
 
     def dirac_frame(self, M: np.ndarray | None = None) -> np.ndarray:
         """Similarity transform to the frame where the weighted product is Euclidean."""
@@ -274,36 +299,29 @@ def build_operator_set(n: int, rho: CoefficientSpec, alpha: CoefficientSpec,
     grid = build_grid(n, rho, bc)
     T = assemble_T(grid, rho, bc)
     Tstar = assemble_adjoint(T, grid.node_weights, grid.cell_weights)
-    D = assemble_dirac(T, Tstar)
-    B = assemble_damping(alpha, rho, grid)
-    a = np.asarray(alpha.sample(grid.nodes))
-    r = np.asarray(rho.sample(grid.nodes))
-    G = assemble_generator(Tstar @ T, a / r**2)
-    return DiscreteOperatorSet(grid, bc, rho, alpha, T, Tstar, D, B, G,
+    return DiscreteOperatorSet(grid, bc, rho, alpha, T, Tstar,
                                grid.node_weights, grid.cell_weights)
 
 
-def _kernel_dim(M: np.ndarray, tol: float) -> int:
-    # kernel dim = ncols - rank, so rectangular maps with more columns than
-    # rows report their structural kernel even though SVD returns min(m,n)
-    # singular values
-    s = np.linalg.svd(M, compute_uv=False)
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values at or above tol; KernelAmbiguityError when
+    one sits within a factor 10 of it."""
     near = (s > tol / 10) & (s < tol * 10)
     if np.any(near):
         raise KernelAmbiguityError(
             f"singular value {s[near][0]:.3e} within a factor 10 of tol {tol:.3e}")
-    return M.shape[1] - int(np.sum(s >= tol))
+    return int(np.sum(s >= tol))
 
 
 def kernel_dimensions(ops: DiscreteOperatorSet) -> tuple[int, int, int]:
-    """Numerical (dim ker T, dim ker Tstar, dim ker D) via singular values."""
+    """Numerical (dim ker T, dim ker Tstar, dim ker D) via singular values.
+
+    ker T and ker Tstar share the singular values of the frame factor;
+    ker D is counted from a separate SVD of the frame Dirac matrix, so the
+    census kT + kTs = kD compares two independent paths.
+    """
     tol = ops.tol_zero
-    s = np.sqrt(ops.wu)
-    t = np.sqrt(ops.wv)
-    Tf = t[:, None] * ops.T / s[None, :]
-    Tsf = s[:, None] * ops.Tstar / t[None, :]
-    Df = ops.dirac_frame(ops.D)
-    kT = _kernel_dim(Tf, tol)
-    kTs = _kernel_dim(Tsf, tol)
-    kD = _kernel_dim(Df, tol)
-    return kT, kTs, kD
+    r = _rank(ops.sv, tol)
+    sD = np.linalg.svd(ops.dirac_frame(ops.D), compute_uv=False)
+    kD = ops.n_nodes + ops.n_cells - _rank(sD, tol)
+    return ops.n_nodes - r, ops.n_cells - r, kD

@@ -210,15 +210,7 @@ def emit_plot_data(out_dir: str | Path, *, spectrum=None, convergence=None,
     if spectrum is not None:
         p = out / "eigenvalue_scatter.csv"
         lines = ["re,im,branch"]
-        for lam in spectrum.eigenvalues:
-            if abs(lam) < spectrum.tol_zero:
-                br = "zero"
-            elif lam.real > spectrum.tol_zero:
-                br = "plus"
-            elif lam.real < -spectrum.tol_zero:
-                br = "minus"
-            else:
-                br = "overdamped"
+        for lam, br in zip(spectrum.eigenvalues, spectrum.branches()):
             lines.append(f"{lam.real!r},{lam.imag!r},{br}")
         p.write_text("\n".join(lines) + "\n")
         written.append(p)

@@ -171,16 +171,6 @@ def multiplicity(lambda0: complex, op: np.ndarray,
     return m_g, m_a
 
 
-def _branch_of(lam: complex, tol: float) -> str:
-    if abs(lam) < tol:
-        return "zero"
-    if lam.real > tol:
-        return "plus"
-    if lam.real < -tol:
-        return "minus"
-    return "overdamped"
-
-
 def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
                         gap_fraction: float = 0.5) -> list:
     """Greedy gap clustering along each branch, rectangles around clusters.
@@ -192,10 +182,10 @@ def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
     """
     spacing = np.pi / integrate_product([ops.rho])
     lam = spec.eigenvalues
-    tol = spec.tol_zero
+    labels = spec.branches()
     groups: list[list[int]] = []
     for branch in ("zero", "overdamped", "minus", "plus"):
-        idx = [i for i in range(len(lam)) if _branch_of(lam[i], tol) == branch]
+        idx = np.flatnonzero(labels == branch).tolist()
         if not idx:
             continue
         key = (abs if branch in ("zero", "overdamped")
@@ -238,7 +228,7 @@ def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
             lo = complex(vals.real.min() - margin, vals.imag.min() - margin)
             hi = complex(vals.real.max() + margin, vals.imag.max() + margin)
             c = Contour("rectangle", (lo + hi) / 2, lo=lo, hi=hi)
-        return RieszCluster(0, _branch_of(vals[0], tol), list(members), c)
+        return RieszCluster(0, str(labels[members[0]]), list(members), c)
 
     clusters = [build(g) for g in groups]
     # merge any clusters whose contours capture each other's members

@@ -42,6 +42,17 @@ class Spectrum:
     def nonzero(self) -> np.ndarray:
         return self.eigenvalues[np.abs(self.eigenvalues) >= self.tol_zero]
 
+    def branches(self) -> np.ndarray:
+        """Branch label of each eigenvalue: zero (|lambda| < tol_zero), plus
+        or minus (Re beyond +-tol_zero), otherwise overdamped."""
+        lam, tol = self.eigenvalues, self.tol_zero
+        return np.select([np.abs(lam) < tol, lam.real > tol, lam.real < -tol],
+                         ["zero", "plus", "minus"], "overdamped")
+
+    def branch(self, name: str) -> np.ndarray:
+        """Eigenvalues carrying the given branch label, in spectrum order."""
+        return self.eigenvalues[self.branches() == name]
+
     def __len__(self):
         return len(self.eigenvalues)
 
@@ -132,14 +143,12 @@ def constant_damping_dirac(ops: DiscreteOperatorSet,
     lam = np.concatenate([-0.5j * a + disc, -0.5j * a - disc])
     # cell-space kernel of T* contributes exact zero eigenvalues that the
     # node-space pencil cannot see
-    Tf = np.sqrt(ops.wv)[:, None] * ops.T / np.sqrt(ops.wu)[None, :]
-    s_t = np.linalg.svd(Tf, compute_uv=False)
-    k_star = ops.n_cells - int(np.sum(s_t >= ops.tol_zero))
+    k_star = ops.n_cells - int(np.sum(ops.sv >= ops.tol_zero))
     kernel_vecs = None
     if k_star:
         lam = np.concatenate([lam, np.zeros(k_star)])
         if keep_vectors:
-            _, _, Vh = np.linalg.svd(Tf.conj().T)
+            _, _, Vh = np.linalg.svd(ops.Tf.conj().T)
             kernel_vecs = Vh[ops.n_cells - k_star:].conj().T
     H1f = ops.node_frame(ops.H1)
     rn = np.linalg.norm(H1f @ U - U * mu[None, :], axis=0)
@@ -151,7 +160,7 @@ def constant_damping_dirac(ops: DiscreteOperatorSet,
     vecs = None
     if keep_vectors:
         m, n = ops.n_nodes, ops.n_cells
-        TU = Tf @ U
+        TU = ops.Tf @ U
         lam_div = np.where(np.abs(lam) < ops.tol_zero, 1.0, lam)
         vecs = np.zeros((m + n, 2 * m + k_star), dtype=complex)
         vecs[:m, :m] = U
@@ -208,13 +217,12 @@ def map_dirac_to_generator(pair: EigenPair, ops: DiscreteOperatorSet,
         raise ValueError("zero eigenvalue cannot be mapped")
     m = ops.n_nodes
     psi1, psi2 = pair.vector[:m], pair.vector[m:]
-    sv, su = np.sqrt(ops.wv), np.sqrt(ops.wu)
-    Tf = sv[:, None] * ops.T / su[None, :]
-    wf, *_ = np.linalg.lstsq(Tf, sv * psi2, rcond=None)
-    resid = np.linalg.norm(Tf @ wf - sv * psi2)
-    if resid > range_tol * max(1.0, np.linalg.norm(sv * psi2)):
+    rhs = np.sqrt(ops.wv) * psi2
+    wf, *_ = np.linalg.lstsq(ops.Tf, rhs, rcond=None)
+    resid = np.linalg.norm(ops.Tf @ wf - rhs)
+    if resid > range_tol * max(1.0, np.linalg.norm(rhs)):
         raise ValueError(f"second component lies outside ran(T): residual {resid:.3e}")
-    w = wf / su
+    w = wf / np.sqrt(ops.wu)
     out = np.concatenate([1j * w, psi1])
     wts = np.concatenate([ops.wu, ops.wu])
     out = out / np.sqrt(np.real(np.vdot(out, wts * out)))
@@ -271,8 +279,7 @@ def fit_asymptotics(spec: Spectrum, rho: CoefficientSpec,
     window sits lower than the top of the resolved branch because grid
     dispersion contaminates the upper quarter at second order.
     """
-    lam = spec.nonzero()
-    branch = np.sort(lam[lam.real > spec.tol_zero].real)
+    branch = np.sort(spec.branch("plus").real)
     J = len(branch)
     if J < 40:
         raise ValueError(f"need at least 40 branch eigenvalues, got {J}")
@@ -325,20 +332,12 @@ def verify_factorization_identity(z: complex, ops: DiscreteOperatorSet) -> dict:
     }
 
 
-def spectrum_to_csv(spec: Spectrum, branch_tol: float | None = None) -> str:
+def spectrum_to_csv(spec: Spectrum) -> str:
     """CSV with columns index,re_lambda,im_lambda,residual,zero_mode_flag,branch."""
-    tol = spec.tol_zero if branch_tol is None else branch_tol
     buf = io.StringIO()
     buf.write("index,re_lambda,im_lambda,residual,zero_mode_flag,branch\n")
-    for i, (lam, r) in enumerate(zip(spec.eigenvalues, spec.residuals)):
-        if abs(lam) < spec.tol_zero:
-            branch = "zero"
-        elif lam.real > tol:
-            branch = "plus"
-        elif lam.real < -tol:
-            branch = "minus"
-        else:
-            branch = "overdamped"
-        flag = 1 if abs(lam) < spec.tol_zero else 0
+    for i, (lam, r, branch) in enumerate(zip(spec.eigenvalues, spec.residuals,
+                                             spec.branches())):
+        flag = 1 if branch == "zero" else 0
         buf.write(f"{i},{lam.real!r},{lam.imag!r},{r!r},{flag},{branch}\n")
     return buf.getvalue()

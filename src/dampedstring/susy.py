@@ -52,10 +52,6 @@ class BlockResolvent:
         return np.block([[a, b], [c, d]])
 
 
-def _frame_T(ops: DiscreteOperatorSet) -> np.ndarray:
-    return np.sqrt(ops.wv)[:, None] * ops.T / np.sqrt(ops.wu)[None, :]
-
-
 def polar_decompose(ops: DiscreteOperatorSet) -> PolarParts:
     """SVD-based polar factors in the weighted frame.
 
@@ -63,8 +59,7 @@ def polar_decompose(ops: DiscreteOperatorSet) -> PolarParts:
     directions, so V is the zero map there and a weighted isometry on the
     orthogonal complement.
     """
-    Tf = _frame_T(ops)
-    W, s, Xh = np.linalg.svd(Tf)
+    W, s, Xh = np.linalg.svd(ops.Tf)
     tol = ops.tol_zero
     r = int(np.sum(s > tol))
     s_node = np.zeros(Xh.shape[0])
@@ -79,11 +74,9 @@ def polar_decompose(ops: DiscreteOperatorSet) -> PolarParts:
 
 def check_isospectral(ops: DiscreteOperatorSet) -> dict:
     """Nonzero spectra of T*T and TT* agree; zero counts match the kernels."""
-    mu1 = np.linalg.eigvalsh(ops.node_frame(ops.H1))
-    mu2 = np.linalg.eigvalsh(ops.cell_frame(ops.H2))
+    mu1, mu2 = ops.H1_eigvals, ops.H2_eigvals
     # singular values of T give an unambiguous zero count for both products
-    s = np.linalg.svd(_frame_T(ops), compute_uv=False)
-    r = int(np.sum(s > ops.tol_zero))
+    r = int(np.sum(ops.sv > ops.tol_zero))
     z1 = ops.n_nodes - r
     z2 = ops.n_cells - r
     nz1 = np.sort(mu1)[::-1][:r]
@@ -138,7 +131,7 @@ def block_diagonalize(ops: DiscreteOperatorSet) -> dict:
     parts = polar_decompose(ops)
     U = diagonalizing_unitary(parts)
     m, n = ops.n_nodes, ops.n_cells
-    Tf = _frame_T(ops)
+    Tf = ops.Tf
     Df = np.block([[np.zeros((m, m)), Tf.conj().T], [Tf, np.zeros((n, n))]])
     A = U @ Df @ U.conj().T
     off = max(np.linalg.norm(A[:m, m:]), np.linalg.norm(A[m:, :m]))
@@ -185,7 +178,7 @@ def first_resolvent_identity(z: complex, ops: DiscreteOperatorSet) -> float:
 
     Measured in the weighted frame; z must avoid both spectra.
     """
-    Tf = _frame_T(ops)
+    Tf = ops.Tf
     H1f = ops.node_frame(ops.H1)
     H2f = ops.cell_frame(ops.H2)
     m, n = ops.n_nodes, ops.n_cells
@@ -199,9 +192,7 @@ def first_resolvent_identity(z: complex, ops: DiscreteOperatorSet) -> float:
 
 def _check_zeta(zeta: complex, ops: DiscreteOperatorSet, tol: float = 1e-8):
     z2 = zeta * zeta
-    mu = np.linalg.eigvalsh(ops.node_frame(ops.H1))
-    mu2 = np.linalg.eigvalsh(ops.cell_frame(ops.H2))
-    d = min(np.abs(mu - z2).min(), np.abs(mu2 - z2).min())
+    d = min(np.abs(ops.H1_eigvals - z2).min(), np.abs(ops.H2_eigvals - z2).min())
     if d <= tol:
         raise ValueError(f"zeta^2 within {d:.3e} of the squared spectrum")
 
@@ -250,8 +241,7 @@ def trace_ideal_decay(ops: DiscreteOperatorSet, j_lo: int = 5,
     A proxy for summability of the resolvent's singular values: the j-th
     eigenvalue should fall off like j^{-2}.
     """
-    mu = np.linalg.eigvalsh(ops.node_frame(ops.H1))
-    lam = np.sort(1.0 / (mu + 1.0))[::-1]
+    lam = np.sort(1.0 / (ops.H1_eigvals + 1.0))[::-1]
     if j_hi is None:
         j_hi = max(j_lo + 10, len(lam) // 2)
     j = np.arange(j_lo, j_hi + 1)

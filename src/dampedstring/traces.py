@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import DiscreteOperatorSet
-from .greens import t0_analytic
+from .greens import KernelUnavailableError, t0_analytic
 from .spectral import Spectrum
 
 __all__ = [
@@ -60,15 +60,6 @@ class TraceLedger:
         return json.dumps(payload, indent=indent)
 
 
-def _inverse_h1(ops: DiscreteOperatorSet) -> np.ndarray:
-    m = ops.n_nodes
-    H = ops.H1
-    sv = np.linalg.svd(H, compute_uv=False)
-    if sv[-1] < ops.tol_zero * max(sv[0], 1.0):
-        raise np.linalg.LinAlgError("T*T is numerically singular for this bc")
-    return np.linalg.solve(H, np.eye(m))
-
-
 def _poly_matmul(A: list, B: list, deg: int) -> list:
     """Product of matrix polynomials (coefficient lists), truncated at `deg`."""
     shape = A[0].shape[0], B[0].shape[1]
@@ -95,8 +86,7 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    K = _inverse_h1(ops)
-    C = ops.C
+    K, C = ops.K, ops.C
     if method == "closed":
         if n == 0:
             return float(np.real(np.trace(C[:, None] * K)))
@@ -157,7 +147,7 @@ def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
     if with_continuum:
         try:
             t0c = t0_analytic(ops.bc, ops.alpha)
-        except Exception:
+        except KernelUnavailableError:
             t0c = None
     return TraceLedger(bc=str(ops.bc), n_grid=ops.grid.n, n_max=n_max,
                        t=t_vals, lhs=lhs, discrepancies=disc,
@@ -201,7 +191,7 @@ def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
 
     lhs = lhs_at(zeta)
     rhs = rhs_at(zeta)
-    parity = abs(rhs_at(zeta) - rhs_at(-zeta))
+    parity = abs(rhs - rhs_at(-zeta))
     return lhs, rhs, parity
 
 
@@ -211,11 +201,10 @@ def _paired_branches(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     Oscillatory eigenvalues are paired by |Re|; overdamped (purely imaginary)
     ones are paired by proximity of |lambda| between the two halves.
     """
-    lam = spec.nonzero()
-    tol = spec.tol_zero
-    plus = np.array(sorted(lam[lam.real > tol], key=lambda z: abs(z.real)))
-    minus = np.array(sorted(lam[lam.real < -tol], key=lambda z: abs(z.real)))
-    over = np.array(sorted(lam[np.abs(lam.real) <= tol], key=abs))
+    by_re = lambda z: abs(z.real)
+    plus = np.array(sorted(spec.branch("plus"), key=by_re))
+    minus = np.array(sorted(spec.branch("minus"), key=by_re))
+    over = np.array(sorted(spec.branch("overdamped"), key=abs))
     if len(over) % 2:
         raise ValueError("odd number of overdamped eigenvalues; pairing failed")
     plus = np.concatenate([over[0::2], plus])

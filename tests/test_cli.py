@@ -60,6 +60,16 @@ def test_spectrum_command_writes_csv(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
+def test_spectrum_csvs_share_branch_labels(tmp_path):
+    assert run_cli("spectrum", "--n", "32", "--bc", "omega:0,1",
+                   "--out", str(tmp_path)) == 0
+    full = (tmp_path / "spectrum.csv").read_text().strip().split("\n")[1:]
+    scatter = (tmp_path / "eigenvalue_scatter.csv").read_text().strip().split("\n")[1:]
+    assert len(full) == len(scatter)
+    assert ([line.split(",")[5] for line in full]
+            == [line.split(",")[2] for line in scatter])
+
+
 def test_spectrum_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli("spectrum", "--n", "24", "--bc", "zero0", "--out", str(out1),
@@ -113,3 +123,5 @@ def test_verify_all_passes(tmp_path):
         assert record["status"] in ("pass", "report-only")
         assert record["paper_anchor"]
         assert np.isfinite(float(record["measured"]))
+    assert ((tmp_path / "verify_all.json").read_bytes()
+            == (tmp_path / "report.json").read_bytes())

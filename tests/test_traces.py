@@ -70,6 +70,18 @@ def test_ledger_serialization(rand_setup):
     assert float(payload["t"][0]) == ledger.t[0]
 
 
+def test_ledger_propagates_unexpected_continuum_errors(rand_setup, monkeypatch):
+    """Only a family without a bounded inverse leaves t0_analytic empty."""
+    ops, spec = rand_setup
+
+    def broken(bc, alpha):
+        raise RuntimeError("broken continuum path")
+
+    monkeypatch.setattr(traces, "t0_analytic", broken)
+    with pytest.raises(RuntimeError, match="broken continuum path"):
+        traces.build_ledger(ops, spec, n_max=1)
+
+
 def test_trace_coefficient_rejects_singular():
     rho, alpha = ds.random_coefficients(23)
     ops = ds.build_operator_set(16, rho, alpha, ds.BoundaryCondition.quasi(1.0))
