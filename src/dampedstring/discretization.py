@@ -186,8 +186,9 @@ class DiscreteOperatorSet:
     """All matrices for one (n, rho, alpha, bc) configuration.
 
     T and Tstar are assembled up front; everything derived from them (D, B,
-    G, the frame factor and its singular values, the zero threshold, the
-    spectra of T*T and TT*, and (T*T)^{-1}) is formed on first use and kept.
+    G, the frame factor with its singular values and its full SVD, the zero
+    threshold, the spectra of T*T and TT*, and (T*T)^{-1}) is formed on
+    first use and kept.
     """
 
     grid: WeightedGrid
@@ -251,6 +252,12 @@ class DiscreteOperatorSet:
         """Singular values of Tf, descending: the nonzero ones are the
         square roots of the common nonzero spectrum of T*T and TT*."""
         return np.linalg.svd(self.Tf, compute_uv=False)
+
+    @cached_property
+    def Tf_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full SVD (W, s, Xh) of Tf with both singular-vector sets; the
+        polar factors are built from it."""
+        return np.linalg.svd(self.Tf)
 
     @cached_property
     def tol_zero(self) -> float:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 from .coefficients import integrate_product
 from .discretization import DiscreteOperatorSet
@@ -173,48 +174,21 @@ def multiplicity(lambda0: complex, op: np.ndarray,
 
 def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
                         gap_fraction: float = 0.5) -> list:
-    """Greedy gap clustering along each branch, rectangles around clusters.
+    """Single-linkage gap clusters, rectangles around clusters.
 
-    A new cluster opens when the gap to the previous member exceeds
-    ``gap_fraction`` times the asymptotic spacing pi / integral(rho).
-    Contour margins are a quarter of the distance to the nearest outside
-    eigenvalue; clusters whose boxes would overlap are merged.
+    Two eigenvalues share a cluster when a chain of eigenvalues joins them
+    with steps of at most ``gap_fraction`` times the asymptotic spacing
+    pi / integral(rho); this also joins near-critical pairs that straddle
+    the plus/minus branches.  Contour margins are a quarter of the distance
+    to the nearest outside eigenvalue; clusters whose boxes would overlap
+    are merged.
     """
     spacing = np.pi / integrate_product([ops.rho])
     lam = spec.eigenvalues
     labels = spec.branches()
-    groups: list[list[int]] = []
-    for branch in ("zero", "overdamped", "minus", "plus"):
-        idx = np.flatnonzero(labels == branch).tolist()
-        if not idx:
-            continue
-        key = (abs if branch in ("zero", "overdamped")
-               else (lambda z: z.real))
-        idx.sort(key=lambda i: key(lam[i]))
-        cur = [idx[0]]
-        for i in idx[1:]:
-            if abs(lam[i] - lam[cur[-1]]) > gap_fraction * spacing:
-                groups.append(cur)
-                cur = [i]
-            else:
-                cur.append(i)
-        groups.append(cur)
-
-    # near-critical pairs straddle the plus/minus branches, so merge groups
-    # across branches whenever their members come within the gap threshold
-    merged_groups = True
-    while merged_groups:
-        merged_groups = False
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                da = np.abs(lam[groups[a]][:, None] - lam[groups[b]][None, :])
-                if da.min() <= gap_fraction * spacing:
-                    groups[a] = sorted(groups[a] + groups[b])
-                    del groups[b]
-                    merged_groups = True
-                    break
-            if merged_groups:
-                break
+    near = np.abs(lam[:, None] - lam[None, :]) <= gap_fraction * spacing
+    n_groups, group = connected_components(near, directed=False)
+    groups = [np.flatnonzero(group == k).tolist() for k in range(n_groups)]
 
     def build(members: list[int]) -> RieszCluster:
         vals = lam[members]
@@ -255,15 +229,16 @@ def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
 def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     """Fill in projections, then check sum(P) = I and pairwise products.
 
-    Pairwise products are evaluated through thin rank factors of each
-    projection so the check stays quadratic rather than cubic per pair.
+    With thin rank factors P_i = L_i R_i, every ||P_i P_j||_2 is bounded by
+    ||L_i||_F ||R_i L_j||_F ||R_j||_F, and the blocks R_i L_j of one product
+    of the stacked factors give all the middle norms at once.
     """
     dim = op.shape[0]
     covered = sorted(i for c in clusters for i in c.members)
     if covered != list(range(dim)):
         raise ContourError("clusters do not cover the whole spectrum")
     total = np.zeros((dim, dim), dtype=complex)
-    factors = []
+    Ls, Rs = [], []
     schur = scipy.linalg.schur(np.asarray(op, dtype=complex), output="complex")
     for c in clusters:
         P = riesz_projection(op, c.contour, schur=schur)
@@ -272,22 +247,21 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
         U, s, Vh = np.linalg.svd(P)
         r = int(np.sum(s > 0.5))
         c.rank = r
-        factors.append((U[:, :r] * s[:r][None, :], Vh[:r, :]))
+        Ls.append(U[:, :r] * s[:r][None, :])
+        Rs.append(Vh[:r, :])
         total += P
     defect = float(np.linalg.norm(total - np.eye(dim), 2))
-    cross = 0.0
-    for i in range(len(clusters)):
-        Li, Ri = factors[i]
-        for j in range(len(clusters)):
-            if i == j:
-                continue
-            Lj, Rj = factors[j]
-            cross = max(cross, float(np.linalg.norm((Ri @ Lj), 2)
-                                     * np.linalg.norm(Li, 2)
-                                     * np.linalg.norm(Rj, 2)))
+    owner = np.repeat(np.arange(len(clusters)), [c.rank for c in clusters])
+    middle = np.zeros((len(clusters), len(clusters)))
+    np.add.at(middle, (owner[:, None], owner[None, :]),
+              np.abs(np.vstack(Rs) @ np.hstack(Ls)) ** 2)
+    bound = (np.array([np.linalg.norm(L) for L in Ls])[:, None]
+             * np.sqrt(middle)
+             * np.array([np.linalg.norm(R) for R in Rs])[None, :])
+    np.fill_diagonal(bound, 0.0)
     return {
         "sum_defect": defect,
-        "max_cross_product": cross,
+        "max_cross_product": float(bound.max()),
         "max_idempotency_defect": max(c.idempotency_defect for c in clusters),
         "total_rank": sum(c.rank for c in clusters),
     }

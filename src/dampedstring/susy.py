@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .discretization import DiscreteOperatorSet
-from .spectral import multiset_distance
+from .spectral import eigen_selfadjoint, multiset_distance
 
 __all__ = [
     "PolarParts", "BlockResolvent",
@@ -59,7 +59,7 @@ def polar_decompose(ops: DiscreteOperatorSet) -> PolarParts:
     directions, so V is the zero map there and a weighted isometry on the
     orthogonal complement.
     """
-    W, s, Xh = np.linalg.svd(ops.Tf)
+    W, s, Xh = ops.Tf_svd
     tol = ops.tol_zero
     r = int(np.sum(s > tol))
     s_node = np.zeros(Xh.shape[0])
@@ -150,22 +150,18 @@ def block_diagonalize(ops: DiscreteOperatorSet) -> dict:
     }
 
 
-def check_intertwining(ops: DiscreteOperatorSet,
-                       functions=("x", "x2", "exp")) -> dict:
+def check_intertwining(ops: DiscreteOperatorSet) -> dict:
     """V f(T*T) = f(T T*) V in the frame for polynomial and exponential f."""
     parts = polar_decompose(ops)
-    H1f = ops.node_frame(ops.H1)
     H2f = ops.cell_frame(ops.H2)
-    H1f = 0.5 * (H1f + H1f.conj().T)
     H2f = 0.5 * (H2f + H2f.conj().T)
-    mu1, U1 = np.linalg.eigh(H1f)
+    mu1, U1 = eigen_selfadjoint(ops)
     mu2, U2 = np.linalg.eigh(H2f)
     table = {"x": lambda x: x, "x2": lambda x: x * x,
              "exp": lambda x: np.exp(-x)}
     out = {}
     scale = max(np.abs(mu1).max(), 1.0)
-    for name in functions:
-        f = table[name]
+    for name, f in table.items():
         F1 = (U1 * f(mu1)[None, :]) @ U1.conj().T
         F2 = (U2 * f(mu2)[None, :]) @ U2.conj().T
         out[name] = float(np.linalg.norm(parts.V @ F1 - F2 @ parts.V)

@@ -132,8 +132,7 @@ def verify_trace_identity(n: int, ops: DiscreteOperatorSet,
 
 
 def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
-                 n_max: int = N_MAX_DEFAULT,
-                 with_continuum: bool = True) -> TraceLedger:
+                 n_max: int = N_MAX_DEFAULT) -> TraceLedger:
     t_vals, lhs, disc = [], [], []
     for n in range(n_max + 1):
         method = "closed" if n <= 1 else "neumann"
@@ -143,12 +142,10 @@ def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
     for n in range(n_max + 1):
         disc.append(abs(lhs[2 * n] + t_vals[n]))
         disc.append(abs(lhs[2 * n + 1]))
-    t0c = None
-    if with_continuum:
-        try:
-            t0c = t0_analytic(ops.bc, ops.alpha)
-        except KernelUnavailableError:
-            t0c = None
+    try:
+        t0c = t0_analytic(ops.bc, ops.alpha)
+    except KernelUnavailableError:
+        t0c = None
     return TraceLedger(bc=str(ops.bc), n_grid=ops.grid.n, n_max=n_max,
                        t=t_vals, lhs=lhs, discrepancies=disc,
                        excluded_zero_modes=spec.zero_modes, t0_continuum=t0c)

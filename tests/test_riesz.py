@@ -13,6 +13,29 @@ def small_ops():
     return ds.build_operator_set(24, RHO1, ds.constant(1.0, "damping"), MIN)
 
 
+@pytest.fixture(scope="module")
+def small_resolution(small_ops):
+    spec = ds.eigen_dirac(small_ops)
+    clusters = riesz.cluster_eigenvalues(spec, small_ops)
+    out = riesz.verify_resolution_of_identity(clusters,
+                                              small_ops.dirac_frame())
+    return spec, clusters, out
+
+
+def assert_gap_clusters(spec, ops, clusters, gap_fraction=0.5):
+    """Eigenvalues within the gap threshold share a cluster, and no contour
+    encloses a member of another cluster."""
+    lam = spec.eigenvalues
+    owner = np.empty(len(lam), dtype=int)
+    for c in clusters:
+        owner[c.members] = c.cluster_id
+    thr = gap_fraction * np.pi / ds.integrate_product([ops.rho])
+    i, j = np.nonzero(np.abs(lam[:, None] - lam[None, :]) <= thr)
+    assert np.array_equal(owner[i], owner[j])
+    for c in clusters:
+        assert not c.contour.encloses(lam[owner != c.cluster_id]).any()
+
+
 def test_single_eigenvalue_projection(small_ops):
     op = small_ops.dirac_frame()
     lam = np.linalg.eigvals(op)
@@ -65,6 +88,7 @@ def test_near_critical_damping_cluster():
             if abs(lam + 1j * np.pi) < 1.0]
     assert len(near) == 2
     assert all(sizes[i] >= 2 for i in near)
+    assert_gap_clusters(spec, ops, clusters)
 
 
 def test_resolution_of_identity_undamped():
@@ -82,6 +106,7 @@ def test_resolution_of_identity_random_quasi():
     ops = ds.build_operator_set(32, rho, alpha, ds.BoundaryCondition.quasi(1j))
     spec = ds.eigen_dirac(ops)
     clusters = riesz.cluster_eigenvalues(spec, ops)
+    assert_gap_clusters(spec, ops, clusters)
     out = riesz.verify_resolution_of_identity(clusters, ops.dirac_frame())
     assert out["sum_defect"] < 1e-6
     assert out["max_cross_product"] < 1e-7
@@ -97,10 +122,15 @@ def test_projection_traces_near_integer(small_ops):
         assert abs(tr - round(tr.real)) < 1e-6
 
 
-def test_cluster_csv_format(small_ops):
-    spec = ds.eigen_dirac(small_ops)
-    clusters = riesz.cluster_eigenvalues(spec, small_ops)
-    riesz.verify_resolution_of_identity(clusters, small_ops.dirac_frame())
+def test_cross_product_bound_dominates_spectral_norms(small_resolution):
+    _, clusters, out = small_resolution
+    direct = max(np.linalg.norm(a.projection @ b.projection, 2)
+                 for a in clusters for b in clusters if a is not b)
+    assert out["max_cross_product"] >= direct
+
+
+def test_cluster_csv_format(small_resolution):
+    spec, clusters, _ = small_resolution
     csv = riesz.clusters_to_csv(clusters)
     lines = csv.strip().split("\n")
     assert lines[0] == ("cluster_id,branch,member_count,center_re,center_im,"
