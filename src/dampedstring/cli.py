@@ -199,6 +199,10 @@ def cmd_riesz(cfg: RunConfig, report: VerificationReport) -> None:
                res["sum_defect"], 1e-6)
     report.add("riesz.cross_products", "riesz.orthogonality",
                res["max_cross_product"], 1e-7)
+    report.add("riesz.commutator", "riesz.projection",
+               res["max_commutator"], 1e-8)
+    report.add("riesz.quadrature_deviation", "riesz.projection",
+               res["max_quadrature_deviation"], 1e-8)
 
 
 def cmd_verify_all(cfg: RunConfig, report: VerificationReport) -> None:

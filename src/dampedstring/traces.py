@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .discretization import DiscreteOperatorSet
 from .greens import KernelUnavailableError, t0_analytic
@@ -151,6 +152,22 @@ def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
                        excluded_zero_modes=spec.zero_modes, t0_continuum=t0c)
 
 
+def _regular_inverse(A: np.ndarray) -> np.ndarray | None:
+    """A^{-1} from one LU factorization, or None when the LAPACK 1-norm
+    reciprocal condition estimate (gecon) of A is below 1e-12.
+
+    getrf is called directly rather than through `scipy.linalg.lu_factor`,
+    which warns on the exactly zero pivot of a zero mode at zeta = 0.
+    """
+    getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
+        ("getrf", "gecon", "getrs"), (A,))
+    lu, piv, _ = getrf(A)
+    rcond, _ = gecon(lu, np.linalg.norm(A, 1))
+    if rcond < 1e-12:
+        return None
+    return getrs(lu, piv, np.eye(A.shape[0], dtype=A.dtype))[0]
+
+
 def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
                               ) -> tuple[float, float, float]:
     """(lhs, rhs, parity_defect) of the resolvent-trace identity at real zeta.
@@ -166,24 +183,20 @@ def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
     def rhs_at(z: float) -> float:
         m = ops.n_nodes
         C = ops.C
-        Mz = ops.H1 - z * z * np.eye(m) - 1j * z * np.diag(C)
-        sv = np.linalg.svd(Mz, compute_uv=False)
-        if sv[-1] < 1e-12 * sv[0]:
+        inv = _regular_inverse(ops.H1 - z * z * np.eye(m) - 1j * z * np.diag(C))
+        if inv is None:
             raise ValueError("zeta is too close to the spectrum")
-        inv = np.linalg.solve(Mz, np.eye(m))
         return float(np.imag(np.trace((np.diag(1j * C) + 2 * z * np.eye(m)) @ inv)))
 
     def lhs_at(z: float) -> float:
         Mf = ops.dirac_frame()
-        A = Mf - z * np.eye(Mf.shape[0])
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] < 1e-12 * sv[0]:
+        R = _regular_inverse(Mf - z * np.eye(Mf.shape[0]))
+        if R is None:
             # zeta sits on a zero mode: use the primed eigenvalue sum, which
             # agrees with the trace and drops the singular directions
             lam = np.linalg.eigvals(Mf)
             lam = lam[np.abs(lam) > ops.tol_zero]
             return float(np.sum(np.imag(1.0 / (lam - z))))
-        R = np.linalg.solve(A, np.eye(Mf.shape[0]))
         return float(np.trace((R - R.conj().T) / 2j).real)
 
     lhs = lhs_at(zeta)

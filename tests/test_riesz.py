@@ -91,6 +91,17 @@ def test_near_critical_damping_cluster():
     assert_gap_clusters(spec, ops, clusters)
 
 
+def test_clusters_merge_when_a_box_captures_an_eigenvalue():
+    """A diagonal chain (steps 1.56 < pi/2) is one gap cluster whose box
+    holds 3 + 0.3i, which is 2.06 from the chain; the two must merge."""
+    lam = np.array([0, 1.1 + 1.1j, 2.2 + 2.2j, 3.3 + 3.3j, 3.0 + 0.3j])
+    spec = ds.Spectrum(lam, np.zeros(len(lam)), 0, "dirac", 1e-10)
+    ops = ds.build_operator_set(8, RHO1, ds.constant(0.0, "damping"), MIN)
+    clusters = riesz.cluster_eigenvalues(spec, ops)
+    assert [c.members for c in clusters] == [[0, 1, 2, 3, 4]]
+    assert clusters[0].contour.kind == "rectangle"
+
+
 def test_resolution_of_identity_undamped():
     ops = ds.build_operator_set(32, RHO1, ds.constant(0.0, "damping"), MIN)
     spec = ds.eigen_dirac(ops)
@@ -129,12 +140,70 @@ def test_cross_product_bound_dominates_spectral_norms(small_resolution):
     assert out["max_cross_product"] >= direct
 
 
+def test_direct_projections_match_quadrature(small_ops, small_resolution):
+    """Every stored projection, rectangles included, against the contour
+    integral of the resolvent."""
+    _, clusters, out = small_resolution
+    op = small_ops.dirac_frame()
+    for c in clusters:
+        P = riesz.riesz_projection(op, c.contour)
+        assert np.linalg.norm(P - c.projection, 2) < 1e-9
+    assert out["max_quadrature_deviation"] < 1e-9
+    assert out["max_commutator"] < 1e-9
+
+
+def test_critical_damping_jordan_pair():
+    """At a = 2 sqrt(mu_1) the lowest pair of the discrete pencil forms a
+    Jordan block; its cluster still projects onto a rank-2 subspace."""
+    undamped = ds.build_operator_set(64, RHO1, ds.constant(0.0, "damping"),
+                                     MIN)
+    a = 2 * np.sqrt(undamped.H1_eigvals[0])
+    ops = ds.build_operator_set(64, RHO1, ds.constant(a, "damping"), MIN)
+    spec = ds.eigen_dirac(ops)
+    clusters = riesz.cluster_eigenvalues(spec, ops)
+    out = riesz.verify_resolution_of_identity(clusters, ops.dirac_frame())
+    pair = min(clusters,
+               key=lambda c: abs(c.contour.center + 0.5j * a))
+    assert len(pair.members) == 2
+    assert pair.rank == 2
+    P = riesz.riesz_projection(ops.dirac_frame(), pair.contour)
+    assert np.linalg.norm(P - pair.projection, 2) < 1e-9
+    assert out["sum_defect"] < 1e-8
+
+
+def test_contour_enclosing_wrong_count_is_rejected(small_ops):
+    spec = ds.eigen_dirac(small_ops)
+    clusters = riesz.cluster_eigenvalues(spec, small_ops)
+    c = clusters[len(clusters) // 2]
+    c.contour = riesz.Contour("circle", c.contour.center, 1e3)
+    with pytest.raises(riesz.ContourError, match="encloses"):
+        riesz.verify_resolution_of_identity(clusters,
+                                            small_ops.dirac_frame())
+
+
+def test_whole_spectrum_cluster_is_identity(small_ops):
+    op = small_ops.dirac_frame()
+    lam = np.linalg.eigvals(op)
+    lo = complex(lam.real.min() - 1, lam.imag.min() - 1)
+    hi = complex(lam.real.max() + 1, lam.imag.max() + 1)
+    c = riesz.RieszCluster(0, "plus", list(range(len(lam))),
+                           riesz.Contour("rectangle", (lo + hi) / 2,
+                                         lo=lo, hi=hi))
+    out = riesz.verify_resolution_of_identity([c], op)
+    np.testing.assert_array_equal(c.projection, np.eye(len(lam)))
+    assert c.s == 1.0
+    assert c.rank == len(lam)
+    assert out["sum_defect"] == 0.0
+
+
 def test_cluster_csv_format(small_resolution):
     spec, clusters, _ = small_resolution
     csv = riesz.clusters_to_csv(clusters)
     lines = csv.strip().split("\n")
     assert lines[0] == ("cluster_id,branch,member_count,center_re,center_im,"
-                        "rank,idempotency_defect")
+                        "rank,idempotency_defect,s")
     assert len(lines) == len(clusters) + 1
     total_members = sum(int(line.split(",")[2]) for line in lines[1:])
     assert total_members == len(spec)
+    s = np.array([float(line.split(",")[7]) for line in lines[1:]])
+    assert np.all((s > 0) & (s <= 1))

@@ -103,6 +103,17 @@ def test_resolvent_trace_zero_matches_t0():
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+@pytest.mark.parametrize("bc", [ds.BoundaryCondition.maximal(),
+                                ds.BoundaryCondition.quasi(1.0)],
+                         ids=str)
+def test_resolvent_trace_zero_rejects_singular_node_operator(bc):
+    """ker T is nontrivial for max and omega:1,0, so T*T - zeta^2 - i zeta C
+    is singular at zeta = 0 and the node-space side cannot be formed."""
+    ops = ds.build_operator_set(32, RHO1, ALPHA1, bc)
+    with pytest.raises(ValueError, match="too close to the spectrum"):
+        traces.resolvent_trace_expansion(0.0, ops)
+
+
 def test_regularized_sum_constant_damping():
     ops = ds.build_operator_set(128, RHO1, ds.constant(0.8, "damping"), MIN)
     spec = ds.constant_damping_dirac(ops)
