@@ -5,6 +5,10 @@ discrete adjoint is *defined* through the weighted inner products,
 Tstar = Wu^{-1} T^H Wv, so every supersymmetry identity holds exactly at
 matrix level and the continuum adjoint boundary conditions emerge in the
 limit instead of being imposed by hand.
+
+T is a two-band difference operator, so T*T and TT* are tridiagonal
+(cyclic for quasi) and every Hermitian problem is solved as a band; dense
+matrices are built only when a dense algorithm asks for them.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 from .coefficients import CoefficientSpec
 
@@ -21,7 +27,6 @@ __all__ = [
     "WeightedGrid",
     "DiscreteOperatorSet",
     "build_grid",
-    "assemble_T",
     "assemble_adjoint",
     "assemble_dirac",
     "assemble_damping",
@@ -127,27 +132,6 @@ def build_grid(n: int, rho: CoefficientSpec, bc: BoundaryCondition) -> WeightedG
     return WeightedGrid(n, bc, keep, xk, mids, wu, wv)
 
 
-def assemble_T(grid: WeightedGrid, rho: CoefficientSpec,
-               bc: BoundaryCondition) -> np.ndarray:
-    """Forward difference (i/rho) d/dx from retained nodes to cells."""
-    if bc != grid.bc:
-        raise ValueError("boundary condition does not match the grid")
-    n, h = grid.n, grid.h
-    col = {k: i for i, k in enumerate(grid.keep)}
-    T = np.zeros((n, len(grid.keep)), dtype=complex)
-    rho_mid = np.asarray(rho.sample(grid.mids))
-    for j in range(1, n + 1):
-        c = 1j / (h * rho_mid[j - 1])
-        right, left = j, j - 1
-        if bc.tag == "quasi" and j == n:
-            T[j - 1, col[0]] += c * bc.omega   # node n identified with omega * node 0
-        elif right in col:
-            T[j - 1, col[right]] += c
-        if left in col:
-            T[j - 1, col[left]] -= c
-    return T
-
-
 def assemble_adjoint(T: np.ndarray, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
     """Weighted adjoint Tstar = Wu^{-1} T^H Wv; the defining identity, not a stencil."""
     if T.shape != (len(wv), len(wu)):
@@ -181,32 +165,139 @@ def assemble_generator(TstarT: np.ndarray, R: np.ndarray) -> np.ndarray:
     return G
 
 
+def _fold(size: int) -> np.ndarray:
+    """The order (0, N-1, 1, N-2, ...): it puts the first and the last
+    unknown next to each other and every coordinate neighbour within two
+    places, so a cyclic tridiagonal matrix becomes a band of width 2."""
+    idx = np.arange(size)
+    order = np.empty_like(idx)
+    order[0::2] = idx[:(size + 1) // 2]
+    order[1::2] = idx[:(size - 1) // 2:-1]
+    return order
+
+
+def _band_eigh(A, cyclic: bool, vectors: bool = False):
+    """Eigenvalues (ascending), and with ``vectors`` the eigenvectors, of the
+    sparse Hermitian matrix A by `scipy.linalg.eig_banded`.
+
+    The unknowns of A are in coordinate order, so A is tridiagonal apart
+    from, when ``cyclic``, the corner that couples the first and the last
+    unknown; `_fold` moves that corner inside bandwidth 2.  A is written in
+    lower band storage, so a real A is solved in real arithmetic.
+    """
+    size = A.shape[0]
+    order = _fold(size) if cyclic else np.arange(size)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(size)
+    A = A.tocoo()
+    i, j = pos[A.row], pos[A.col]
+    low = i >= j
+    ab = np.zeros((3 if cyclic else 2, size), dtype=A.dtype)
+    ab[i[low] - j[low], j[low]] = A.data[low]
+    if not vectors:
+        return scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True,
+                                       check_finite=False)
+    w, V = scipy.linalg.eig_banded(ab, lower=True, check_finite=False)
+    return w, V[pos]
+
+
+def _dense(shape: tuple, rows: np.ndarray, cols: np.ndarray,
+           vals: np.ndarray) -> np.ndarray:
+    """Complex matrix of the given shape with only the given nonzeros."""
+    M = np.zeros(shape, dtype=complex)
+    M[rows, cols] = vals
+    return M
+
+
+def _product(key: np.ndarray, i: np.ndarray, j: np.ndarray, x: np.ndarray,
+             y: np.ndarray, size: int):
+    """Sparse size x size matrix that sums x[a] y[b] at (i[a], j[b]) over
+    every pair of nonzeros a, b sharing the summation index ``key`` (no
+    index is shared by more than two); real when every product is."""
+    s = np.argsort(key, kind="stable")
+    a, b = s[:-1], s[1:]
+    twin = key[a] == key[b]
+    a, b = a[twin], b[twin]
+    every = np.arange(len(key))
+    first = np.concatenate([every, a, b])
+    second = np.concatenate([every, b, a])
+    v = x[first] * y[second]
+    if not v.imag.any():
+        v = v.real
+    return scipy.sparse.csr_array((v, (i[first], j[second])), shape=(size, size))
+
+
 @dataclass(frozen=True)
 class DiscreteOperatorSet:
-    """All matrices for one (n, rho, alpha, bc) configuration.
+    """All operators for one (n, rho, alpha, bc) configuration.
 
-    T and Tstar are assembled up front; everything derived from them (D, B,
-    G, the frame factor with its singular values and its full SVD, the zero
-    threshold, the spectra of T*T and TT*, and (T*T)^{-1}) is formed on
-    first use and kept.
+    T is stored as its per-cell coefficients c_j = i/(h rho(x_{j+1/2})):
+    (T u)_j = c_j (u_{j+1} - u_j), with node n read as omega * node 0 for
+    quasi.  The Hermitian problems (the singular values of T, the spectra of
+    T*T and TT*) are solved as bands in coordinate order.  Every dense
+    matrix (T, Tstar, Tf, H1, H2, D, B, G) is built on first use and kept.
     """
 
     grid: WeightedGrid
     bc: BoundaryCondition
     rho: CoefficientSpec
     alpha: CoefficientSpec
-    T: np.ndarray
-    Tstar: np.ndarray
-    wu: np.ndarray
-    wv: np.ndarray
+    c: np.ndarray                 # per-cell coefficients of T
 
     @property
     def n_nodes(self) -> int:
-        return self.T.shape[1]
+        return len(self.grid.keep)
 
     @property
     def n_cells(self) -> int:
-        return self.T.shape[0]
+        return self.grid.n
+
+    @property
+    def wu(self) -> np.ndarray:
+        return self.grid.node_weights
+
+    @property
+    def wv(self) -> np.ndarray:
+        return self.grid.cell_weights
+
+    @property
+    def _cyclic(self) -> bool:
+        return self.bc.tag == "quasi"
+
+    @cached_property
+    def _T_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cell, node column, value) of the nonzeros of T."""
+        n, m, first = self.n_cells, self.n_nodes, self.grid.keep[0]
+        j = np.arange(n)
+        right, left = j + 1 - first, j - first      # node columns
+        r, l = right < m, left >= 0
+        rows, cols = [j[r], j[l]], [right[r], left[l]]
+        vals = [self.c[r], -self.c[l]]
+        if self._cyclic:
+            rows.append([n - 1])
+            cols.append([0])
+            vals.append([self.c[-1] * self.bc.omega])
+        return tuple(map(np.concatenate, (rows, cols, vals)))
+
+    @cached_property
+    def _Tf_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of the frame factor Tf, in the places of T's."""
+        rows, cols, vals = self._T_entries
+        return rows, cols, np.sqrt(self.wv)[rows] * vals / np.sqrt(self.wu)[cols]
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        return _dense((self.n_cells, self.n_nodes), *self._T_entries)
+
+    @cached_property
+    def Tstar(self) -> np.ndarray:
+        return assemble_adjoint(self.T, self.wu, self.wv)
+
+    @cached_property
+    def Tf(self) -> np.ndarray:
+        """Frame factor Wv^{1/2} T Wu^{-1/2}: T as a Euclidean map, with
+        Tf^H the frame form of Tstar."""
+        return _dense((self.n_cells, self.n_nodes), *self._Tf_entries)
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -221,14 +312,30 @@ class DiscreteOperatorSet:
         return assemble_generator(self.H1, self.C)
 
     @cached_property
+    def H1f(self):
+        """T*T in the node frame, Tf^H Tf: sparse Hermitian, tridiagonal
+        (cyclic for quasi)."""
+        rows, cols, fv = self._Tf_entries
+        return _product(rows, cols, cols, fv.conj(), fv, self.n_nodes)
+
+    @cached_property
+    def H2f(self):
+        """TT* in the cell frame, Tf Tf^H: sparse Hermitian, tridiagonal
+        (cyclic for quasi)."""
+        rows, cols, fv = self._Tf_entries
+        return _product(cols, rows, rows, fv, fv.conj(), self.n_cells)
+
+    @cached_property
     def H1(self) -> np.ndarray:
-        """TstarT on the node space."""
-        return self.Tstar @ self.T
+        """TstarT on the node space, filled from the entries of H1f."""
+        s = np.sqrt(self.wu)
+        return self.H1f.toarray().astype(complex) / s[:, None] * s[None, :]
 
     @cached_property
     def H2(self) -> np.ndarray:
-        """TTstar on the cell space."""
-        return self.T @ self.Tstar
+        """TTstar on the cell space, filled from the entries of H2f."""
+        s = np.sqrt(self.wv)
+        return self.H2f.toarray().astype(complex) / s[:, None] * s[None, :]
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -242,16 +349,26 @@ class DiscreteOperatorSet:
         return np.concatenate([self.wu, self.wv])
 
     @cached_property
-    def Tf(self) -> np.ndarray:
-        """Frame factor Wv^{1/2} T Wu^{-1/2}: T as a Euclidean map, with
-        Tf^H the frame form of Tstar."""
-        return np.sqrt(self.wv)[:, None] * self.T / np.sqrt(self.wu)[None, :]
-
-    @cached_property
     def sv(self) -> np.ndarray:
         """Singular values of Tf, descending: the nonzero ones are the
-        square roots of the common nonzero spectrum of T*T and TT*."""
-        return np.linalg.svd(self.Tf, compute_uv=False)
+        square roots of the common nonzero spectrum of T*T and TT*.
+
+        They are the min(m, n) largest eigenvalues of the Golub-Kahan
+        matrix [[0, Tf^H], [Tf, 0]], whose nodes and cells interleave in
+        coordinate order into a band.  The square roots of the eigenvalues
+        of T*T would instead put a zero singular value near sqrt(eps) ||T||.
+        """
+        rows, cols, fv = self._Tf_entries
+        # node k sits at 2k, cell j at 2j + 1, less the dropped node 0
+        first = min(2 * self.grid.keep[0], 1)
+        node, cell = 2 * self.grid.keep[cols] - first, 2 * rows + 1 - first
+        size = self.n_nodes + self.n_cells
+        gk = scipy.sparse.csr_array(
+            (np.concatenate([fv, fv.conj()]),
+             (np.concatenate([cell, node]), np.concatenate([node, cell]))),
+            shape=(size, size))
+        w = _band_eigh(gk, self._cyclic)
+        return np.sort(np.abs(w[size - min(self.n_nodes, self.n_cells):]))[::-1]
 
     @cached_property
     def Tf_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,21 +382,32 @@ class DiscreteOperatorSet:
         return 1e-10 * float(self.sv[0])
 
     @cached_property
+    def rank(self) -> int:
+        """Numerical rank of T: the number of singular values at or above
+        tol_zero (KernelAmbiguityError when one sits near it)."""
+        return _rank(self.sv, self.tol_zero)
+
+    def frame_eigh(self, which: str = "node", vectors: bool = False):
+        """Spectrum, ascending, of T*T ("node") or TT* ("cell") in its
+        Hermitian frame, with the eigenvectors as columns if ``vectors``."""
+        A = {"node": self.H1f, "cell": self.H2f}[which]
+        return _band_eigh(A, self._cyclic, vectors)
+
+    @cached_property
     def H1_eigvals(self) -> np.ndarray:
         """Spectrum of T*T from its Hermitian frame form, ascending."""
-        return np.linalg.eigvalsh(self.node_frame(self.H1))
+        return self.frame_eigh("node")
 
     @cached_property
     def H2_eigvals(self) -> np.ndarray:
         """Spectrum of TT* from its Hermitian frame form, ascending."""
-        return np.linalg.eigvalsh(self.cell_frame(self.H2))
+        return self.frame_eigh("cell")
 
     @cached_property
     def K(self) -> np.ndarray:
-        """(T*T)^{-1}; LinAlgError when T*T is numerically singular for this bc."""
-        sv = np.linalg.svd(self.H1, compute_uv=False)
-        if sv[-1] < self.tol_zero * max(sv[0], 1.0):
-            raise np.linalg.LinAlgError("T*T is numerically singular for this bc")
+        """(T*T)^{-1}; LinAlgError when ker T is nontrivial for this bc."""
+        if self.rank < self.n_nodes:
+            raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
         return np.linalg.solve(self.H1, np.eye(self.n_nodes))
 
     def dirac_frame(self, M: np.ndarray | None = None) -> np.ndarray:
@@ -292,10 +420,6 @@ class DiscreteOperatorSet:
         s = np.sqrt(self.wu)
         return s[:, None] * M / s[None, :]
 
-    def cell_frame(self, M: np.ndarray) -> np.ndarray:
-        s = np.sqrt(self.wv)
-        return s[:, None] * M / s[None, :]
-
     def weighted_norm(self, v: np.ndarray, which: str = "dirac") -> float:
         w = {"dirac": self.wd, "node": self.wu, "cell": self.wv}[which]
         return float(np.sqrt(np.real(np.vdot(v, w * v))))
@@ -304,10 +428,8 @@ class DiscreteOperatorSet:
 def build_operator_set(n: int, rho: CoefficientSpec, alpha: CoefficientSpec,
                        bc: BoundaryCondition) -> DiscreteOperatorSet:
     grid = build_grid(n, rho, bc)
-    T = assemble_T(grid, rho, bc)
-    Tstar = assemble_adjoint(T, grid.node_weights, grid.cell_weights)
-    return DiscreteOperatorSet(grid, bc, rho, alpha, T, Tstar,
-                               grid.node_weights, grid.cell_weights)
+    c = 1j / (grid.h * np.asarray(rho.sample(grid.mids)))
+    return DiscreteOperatorSet(grid, bc, rho, alpha, c)
 
 
 def _rank(s: np.ndarray, tol: float) -> int:
@@ -327,8 +449,7 @@ def kernel_dimensions(ops: DiscreteOperatorSet) -> tuple[int, int, int]:
     ker D is counted from a separate SVD of the frame Dirac matrix, so the
     census kT + kTs = kD compares two independent paths.
     """
-    tol = ops.tol_zero
-    r = _rank(ops.sv, tol)
+    r = ops.rank
     sD = np.linalg.svd(ops.dirac_frame(ops.D), compute_uv=False)
-    kD = ops.n_nodes + ops.n_cells - _rank(sD, tol)
+    kD = ops.n_nodes + ops.n_cells - _rank(sD, ops.tol_zero)
     return ops.n_nodes - r, ops.n_cells - r, kD

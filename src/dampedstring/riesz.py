@@ -108,21 +108,30 @@ class RieszCluster:
     branch: str                      # plus | minus | overdamped | zero
     members: list                    # indices into the source Spectrum
     contour: Contour
-    projection: np.ndarray | None = None
+    L: np.ndarray | None = None      # thin factors of the projection L R
+    R: np.ndarray | None = None
     rank: int = 0
     idempotency_defect: float = float("nan")
     s: float = float("nan")          # reciprocal condition 1/sqrt(1+||X||_F^2)
+
+    @property
+    def projection(self) -> np.ndarray | None:
+        """The dense projection L R, built on each access."""
+        return None if self.L is None else self.L @ self.R
 
 
 def riesz_projection(op: np.ndarray, contour: Contour,
                      gap_min: float = 0.0, schur=None) -> np.ndarray:
     """P = -(2 pi i)^{-1} contour-integral of (op - zeta)^{-1} d zeta.
 
-    Trapezoid quadrature with node doubling until the update falls below
-    1e-10 in operator norm.  Passing a precomputed ``scipy.linalg.schur``
-    factorization (T, Q) turns every quadrature node into a triangular
-    inversion, which is what `verify_resolution_of_identity` does when it
-    integrates many contours of the same operator.
+    Quadrature with node doubling until the update falls below 1e-10 in
+    operator norm.  A circle's trapezoid nodes nest, so each doubling keeps
+    the previous sum (halved) and adds only the new odd nodes; a
+    rectangle's Gauss-Legendre panels do not nest, so its sum restarts.
+    Passing a precomputed ``scipy.linalg.schur`` factorization (T, Q) turns
+    every quadrature node into a triangular inversion, which is what
+    `verify_resolution_of_identity` does when it integrates many contours of
+    the same operator.
     """
     if schur is None:
         Tmat, Q = scipy.linalg.schur(np.asarray(op, dtype=complex),
@@ -136,10 +145,14 @@ def riesz_projection(op: np.ndarray, contour: Contour,
     dim = Tmat.shape[0]
     shift = np.arange(dim)
     n = 32
-    prev = None
+    prev = S = None
     while n <= MAX_QUAD_NODES:
         z, dz = contour.points(n)
-        S = np.zeros((dim, dim), dtype=complex)
+        if contour.kind == "circle" and S is not None:
+            S = S / 2
+            z, dz = z[1::2], dz[1::2]
+        else:
+            S = np.zeros((dim, dim), dtype=complex)
         for zk, dzk in zip(z, dz):
             A = Tmat.copy()
             A[shift, shift] -= zk
@@ -260,7 +273,9 @@ def _direct_projection(select: np.ndarray, schur) -> tuple:
         raise np.linalg.LinAlgError(f"ztrsyl failed with info={info}")
     X = x / scale
     R = np.hstack([np.eye(k), X]) @ Qs.conj().T
-    return Qs[:, :k], R, float(1.0 / np.sqrt(1.0 + np.linalg.norm(X) ** 2))
+    s = float(1.0 / np.sqrt(1.0 + np.linalg.norm(X) ** 2))
+    # a copy: a slice would keep all of Qs alive with the cluster
+    return Qs[:, :k].copy(), R, s
 
 
 def _oracle_sample(clusters: list) -> list:
@@ -279,11 +294,13 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     """Fill in projections, then check sum(P) = I and pairwise products.
 
     Each projection P = L R comes directly from one reordering of a shared
-    complex Schur form (`_direct_projection`); L has orthonormal columns, so
-    the singular values, rank and idempotency defect ||L (R L - I) R||_2 of
-    P are read off the k x dim factor R.  Every ||P_i P_j||_2 is bounded by
-    ||L_i||_F ||R_i L_j||_F ||R_j||_F, and the blocks R_i L_j of one product
-    of the stacked factors give all the middle norms at once.
+    complex Schur form (`_direct_projection`); the cluster keeps the thin
+    factors L, R, not the dense P.  L has orthonormal columns, so the
+    singular values, rank and idempotency defect ||L (R L - I) R||_2 of P
+    are read off the k x dim factor R.  The stacked factors give sum(P) as
+    one product, and every ||P_i P_j||_2 is bounded by
+    ||L_i||_F ||R_i L_j||_F ||R_j||_F, where the blocks R_i L_j of one
+    product of the stacked factors give all the middle norms at once.
 
     Two independent witnesses are reported: the commutator residual
     ||op P - P op||_F / (||op||_2 ||R||_2) of every cluster, and the
@@ -299,8 +316,6 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     schur = scipy.linalg.schur(op, output="complex")
     diag = np.diag(schur[0])
     op_norm = np.linalg.norm(op, 2)
-    total = np.zeros((dim, dim), dtype=complex)
-    Ls, Rs = [], []
     commutator = 0.0
     for c in clusters:
         select = c.contour.encloses(diag)
@@ -309,17 +324,15 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
                 f"contour of cluster {c.cluster_id} encloses {select.sum()} "
                 f"eigenvalues, not its {len(c.members)} members")
         L, R, c.s = _direct_projection(select, schur)
+        c.L, c.R = L, R
         sv = np.linalg.svd(R, compute_uv=False)
         c.rank = int(np.sum(sv > 0.5))
         c.idempotency_defect = float(np.linalg.norm(
             (R @ L - np.eye(len(R))) @ R, 2))
-        c.projection = L @ R
         commutator = max(commutator, float(
             np.linalg.norm((op @ L) @ R - L @ (R @ op)) / (op_norm * sv[0])))
-        Ls.append(L)
-        Rs.append(R)
-        total += c.projection
-    defect = float(np.linalg.norm(total - np.eye(dim), 2))
+    Ls, Rs = [c.L for c in clusters], [c.R for c in clusters]
+    defect = float(np.linalg.norm(np.hstack(Ls) @ np.vstack(Rs) - np.eye(dim), 2))
     owner = np.repeat(np.arange(len(clusters)), [len(R) for R in Rs])
     middle = np.zeros((len(clusters), len(clusters)))
     np.add.at(middle, (owner[:, None], owner[None, :]),

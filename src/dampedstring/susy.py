@@ -76,7 +76,7 @@ def check_isospectral(ops: DiscreteOperatorSet) -> dict:
     """Nonzero spectra of T*T and TT* agree; zero counts match the kernels."""
     mu1, mu2 = ops.H1_eigvals, ops.H2_eigvals
     # singular values of T give an unambiguous zero count for both products
-    r = int(np.sum(ops.sv > ops.tol_zero))
+    r = ops.rank
     z1 = ops.n_nodes - r
     z2 = ops.n_cells - r
     nz1 = np.sort(mu1)[::-1][:r]
@@ -153,10 +153,8 @@ def block_diagonalize(ops: DiscreteOperatorSet) -> dict:
 def check_intertwining(ops: DiscreteOperatorSet) -> dict:
     """V f(T*T) = f(T T*) V in the frame for polynomial and exponential f."""
     parts = polar_decompose(ops)
-    H2f = ops.cell_frame(ops.H2)
-    H2f = 0.5 * (H2f + H2f.conj().T)
     mu1, U1 = eigen_selfadjoint(ops)
-    mu2, U2 = np.linalg.eigh(H2f)
+    mu2, U2 = ops.frame_eigh("cell", vectors=True)
     table = {"x": lambda x: x, "x2": lambda x: x * x,
              "exp": lambda x: np.exp(-x)}
     out = {}
@@ -175,8 +173,7 @@ def first_resolvent_identity(z: complex, ops: DiscreteOperatorSet) -> float:
     Measured in the weighted frame; z must avoid both spectra.
     """
     Tf = ops.Tf
-    H1f = ops.node_frame(ops.H1)
-    H2f = ops.cell_frame(ops.H2)
+    H1f, H2f = ops.H1f.toarray(), ops.H2f.toarray()
     m, n = ops.n_nodes, ops.n_cells
     lhs = np.eye(n) + z * np.linalg.solve(H2f - z * np.eye(n), np.eye(n))
     rhs = Tf @ np.linalg.solve(H1f - z * np.eye(m), Tf.conj().T)

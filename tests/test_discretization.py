@@ -89,6 +89,44 @@ def test_kernel_census_reference_values(random_coeffs):
     # zero the threshold
     ops = ds.build_operator_set(16, RHO1, ALPHA1, ds.BoundaryCondition.quasi(1.0))
     assert ds.kernel_dimensions(ops) == (1, 1, 2)
+    # the square roots of the spectrum of T*T would put the zero singular
+    # value here near sqrt(eps) ||T||, above tol_zero, and report ker T = 0
+    ops = ds.build_operator_set(64, rho, alpha, ds.BoundaryCondition.quasi(1.0))
+    assert ds.kernel_dimensions(ops) == (1, 1, 2)
+
+
+FAMILIES = ["min", "zero0", "zero1", "max", "omega:1,0", "omega:0,1",
+            "omega:0.5,0.3"]
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_band_singular_values_match_dense_svd(random_coeffs, tag, n):
+    rho, alpha = random_coeffs
+    ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(tag))
+    s = np.linalg.svd(ops.Tf, compute_uv=False)
+    assert len(ops.sv) == len(s)
+    assert np.abs(ops.sv - s).max() <= 1e-13 * s[0]
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_dense_products_filled_from_bands(random_coeffs, tag):
+    rho, alpha = random_coeffs
+    ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(tag))
+    for H, ref in ((ops.H1, ops.Tstar @ ops.T), (ops.H2, ops.T @ ops.Tstar)):
+        assert np.linalg.norm(H - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_K_exists_exactly_when_ker_T_is_trivial(random_coeffs, tag):
+    rho, alpha = random_coeffs
+    ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(tag))
+    if tag in ("max", "omega:1,0"):
+        with pytest.raises(np.linalg.LinAlgError):
+            ops.K
+    else:
+        m = ops.n_nodes
+        assert np.linalg.norm(ops.K @ (ops.Tstar @ ops.T) - np.eye(m)) < 1e-10
 
 
 @pytest.mark.parametrize("tag", ["min", "zero0", "zero1", "max", "omega:0,1"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dampedstring as ds
 from dampedstring import riesz
@@ -54,6 +55,26 @@ def test_full_contour_gives_identity(small_ops):
     P = riesz.riesz_projection(
         op, riesz.Contour("rectangle", (lo + hi) / 2, lo=lo, hi=hi))
     assert np.linalg.norm(P - np.eye(op.shape[0]), 2) < 1e-9
+
+
+def test_circle_quadrature_reuses_nested_nodes(small_ops, monkeypatch):
+    """The 64 trapezoid nodes of a circle contain the 32 of the first pass,
+    so a circle that settles at 64 nodes takes 64 inversions, not 96."""
+    op = small_ops.dirac_frame()
+    lam = np.linalg.eigvals(op)
+    lam0 = lam[np.argmin(np.abs(lam - np.pi))]
+    gap = np.sort(np.abs(lam - lam0))[1]
+    calls = []
+    ztrtri = scipy.linalg.lapack.ztrtri
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ztrtri(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrtri", counting)
+    P = riesz.riesz_projection(op, riesz.Contour("circle", lam0, gap / 4))
+    assert len(calls) == 64
+    assert abs(np.trace(P) - 1.0) < 1e-9
 
 
 def test_projection_rejects_contour_through_spectrum(small_ops):
@@ -131,6 +152,18 @@ def test_projection_traces_near_integer(small_ops):
         P = riesz.riesz_projection(op, c.contour)
         tr = np.trace(P)
         assert abs(tr - round(tr.real)) < 1e-6
+
+
+def test_clusters_keep_thin_factors(small_ops, small_resolution):
+    _, clusters, _ = small_resolution
+    dim = small_ops.n_nodes + small_ops.n_cells
+    for c in clusters:
+        k = len(c.members)
+        assert c.L.shape == (dim, k) and c.R.shape == (k, dim)
+        # a view would keep the cluster's whole dim x dim Schur basis alive
+        assert c.L.base is None
+        assert "projection" not in vars(c)
+        np.testing.assert_array_equal(c.projection, c.L @ c.R)
 
 
 def test_cross_product_bound_dominates_spectral_norms(small_resolution):

@@ -90,6 +90,18 @@ def test_constant_damping_fast_path_matches_dense():
     assert ds.multiset_distance(fast.eigenvalues, dense.eigenvalues) < 1e-9 * scale
 
 
+@pytest.mark.parametrize("tag", ["min", "omega:0.5,0.3"])
+def test_selfadjoint_band_eigenpairs(tag):
+    rho, alpha = ds.random_coefficients(5)
+    ops = ds.build_operator_set(48, rho, alpha, ds.parse_bc(tag))
+    mu, U = spectral.eigen_selfadjoint(ops)
+    assert np.all(np.diff(mu) >= 0)
+    assert np.abs(U.conj().T @ U - np.eye(len(mu))).max() < 1e-12
+    H1f = ops.node_frame(ops.Tstar @ ops.T)
+    res = np.linalg.norm(H1f @ U - U * mu[None, :], axis=0).max()
+    assert res <= 1e-12 * np.linalg.norm(H1f, 2)
+
+
 def test_constant_damping_fast_path_rejects_variable_profile():
     ops = ds.build_operator_set(16, RHO1, ds.polynomial((0.5, 1.0), "damping"),
                                 MIN)
