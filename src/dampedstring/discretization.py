@@ -344,10 +344,6 @@ class DiscreteOperatorSet:
         r = np.asarray(self.rho.sample(self.grid.nodes))
         return a / r**2
 
-    @property
-    def wd(self) -> np.ndarray:
-        return np.concatenate([self.wu, self.wv])
-
     @cached_property
     def sv(self) -> np.ndarray:
         """Singular values of Tf, descending: the nonzero ones are the
@@ -410,18 +406,30 @@ class DiscreteOperatorSet:
             raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
         return np.linalg.solve(self.H1, np.eye(self.n_nodes))
 
+    def weights(self, space: str = "dirac") -> np.ndarray:
+        """Diagonal of the weighted inner product on the node, cell, dirac
+        (node + cell, for D + B) or generator (node + node, for G) space."""
+        parts = {"node": [self.wu], "cell": [self.wv],
+                 "dirac": [self.wu, self.wv], "generator": [self.wu, self.wu]}
+        return np.concatenate(parts[space])
+
+    def frame(self, M: np.ndarray, space: str = "dirac") -> np.ndarray:
+        """Similarity transform of M on ``space`` to the frame where the
+        weighted inner product is Euclidean."""
+        s = np.sqrt(self.weights(space))
+        return s[:, None] * M / s[None, :]
+
     def dirac_frame(self, M: np.ndarray | None = None) -> np.ndarray:
-        """Similarity transform to the frame where the weighted product is Euclidean."""
-        s = np.sqrt(self.wd)
-        M = self.D + self.B if M is None else M
-        return s[:, None] * M / s[None, :]
+        """The frame form of M, by default of D + B; built on each call."""
+        return self.frame(self.D + self.B if M is None else M)
 
-    def node_frame(self, M: np.ndarray) -> np.ndarray:
-        s = np.sqrt(self.wu)
-        return s[:, None] * M / s[None, :]
+    @cached_property
+    def dirac_norm(self) -> float:
+        """||D + B||_2 in the weighted frame."""
+        return float(np.linalg.norm(self.dirac_frame(), 2))
 
-    def weighted_norm(self, v: np.ndarray, which: str = "dirac") -> float:
-        w = {"dirac": self.wd, "node": self.wu, "cell": self.wv}[which]
+    def weighted_norm(self, v: np.ndarray, space: str = "dirac") -> float:
+        w = self.weights(space)
         return float(np.sqrt(np.real(np.vdot(v, w * v))))
 
 

@@ -1,7 +1,8 @@
-"""Run configuration, verification reports, and plot-data emission.
+"""Run configuration, verification reports, and the artifact number format.
 
-Reports serialize floats with ``repr`` (shortest round-trip), so identical
-configuration and seed produce byte-identical output files.
+Every artifact writes a float by `fmt_float` (shortest round-trip ``repr``)
+and every CSV is built by `to_csv`, so identical configuration and seed
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .discretization import BoundaryCondition
 
 __all__ = [
     "ConfigError", "RunConfig", "CheckRecord", "VerificationReport",
-    "parse_bc", "random_coefficients", "emit_plot_data",
+    "parse_bc", "random_coefficients", "fmt_float", "to_csv",
 ]
 
 
@@ -129,8 +130,8 @@ class CheckRecord:
             "name": self.name,
             "paper_anchor": self.anchor,
             "status": self.status,
-            "measured": repr(float(self.measured)),
-            "tolerance": None if self.tolerance is None else repr(float(self.tolerance)),
+            "measured": fmt_float(self.measured),
+            "tolerance": None if self.tolerance is None else fmt_float(self.tolerance),
         }
 
 
@@ -196,37 +197,17 @@ def random_coefficients(seed: int, max_pieces: int = 3,
     return draw(0.5, 2.0, "density"), draw(-1.0, 1.0, "damping")
 
 
-def emit_plot_data(out_dir: str | Path, *, spectrum=None, convergence=None,
-                   slope_fit=None) -> list:
-    """Write gnuplot-friendly CSV files; returns the paths written.
+def fmt_float(x) -> str:
+    """The artifact text of a float: its shortest round-trip ``repr``,
+    without the ``np.float64(...)`` wrapper numpy 2 puts on its scalars."""
+    return repr(float(x))
 
-    ``spectrum`` is a Spectrum (eigenvalue scatter), ``convergence`` a list of
-    (n_grid, err_t0, err_eig1) rows, ``slope_fit`` a dict with keys j,
-    re_lambda, fit_value (equal-length sequences).
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if spectrum is not None:
-        p = out / "eigenvalue_scatter.csv"
-        lines = ["re,im,branch"]
-        for lam, br in zip(spectrum.eigenvalues, spectrum.branches()):
-            lines.append(f"{lam.real!r},{lam.imag!r},{br}")
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
-    if convergence is not None:
-        p = out / "convergence.csv"
-        lines = ["n_grid,err_t0,err_eig1"]
-        for n, e0, e1 in convergence:
-            lines.append(f"{n},{e0!r},{e1!r}")
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
-    if slope_fit is not None:
-        p = out / "slope_fit.csv"
-        lines = ["j,re_lambda,fit_value"]
-        for j, re_l, fv in zip(slope_fit["j"], slope_fit["re_lambda"],
-                               slope_fit["fit_value"]):
-            lines.append(f"{j},{re_l!r},{fv!r}")
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
-    return written
+
+def to_csv(header: tuple[str, ...], rows) -> str:
+    """CSV text: the header names, then one line per row; floats are
+    written by `fmt_float`, integers and labels as they are."""
+    def cell(x):
+        return fmt_float(x) if isinstance(x, (float, np.floating)) else str(x)
+    lines = [",".join(header)]
+    lines.extend(",".join(map(cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"

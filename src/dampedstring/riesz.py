@@ -10,7 +10,6 @@ so operator norms reported here are weighted operator norms.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .coefficients import integrate_product
 from .discretization import DiscreteOperatorSet
+from .reporting import to_csv
 from .spectral import Spectrum
 
 __all__ = [
@@ -75,24 +75,11 @@ class Contour:
         return np.stack([np.concatenate(zs), np.concatenate(dzs)])
 
     def distance(self, w: np.ndarray) -> np.ndarray:
-        """Unsigned distance from points w to the contour curve."""
+        """Unsigned distance from points w to the circle."""
+        if self.kind != "circle":
+            raise ValueError("distance is defined for circles only")
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        if self.kind == "circle":
-            return np.abs(np.abs(w - self.center) - self.radius)
-        x0, y0 = self.lo.real, self.lo.imag
-        x1, y1 = self.hi.real, self.hi.imag
-        inside_x = np.clip(w.real, x0, x1)
-        inside_y = np.clip(w.imag, y0, y1)
-        dx = np.minimum(np.abs(w.real - x0), np.abs(w.real - x1))
-        dy = np.minimum(np.abs(w.imag - y0), np.abs(w.imag - y1))
-        on_band_x = (w.real >= x0) & (w.real <= x1)
-        on_band_y = (w.imag >= y0) & (w.imag <= y1)
-        d = np.where(on_band_x & on_band_y, np.minimum(dx, dy),
-                     np.hypot(w.real - inside_x, w.imag - inside_y))
-        # outside the rectangle but aligned with a side: perpendicular distance
-        d = np.where(on_band_x & ~on_band_y, dy, d)
-        d = np.where(on_band_y & ~on_band_x, dx, d)
-        return d
+        return np.abs(np.abs(w - self.center) - self.radius)
 
     def encloses(self, w: np.ndarray) -> np.ndarray:
         w = np.atleast_1d(np.asarray(w, dtype=complex))
@@ -131,7 +118,8 @@ def riesz_projection(op: np.ndarray, contour: Contour,
     Passing a precomputed ``scipy.linalg.schur`` factorization (T, Q) turns
     every quadrature node into a triangular inversion, which is what
     `verify_resolution_of_identity` does when it integrates many contours of
-    the same operator.
+    the same operator.  With ``gap_min > 0`` the contour must be a circle
+    that keeps that distance from every eigenvalue.
     """
     if schur is None:
         Tmat, Q = scipy.linalg.schur(np.asarray(op, dtype=complex),
@@ -355,12 +343,8 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
 
 
 def clusters_to_csv(clusters: list) -> str:
-    buf = io.StringIO()
-    buf.write("cluster_id,branch,member_count,center_re,center_im,rank,"
-              "idempotency_defect,s\n")
-    for c in clusters:
-        z = c.contour.center
-        buf.write(f"{c.cluster_id},{c.branch},{len(c.members)},"
-                  f"{z.real!r},{z.imag!r},{c.rank},{c.idempotency_defect!r},"
-                  f"{c.s!r}\n")
-    return buf.getvalue()
+    rows = ((c.cluster_id, c.branch, len(c.members), c.contour.center.real,
+             c.contour.center.imag, c.rank, c.idempotency_defect, c.s)
+            for c in clusters)
+    return to_csv(("cluster_id", "branch", "member_count", "center_re",
+                   "center_im", "rank", "idempotency_defect", "s"), rows)

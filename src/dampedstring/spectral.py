@@ -7,7 +7,6 @@ weighted ones.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .coefficients import CoefficientSpec, integrate_product
 from .discretization import DiscreteOperatorSet
+from .reporting import to_csv
 
 __all__ = [
     "Spectrum", "EigenPair",
@@ -69,11 +69,10 @@ def _sort_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((np.angle(lam), np.abs(lam)))
 
 
-def _spectrum(Mf: np.ndarray, lam: np.ndarray, V: np.ndarray, tol_zero: float,
-              source: str, keep_vectors: bool) -> Spectrum:
+def _spectrum(Mf: np.ndarray, lam: np.ndarray, V: np.ndarray, scale: float,
+              tol_zero: float, source: str, keep_vectors: bool) -> Spectrum:
     """Sort the eigenpairs (lam, V) of the frame matrix Mf, gate their
-    residuals at 1e-8 x ||Mf||_2 and count the zero modes."""
-    scale = np.linalg.norm(Mf, 2)
+    residuals at 1e-8 x scale = ||Mf||_2 and count the zero modes."""
     res = np.linalg.norm(Mf @ V - V * lam[None, :], axis=0) / np.linalg.norm(V, axis=0)
     order = _sort_order(lam)
     lam, res, V = lam[order], res[order], V[:, order]
@@ -90,18 +89,18 @@ def eigen_dirac(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectru
     """Spectrum of D+B via a dense general eigensolver in the weighted frame."""
     Mf = ops.dirac_frame()
     lam, V = scipy.linalg.eig(Mf)
-    return _spectrum(Mf, lam, V, ops.tol_zero, "dirac", keep_vectors)
+    return _spectrum(Mf, lam, V, ops.dirac_norm, ops.tol_zero, "dirac",
+                     keep_vectors)
 
 
 def eigen_generator(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectrum:
     """Spectrum of iG on node+node space (real dgeev path when coefficients are real)."""
-    s = np.sqrt(np.concatenate([ops.wu, ops.wu]))
-    Gf = s[:, None] * ops.G / s[None, :]
+    Gf = ops.frame(ops.G, "generator")
     if np.allclose(Gf.imag, 0.0):
         Gf = Gf.real
     nu, V = scipy.linalg.eig(Gf)
-    return _spectrum(1j * Gf, 1j * nu, V, ops.tol_zero, "generator",
-                     keep_vectors)
+    return _spectrum(1j * Gf, 1j * nu, V, np.linalg.norm(Gf, 2), ops.tol_zero,
+                     "generator", keep_vectors)
 
 
 def eigen_selfadjoint(ops: DiscreteOperatorSet) -> tuple[np.ndarray, np.ndarray]:
@@ -159,16 +158,11 @@ def pencil_residual(lam: complex, u: np.ndarray, ops: DiscreteOperatorSet) -> fl
     return ops.weighted_norm(r, "node") / nu
 
 
-def _dirac_residual(lam: complex, v: np.ndarray, ops: DiscreteOperatorSet) -> float:
-    r = (ops.D + ops.B) @ v - lam * v
-    return ops.weighted_norm(r) / ops.weighted_norm(v)
-
-
-def _generator_residual(lam: complex, v: np.ndarray, ops: DiscreteOperatorSet) -> float:
-    w = np.concatenate([ops.wu, ops.wu])
-    r = 1j * (ops.G @ v) - lam * v
-    nrm = lambda x: float(np.sqrt(np.real(np.vdot(x, w * x))))
-    return nrm(r) / nrm(v)
+def _residual(M: np.ndarray, lam: complex, v: np.ndarray,
+              ops: DiscreteOperatorSet, space: str) -> float:
+    """Weighted residual ||M v - lambda v|| / ||v|| on ``space``."""
+    r = M @ v - lam * v
+    return ops.weighted_norm(r, space) / ops.weighted_norm(v, space)
 
 
 def map_generator_to_dirac(pair: EigenPair, ops: DiscreteOperatorSet) -> EigenPair:
@@ -179,7 +173,8 @@ def map_generator_to_dirac(pair: EigenPair, ops: DiscreteOperatorSet) -> EigenPa
     u, v = pair.vector[:m], pair.vector[m:]
     out = np.concatenate([v, -1j * (ops.T @ u)])
     out = out / ops.weighted_norm(out)
-    return EigenPair(pair.lam, out, "node+cell", _dirac_residual(pair.lam, out, ops))
+    return EigenPair(pair.lam, out, "node+cell",
+                     _residual(ops.D + ops.B, pair.lam, out, ops, "dirac"))
 
 
 def map_dirac_to_generator(pair: EigenPair, ops: DiscreteOperatorSet,
@@ -196,10 +191,9 @@ def map_dirac_to_generator(pair: EigenPair, ops: DiscreteOperatorSet,
         raise ValueError(f"second component lies outside ran(T): residual {resid:.3e}")
     w = wf / np.sqrt(ops.wu)
     out = np.concatenate([1j * w, psi1])
-    wts = np.concatenate([ops.wu, ops.wu])
-    out = out / np.sqrt(np.real(np.vdot(out, wts * out)))
+    out = out / ops.weighted_norm(out, "generator")
     return EigenPair(pair.lam, out, "node+node",
-                     _generator_residual(pair.lam, out, ops))
+                     _residual(1j * ops.G, pair.lam, out, ops, "generator"))
 
 
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -306,10 +300,8 @@ def verify_factorization_identity(z: complex, ops: DiscreteOperatorSet) -> dict:
 
 def spectrum_to_csv(spec: Spectrum) -> str:
     """CSV with columns index,re_lambda,im_lambda,residual,zero_mode_flag,branch."""
-    buf = io.StringIO()
-    buf.write("index,re_lambda,im_lambda,residual,zero_mode_flag,branch\n")
-    for i, (lam, r, branch) in enumerate(zip(spec.eigenvalues, spec.residuals,
-                                             spec.branches())):
-        flag = 1 if branch == "zero" else 0
-        buf.write(f"{i},{lam.real!r},{lam.imag!r},{r!r},{flag},{branch}\n")
-    return buf.getvalue()
+    branches = spec.branches()
+    rows = zip(range(len(spec)), spec.eigenvalues.real, spec.eigenvalues.imag,
+               spec.residuals, (branches == "zero").astype(int), branches)
+    return to_csv(("index", "re_lambda", "im_lambda", "residual",
+                   "zero_mode_flag", "branch"), rows)

@@ -60,8 +60,7 @@ def polar_decompose(ops: DiscreteOperatorSet) -> PolarParts:
     orthogonal complement.
     """
     W, s, Xh = ops.Tf_svd
-    tol = ops.tol_zero
-    r = int(np.sum(s > tol))
+    r = ops.rank
     s_node = np.zeros(Xh.shape[0])
     s_node[:len(s)] = s
     s_cell = np.zeros(W.shape[0])
@@ -69,7 +68,7 @@ def polar_decompose(ops: DiscreteOperatorSet) -> PolarParts:
     absT = (Xh.conj().T * s_node[None, :]) @ Xh
     absTstar = (W * s_cell[None, :]) @ W.conj().T
     V = W[:, :r] @ Xh[:r, :]
-    return PolarParts(V, absT, absTstar, r, tol)
+    return PolarParts(V, absT, absTstar, r, ops.tol_zero)
 
 
 def check_isospectral(ops: DiscreteOperatorSet) -> dict:
@@ -183,20 +182,23 @@ def first_resolvent_identity(z: complex, ops: DiscreteOperatorSet) -> float:
     return float(np.linalg.norm(P @ (lhs - rhs) @ P) / max(np.linalg.norm(rhs), 1.0))
 
 
-def _check_zeta(zeta: complex, ops: DiscreteOperatorSet, tol: float = 1e-8):
+def _scalar_resolvents(zeta: complex, ops: DiscreteOperatorSet
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(T*T - zeta^2)^{-1} and (TT* - zeta^2)^{-1}; ValueError when zeta^2
+    lies within 1e-8 of either spectrum."""
+    m, n = ops.n_nodes, ops.n_cells
     z2 = zeta * zeta
     d = min(np.abs(ops.H1_eigvals - z2).min(), np.abs(ops.H2_eigvals - z2).min())
-    if d <= tol:
+    if d <= 1e-8:
         raise ValueError(f"zeta^2 within {d:.3e} of the squared spectrum")
+    K1 = np.linalg.solve(ops.H1 - z2 * np.eye(m), np.eye(m))
+    K2 = np.linalg.solve(ops.H2 - z2 * np.eye(n), np.eye(n))
+    return K1, K2
 
 
 def resolvent_dirac(zeta: complex, ops: DiscreteOperatorSet) -> BlockResolvent:
     """(D - zeta)^{-1} assembled from the two scalar-block resolvents."""
-    _check_zeta(zeta, ops)
-    m, n = ops.n_nodes, ops.n_cells
-    z2 = zeta * zeta
-    K1 = np.linalg.solve(ops.H1 - z2 * np.eye(m), np.eye(m))
-    K2 = np.linalg.solve(ops.H2 - z2 * np.eye(n), np.eye(n))
+    K1, K2 = _scalar_resolvents(zeta, ops)
     blocks = ((zeta * K1, ops.Tstar @ K2), (ops.T @ K1, zeta * K2))
     return BlockResolvent(zeta, blocks)
 
@@ -207,11 +209,8 @@ def resolvent_perturbed(zeta: complex, ops: DiscreteOperatorSet) -> BlockResolve
     The node-space correction is M = [I - i zeta C (T*T - zeta^2)^{-1}]^{-1};
     its conditioning is gated at 1e12 and reported as an error beyond that.
     """
-    _check_zeta(zeta, ops)
-    m, n = ops.n_nodes, ops.n_cells
-    z2 = zeta * zeta
-    K1 = np.linalg.solve(ops.H1 - z2 * np.eye(m), np.eye(m))
-    K2 = np.linalg.solve(ops.H2 - z2 * np.eye(n), np.eye(n))
+    K1, K2 = _scalar_resolvents(zeta, ops)
+    m = ops.n_nodes
     C = ops.C
     A = np.eye(m) - 1j * zeta * (C[:, None] * K1)
     cond = np.linalg.cond(A)

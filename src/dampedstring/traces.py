@@ -21,6 +21,7 @@ import scipy.linalg
 
 from .discretization import DiscreteOperatorSet
 from .greens import KernelUnavailableError, t0_analytic
+from .reporting import fmt_float
 from .spectral import Spectrum
 
 __all__ = [
@@ -50,12 +51,12 @@ class TraceLedger:
         payload = {
             "bc": self.bc,
             "n_grid": self.n_grid,
-            "t": [repr(v) for v in self.t],
-            "lhs": [repr(v) for v in self.lhs],
-            "discrepancies": [repr(v) for v in self.discrepancies],
+            "t": [fmt_float(v) for v in self.t],
+            "lhs": [fmt_float(v) for v in self.lhs],
+            "discrepancies": [fmt_float(v) for v in self.discrepancies],
             "zero_modes": self.excluded_zero_modes,
             "continuum": {"t0_analytic": None if self.t0_continuum is None
-                          else repr(self.t0_continuum)},
+                          else fmt_float(self.t0_continuum)},
         }
         payload.update(self.extras)
         return json.dumps(payload, indent=indent)

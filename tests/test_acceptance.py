@@ -181,7 +181,7 @@ def test_criterion_08_generator_dirac_equivalence():
         # eigenvector maps in both directions on a spread of indices
         m = ops.n_nodes
         su = np.sqrt(ops.wu)
-        sd = np.sqrt(ops.wd)
+        sd = np.sqrt(ops.weights())
         for k in range(4, len(gen), max(len(gen) // 7, 1)):
             lam = gen.eigenvalues[k]
             if abs(lam) < gen.tol_zero:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dampedstring as ds
+from dampedstring import cli
 from dampedstring.cli import main
 from dampedstring.reporting import ConfigError, RunConfig, parse_bc
 
@@ -125,3 +126,45 @@ def test_verify_all_passes(tmp_path):
         assert np.isfinite(float(record["measured"]))
     assert ((tmp_path / "verify_all.json").read_bytes()
             == (tmp_path / "report.json").read_bytes())
+
+
+def _number(cell):
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
+def test_every_csv_cell_is_a_number_or_label(tmp_path):
+    commands = ["spectrum", "greens", "trace", "resolvent-check",
+                "susy-check", "asymptotics", "riesz", "verify-all"]
+    written = set()
+    for cmd in commands:
+        out = tmp_path / cmd
+        # the slope fit needs the 40 branch modes of the default grid
+        size = [] if cmd == "asymptotics" else ["--n", "32"]
+        assert run_cli(cmd, *size, "--out", str(out)) == 0
+        for path in out.glob("*.csv"):
+            written.add(path.name)
+            header, *rows = path.read_text().splitlines()
+            names = header.split(",")
+            for row in rows:
+                for name, cell in zip(names, row.split(","), strict=True):
+                    if name != "branch":
+                        _number(cell)
+    assert written == {"spectrum.csv", "eigenvalue_scatter.csv",
+                       "greens_kernel.csv", "slope_fit.csv",
+                       "riesz_clusters.csv"}
+
+
+def test_programming_error_propagates(monkeypatch):
+    def broken(cfg, report):
+        raise TypeError("not a numerical failure")
+    monkeypatch.setitem(cli._DISPATCH, "spectrum", broken)
+    with pytest.raises(TypeError):
+        run_cli("spectrum", "--n", "16")
+
+
+def test_numerical_failure_exits_one(tmp_path):
+    # 32 cells give fewer than the 40 branch modes the slope fit needs
+    assert run_cli("asymptotics", "--n", "32", "--out", str(tmp_path)) == 1

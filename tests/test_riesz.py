@@ -87,6 +87,17 @@ def test_projection_rejects_contour_through_spectrum(small_ops):
                                gap_min=gap / 2)
 
 
+
+def test_projection_gap_check_rejects_rectangle(small_ops):
+    op = small_ops.dirac_frame()
+    lam = np.linalg.eigvals(op)
+    lam0 = lam[np.argmin(np.abs(lam - np.pi))]
+    half = 0.25 * np.sort(np.abs(lam - lam0))[1]
+    box = riesz.Contour("rectangle", lam0, lo=lam0 - half * (1 + 1j),
+                        hi=lam0 + half * (1 + 1j))
+    with pytest.raises(ValueError):
+        riesz.riesz_projection(op, box, gap_min=half / 4)
+
 def test_multiplicity_simple(small_ops):
     op = small_ops.dirac_frame()
     lam = np.linalg.eigvals(op)

@@ -68,7 +68,7 @@ def test_zero_mode_maps_rejected(damped_ops):
     spec = ds.eigen_dirac(damped_ops, keep_vectors=True)
     assert spec.zero_modes == 1
     k = int(np.argmin(np.abs(spec.eigenvalues)))
-    sd = np.sqrt(damped_ops.wd)
+    sd = np.sqrt(damped_ops.weights())
     pair = spectral.EigenPair(spec.eigenvalues[k], spec.vectors[:, k] / sd,
                               "node+cell", 0.0)
     with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ def test_selfadjoint_band_eigenpairs(tag):
     mu, U = spectral.eigen_selfadjoint(ops)
     assert np.all(np.diff(mu) >= 0)
     assert np.abs(U.conj().T @ U - np.eye(len(mu))).max() < 1e-12
-    H1f = ops.node_frame(ops.Tstar @ ops.T)
+    H1f = ops.frame(ops.Tstar @ ops.T, "node")
     res = np.linalg.norm(H1f @ U - U * mu[None, :], axis=0).max()
     assert res <= 1e-12 * np.linalg.norm(H1f, 2)
 

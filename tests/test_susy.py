@@ -40,7 +40,7 @@ def test_isospectrality_and_kernel_counts(ops):
 
 
 def test_partner_eigenvectors(ops):
-    H1f = ops.node_frame(ops.H1)
+    H1f = ops.frame(ops.H1, "node")
     mu, U = np.linalg.eigh(0.5 * (H1f + H1f.conj().T))
     f = U[:, 3] / np.sqrt(ops.wu)
     g, res = susy.susy_partner_eigvec(f, mu[3], ops)
@@ -52,7 +52,7 @@ def test_partner_eigenvectors(ops):
 
 
 def test_dirac_eigenvector_from_h1_pair(ops):
-    H1f = ops.node_frame(ops.H1)
+    H1f = ops.frame(ops.H1, "node")
     mu, U = np.linalg.eigh(0.5 * (H1f + H1f.conj().T))
     f = U[:, 2] / np.sqrt(ops.wu)
     lam = np.sqrt(mu[2])
@@ -100,7 +100,7 @@ def test_dirac_resolvent_large_imaginary_limit(ops):
 
 
 def test_dirac_resolvent_rejects_spectrum(ops):
-    mu = np.linalg.eigvalsh(ops.node_frame(ops.H1))
+    mu = np.linalg.eigvalsh(ops.frame(ops.H1, "node"))
     with pytest.raises(ValueError):
         susy.resolvent_dirac(np.sqrt(mu[0]), ops)
 
