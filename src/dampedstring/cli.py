@@ -17,7 +17,7 @@ import numpy as np
 from . import greens, riesz, spectral, susy, traces
 from .coefficients import CoefficientError, constant
 from .discretization import (BoundaryCondition, build_operator_set,
-                             kernel_dimensions)
+                             kernel_dimensions, solve_regular)
 from .reporting import (ConfigError, RunConfig, VerificationReport, parse_bc,
                         random_coefficients, to_csv)
 
@@ -65,7 +65,7 @@ def _block_gap(res: susy.BlockResolvent, M: np.ndarray) -> float:
     """Relative Frobenius gap between a block resolvent and the direct dense
     inverse of M - zeta."""
     dim = M.shape[0]
-    direct = np.linalg.solve(M - res.zeta * np.eye(dim), np.eye(dim))
+    direct = solve_regular(M - res.zeta * np.eye(dim))
     return (np.linalg.norm(res.assemble() - direct)
             / max(np.linalg.norm(direct), 1.0))
 
@@ -108,8 +108,7 @@ def cmd_greens(cfg: RunConfig, report: VerificationReport) -> None:
     # the kernel must reproduce the discrete solve up to discretization error
     f = lambda x: np.sin(3 * np.pi * x) + np.cos(2.0 * x)
     u = greens.apply_inverse_via_kernel(cfg.bc, f, ops.grid)
-    u_mat = np.linalg.solve(ops.H1.astype(complex),
-                            f(ops.grid.nodes).astype(complex))
+    u_mat = solve_regular(ops.H1, f(ops.grid.nodes))
     resid = (ops.weighted_norm(u - u_mat, "node")
              / ops.weighted_norm(u_mat, "node"))
     report.add("greens.inverse_residual", "greens.kernel", resid,

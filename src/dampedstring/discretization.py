@@ -33,6 +33,7 @@ __all__ = [
     "assemble_generator",
     "build_operator_set",
     "kernel_dimensions",
+    "solve_regular",
     "KernelAmbiguityError",
 ]
 
@@ -404,7 +405,7 @@ class DiscreteOperatorSet:
         """(T*T)^{-1}; LinAlgError when ker T is nontrivial for this bc."""
         if self.rank < self.n_nodes:
             raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
-        return np.linalg.solve(self.H1, np.eye(self.n_nodes))
+        return solve_regular(self.H1)
 
     def weights(self, space: str = "dirac") -> np.ndarray:
         """Diagonal of the weighted inner product on the node, cell, dirac
@@ -448,6 +449,29 @@ def _rank(s: np.ndarray, tol: float) -> int:
         raise KernelAmbiguityError(
             f"singular value {s[near][0]:.3e} within a factor 10 of tol {tol:.3e}")
     return int(np.sum(s >= tol))
+
+
+def solve_regular(A: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """A^{-1} b, or A^{-1} when b is None, from one LU factorization.
+
+    np.linalg.LinAlgError when the LAPACK 1-norm reciprocal condition
+    estimate (gecon) of A is below 1e-12: the shift that made A sits too
+    close to the spectrum for the inverse to mean anything.  The LAPACK
+    prefix is chosen from A and b together, since a real A with a complex b
+    must be solved in complex arithmetic.  getrf is called directly rather
+    than through `scipy.linalg.lu_factor`, which warns on the exactly zero
+    pivot of a zero mode.
+    """
+    if b is None:
+        b = np.eye(A.shape[0], dtype=A.dtype)
+    getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
+        ("getrf", "gecon", "getrs"), (A, b))
+    lu, piv, _ = getrf(A)
+    rcond, _ = gecon(lu, np.linalg.norm(A, 1))
+    if rcond < 1e-12:
+        raise np.linalg.LinAlgError(
+            f"too close to the spectrum: reciprocal condition {rcond:.3e}")
+    return getrs(lu, piv, b)[0]
 
 
 def kernel_dimensions(ops: DiscreteOperatorSet) -> tuple[int, int, int]:

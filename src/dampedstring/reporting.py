@@ -64,8 +64,11 @@ class RunConfig:
             raise ConfigError("n_grid must be at least 8")
         if self.n_max < 0:
             raise ConfigError("n_max must be nonnegative")
-        if not (0 < self.fit_window[0] < self.fit_window[1] <= 1):
-            raise ConfigError("fit window fractions must satisfy 0 < lo < hi <= 1")
+        if not self.seeds:
+            raise ConfigError("seeds must not be empty")
+        if len(self.fit_window) != 2 or not (
+                0 < self.fit_window[0] < self.fit_window[1] <= 1):
+            raise ConfigError("fit window must be two fractions 0 < lo < hi <= 1")
 
     def coefficients(self) -> tuple[CoefficientSpec, CoefficientSpec]:
         """Parsed (rho, alpha); a speed profile triggers the reduction to c=1."""
@@ -85,22 +88,23 @@ class RunConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         kw = {}
-        scalar_keys = {"n_grid": int, "zeta": float, "n_max": int,
-                       "rho": str, "alpha": str, "speed": str, "out": str}
+        parsers = {"n_grid": int, "zeta": float, "n_max": int,
+                   "rho": str, "alpha": str, "speed": str, "out": str,
+                   "bc": parse_bc,
+                   "seeds": lambda v: tuple(int(s) for s in v),
+                   "fit_window": lambda v: tuple(float(x) for x in v)}
         rename = {"rho": "rho_text", "alpha": "alpha_text",
                   "speed": "speed_text", "out": "out_dir"}
         for key, value in raw.items():
-            if key == "bc":
-                kw["bc"] = parse_bc(value)
-            elif key == "seeds":
-                kw["seeds"] = tuple(int(s) for s in value)
-            elif key == "fit_window":
-                kw["fit_window"] = tuple(float(v) for v in value)
-            elif key in scalar_keys:
-                kw[rename.get(key, key)] = scalar_keys[key](value)
-            else:
+            if key not in parsers:
                 raise ConfigError(f"unknown config key {key!r}")
+            try:
+                kw[rename.get(key, key)] = parsers[key](value)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(f"bad value for config key {key!r}: {exc}") from exc
         return cls(**kw)
 
     def override(self, **kw) -> "RunConfig":

@@ -20,7 +20,7 @@ from .reporting import to_csv
 __all__ = [
     "Spectrum", "EigenPair",
     "eigen_dirac", "eigen_generator", "eigen_selfadjoint",
-    "constant_damping_dirac",
+    "constant_damping_dirac", "weighted_residual",
     "pencil_residual", "map_generator_to_dirac", "map_dirac_to_generator",
     "multiset_distance", "check_symmetry", "check_strip",
     "fit_asymptotics", "closed_form_constant_damping",
@@ -158,8 +158,8 @@ def pencil_residual(lam: complex, u: np.ndarray, ops: DiscreteOperatorSet) -> fl
     return ops.weighted_norm(r, "node") / nu
 
 
-def _residual(M: np.ndarray, lam: complex, v: np.ndarray,
-              ops: DiscreteOperatorSet, space: str) -> float:
+def weighted_residual(M: np.ndarray, lam: complex, v: np.ndarray,
+                      ops: DiscreteOperatorSet, space: str) -> float:
     """Weighted residual ||M v - lambda v|| / ||v|| on ``space``."""
     r = M @ v - lam * v
     return ops.weighted_norm(r, space) / ops.weighted_norm(v, space)
@@ -174,7 +174,7 @@ def map_generator_to_dirac(pair: EigenPair, ops: DiscreteOperatorSet) -> EigenPa
     out = np.concatenate([v, -1j * (ops.T @ u)])
     out = out / ops.weighted_norm(out)
     return EigenPair(pair.lam, out, "node+cell",
-                     _residual(ops.D + ops.B, pair.lam, out, ops, "dirac"))
+                     weighted_residual(ops.D + ops.B, pair.lam, out, ops, "dirac"))
 
 
 def map_dirac_to_generator(pair: EigenPair, ops: DiscreteOperatorSet,
@@ -193,7 +193,7 @@ def map_dirac_to_generator(pair: EigenPair, ops: DiscreteOperatorSet,
     out = np.concatenate([1j * w, psi1])
     out = out / ops.weighted_norm(out, "generator")
     return EigenPair(pair.lam, out, "node+node",
-                     _residual(1j * ops.G, pair.lam, out, ops, "generator"))
+                     weighted_residual(1j * ops.G, pair.lam, out, ops, "generator"))
 
 
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:

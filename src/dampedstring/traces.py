@@ -17,9 +17,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .discretization import DiscreteOperatorSet
+from .discretization import DiscreteOperatorSet, solve_regular
 from .greens import KernelUnavailableError, t0_analytic
 from .reporting import fmt_float
 from .spectral import Spectrum
@@ -62,29 +61,16 @@ class TraceLedger:
         return json.dumps(payload, indent=indent)
 
 
-def _poly_matmul(A: list, B: list, deg: int) -> list:
-    """Product of matrix polynomials (coefficient lists), truncated at `deg`."""
-    shape = A[0].shape[0], B[0].shape[1]
-    out = [np.zeros(shape, dtype=complex) for _ in range(deg + 1)]
-    for i, Ai in enumerate(A):
-        if i > deg:
-            break
-        for j, Bj in enumerate(B):
-            if i + j > deg:
-                break
-            out[i + j] = out[i + j] + Ai @ Bj
-    return out
-
-
 def trace_coefficient(n: int, ops: DiscreteOperatorSet,
                       method: str = "closed") -> float:
-    """t_{2n} by the closed forms (n <= 1) or Neumann coefficient collection.
+    """t_{2n} by the closed forms (n <= 1) or the Taylor recurrence.
 
     ``method="closed"`` uses tr(C K) for n=0 and 3 tr(C K^2) - tr((CK)^3)
     for n=1; ``method="neumann"`` expands (T*T - zeta^2 - i zeta C)^{-1} as
-    K sum_m X^m with X = (zeta^2 + i zeta C) K and collects the zeta^{2n}
-    coefficient of tr[(2 zeta + iC) K S].  Both paths agree to rounding for
-    n <= 1, which the verify command asserts.
+    sum_k R_k zeta^k, whose coefficients obey R_0 = K and
+    R_k = K (iC R_{k-1} + R_{k-2}), and reads t_{2n} off the zeta^{2n}
+    coefficient Im tr(2 R_{2n-1} + iC R_{2n}) in 2n products.  Both paths
+    agree to rounding for n <= 1, which the verify command asserts.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -98,22 +84,10 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
         raise ValueError("closed forms available only for n <= 1")
     if method != "neumann":
         raise ValueError(f"unknown method {method!r}")
-    deg = 2 * n
-    m = ops.n_nodes
-    I = np.eye(m, dtype=complex)
-    Z = np.zeros((m, m), dtype=complex)
-    # X(zeta) = (zeta^2 I + i zeta C) K as a degree-2 matrix polynomial
-    X = [Z, 1j * (C[:, None] * K), K.astype(complex)]
-    S = [I] + [Z] * deg
-    term = [I] + [Z] * deg
-    for _ in range(deg):
-        term = _poly_matmul(term, X, deg)
-        S = [a + b for a, b in zip(S, term)]
-    KS = _poly_matmul([K.astype(complex)], S, deg)
-    # multiply by (2 zeta + iC) and collect the zeta^{2n} trace coefficient
-    front = [np.diag(1j * C).astype(complex), 2.0 * I]
-    total = _poly_matmul(front, KS, deg)
-    return float(np.imag(np.trace(total[deg])))
+    R_prev, R = np.zeros_like(K), K            # R_{-1}, R_0
+    for _ in range(2 * n):
+        R_prev, R = R, K @ (1j * (C[:, None] * R) + R_prev)
+    return float(np.imag(np.trace(2.0 * R_prev + 1j * (C[:, None] * R))))
 
 
 def eigen_sum(m: int, spec: Spectrum) -> float:
@@ -153,22 +127,6 @@ def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
                        excluded_zero_modes=spec.zero_modes, t0_continuum=t0c)
 
 
-def _regular_inverse(A: np.ndarray) -> np.ndarray | None:
-    """A^{-1} from one LU factorization, or None when the LAPACK 1-norm
-    reciprocal condition estimate (gecon) of A is below 1e-12.
-
-    getrf is called directly rather than through `scipy.linalg.lu_factor`,
-    which warns on the exactly zero pivot of a zero mode at zeta = 0.
-    """
-    getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
-        ("getrf", "gecon", "getrs"), (A,))
-    lu, piv, _ = getrf(A)
-    rcond, _ = gecon(lu, np.linalg.norm(A, 1))
-    if rcond < 1e-12:
-        return None
-    return getrs(lu, piv, np.eye(A.shape[0], dtype=A.dtype))[0]
-
-
 def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
                               ) -> tuple[float, float, float]:
     """(lhs, rhs, parity_defect) of the resolvent-trace identity at real zeta.
@@ -184,15 +142,14 @@ def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
     def rhs_at(z: float) -> float:
         m = ops.n_nodes
         C = ops.C
-        inv = _regular_inverse(ops.H1 - z * z * np.eye(m) - 1j * z * np.diag(C))
-        if inv is None:
-            raise ValueError("zeta is too close to the spectrum")
+        inv = solve_regular(ops.H1 - z * z * np.eye(m) - 1j * z * np.diag(C))
         return float(np.imag(np.trace((np.diag(1j * C) + 2 * z * np.eye(m)) @ inv)))
 
     def lhs_at(z: float) -> float:
         Mf = ops.dirac_frame()
-        R = _regular_inverse(Mf - z * np.eye(Mf.shape[0]))
-        if R is None:
+        try:
+            R = solve_regular(Mf - z * np.eye(Mf.shape[0]))
+        except np.linalg.LinAlgError:
             # zeta sits on a zero mode: use the primed eigenvalue sum, which
             # agrees with the trace and drops the singular directions
             lam = np.linalg.eigvals(Mf)
@@ -264,7 +221,7 @@ def livsic_check(ops: DiscreteOperatorSet, zeta: float = 0.3,
     bnorm = float(np.abs(ops.C).max())
     z1 = 1j * (bnorm + margin)
     z = z1 + zeta
-    R = np.linalg.solve(Mf - z * np.eye(Mf.shape[0]), np.eye(Mf.shape[0]))
+    R = solve_regular(Mf - z * np.eye(Mf.shape[0]))
     lam = np.linalg.eigvals(R)
     lhs = float(np.sum(lam.imag))
     rhs = float(np.trace((R - R.conj().T) / 2j).real)

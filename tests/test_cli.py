@@ -44,6 +44,16 @@ def test_config_rejects_unknown_key(tmp_path):
         RunConfig.from_json(cfg_path)
 
 
+@pytest.mark.parametrize("text", ['{"seeds": []}', '{"fit_window": [0.1]}',
+                                  '{"n_grid": "abc"}', '{"bc": 5}', '[1, 2]'])
+def test_malformed_config_exits_two(tmp_path, capsys, text):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    assert run_cli("verify-all", "--config", str(cfg_path),
+                   "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
 def test_usage_error_exit_code():
     assert run_cli("spectrum", "--bc", "nonsense") == 2
 

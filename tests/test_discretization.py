@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import dampedstring as ds
 from dampedstring.discretization import (assemble_adjoint, build_grid,
-                                         build_operator_set)
+                                         build_operator_set, solve_regular)
 
 RHO1 = ds.constant(1.0, "density")
 ALPHA1 = ds.constant(1.0, "damping")
@@ -127,6 +127,21 @@ def test_K_exists_exactly_when_ker_T_is_trivial(random_coeffs, tag):
     else:
         m = ops.n_nodes
         assert np.linalg.norm(ops.K @ (ops.Tstar @ ops.T) - np.eye(m)) < 1e-10
+
+
+def test_solve_regular_real_matrix_complex_rhs():
+    """The LAPACK prefix follows b as well as A: a real-arithmetic solve
+    would drop the imaginary part of b without a warning."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((12, 12)) + 6.0 * np.eye(12)
+    b = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    ref = np.linalg.solve(A, b)
+    assert np.abs(solve_regular(A, b) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_solve_regular_refuses_singular_matrix():
+    with pytest.raises(np.linalg.LinAlgError, match="too close to the spectrum"):
+        solve_regular(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 @pytest.mark.parametrize("tag", ["min", "zero0", "zero1", "max", "omega:0,1"])

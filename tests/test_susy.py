@@ -81,6 +81,13 @@ def test_first_resolvent_identity(ops):
     assert susy.first_resolvent_identity(-0.7, ops) < 1e-10
 
 
+def test_first_resolvent_identity_refuses_spectrum():
+    rho, alpha = ds.random_coefficients(3)
+    ops3 = ds.build_operator_set(32, rho, alpha, MIN)
+    with pytest.raises(np.linalg.LinAlgError):
+        susy.first_resolvent_identity(ops3.H1_eigvals[0], ops3)
+
+
 def test_dirac_resolvent_blocks(ops):
     z = 0.3 + 0.1j
     dim = ops.n_nodes + ops.n_cells

@@ -25,8 +25,11 @@ def test_t0_two_paths_agree(rand_setup):
     assert abs(closed - neumann) <= 1e-12 * abs(closed)
 
 
-def test_t2_two_paths_agree(rand_setup):
-    ops, _ = rand_setup
+@pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "omega:0,1",
+                                "omega:0.5,0.3"])
+def test_t2_two_paths_agree(bc):
+    rho, alpha = ds.random_coefficients(21)
+    ops = ds.build_operator_set(40, rho, alpha, ds.parse_bc(bc))
     closed = traces.trace_coefficient(1, ops, "closed")
     neumann = traces.trace_coefficient(1, ops, "neumann")
     assert abs(closed - neumann) <= 1e-10 * max(abs(closed), 1.0)
