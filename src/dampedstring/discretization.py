@@ -177,14 +177,15 @@ def _fold(size: int) -> np.ndarray:
     return order
 
 
-def _band_eigh(A, cyclic: bool, vectors: bool = False):
+def _band_eigh(A, cyclic: bool, vectors: bool = False, top: bool = False):
     """Eigenvalues (ascending), and with ``vectors`` the eigenvectors, of the
-    sparse Hermitian matrix A by `scipy.linalg.eig_banded`.
+    sparse Hermitian matrix A by `scipy.linalg.eig_banded`; with ``top``
+    only the largest eigenvalue.
 
-    The unknowns of A are in coordinate order, so A is tridiagonal apart
-    from, when ``cyclic``, the corner that couples the first and the last
-    unknown; `_fold` moves that corner inside bandwidth 2.  A is written in
-    lower band storage, so a real A is solved in real arithmetic.
+    The unknowns of A are in coordinate order, so A is banded apart from,
+    when ``cyclic``, the corners that couple the first and the last
+    unknowns; `_fold` moves those corners inside twice the bandwidth.  A is
+    written in lower band storage, so a real A is solved in real arithmetic.
     """
     size = A.shape[0]
     order = _fold(size) if cyclic else np.arange(size)
@@ -193,13 +194,26 @@ def _band_eigh(A, cyclic: bool, vectors: bool = False):
     A = A.tocoo()
     i, j = pos[A.row], pos[A.col]
     low = i >= j
-    ab = np.zeros((3 if cyclic else 2, size), dtype=A.dtype)
+    ab = np.zeros((int(np.max(i[low] - j[low])) + 1, size), dtype=A.dtype)
     ab[i[low] - j[low], j[low]] = A.data[low]
+    if top:
+        return scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True,
+                                       select="i",
+                                       select_range=(size - 1, size - 1),
+                                       check_finite=False)
     if not vectors:
         return scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True,
                                        check_finite=False)
     w, V = scipy.linalg.eig_banded(ab, lower=True, check_finite=False)
     return w, V[pos]
+
+
+def _band_norm(M, cyclic: bool) -> float:
+    """||M||_2 of the sparse M, banded in coordinate order (cyclic when
+    ``cyclic``): the square root of the top eigenvalue of the Gram band
+    M^H M, exact where a bound would loosen a gate."""
+    gram = (M.conj().T @ M).tocoo()
+    return float(np.sqrt(max(_band_eigh(gram, cyclic, top=True)[0], 0.0)))
 
 
 def _dense(shape: tuple, rows: np.ndarray, cols: np.ndarray,
@@ -355,17 +369,35 @@ class DiscreteOperatorSet:
         coordinate order into a band.  The square roots of the eigenvalues
         of T*T would instead put a zero singular value near sqrt(eps) ||T||.
         """
-        rows, cols, fv = self._Tf_entries
-        # node k sits at 2k, cell j at 2j + 1, less the dropped node 0
-        first = min(2 * self.grid.keep[0], 1)
-        node, cell = 2 * self.grid.keep[cols] - first, 2 * rows + 1 - first
+        w = _band_eigh(self.dirac_band(damped=False), self._cyclic)
         size = self.n_nodes + self.n_cells
-        gk = scipy.sparse.csr_array(
-            (np.concatenate([fv, fv.conj()]),
-             (np.concatenate([cell, node]), np.concatenate([node, cell]))),
-            shape=(size, size))
-        w = _band_eigh(gk, self._cyclic)
         return np.sort(np.abs(w[size - min(self.n_nodes, self.n_cells):]))[::-1]
+
+    @cached_property
+    def interleave(self) -> np.ndarray:
+        """Coordinate-order position of each node + cell unknown: node k at
+        2k and cell j at 2j + 1, less the dropped node 0."""
+        first = min(2 * self.grid.keep[0], 1)
+        return np.concatenate([2 * self.grid.keep - first,
+                               2 * np.arange(self.n_cells) + 1 - first])
+
+    def dirac_band(self, damped: bool = True):
+        """The frame form of D + B (of D without ``damped``) as a sparse
+        matrix in coordinate order, built on each call: tridiagonal with the
+        diagonal -iC on the nodes and 0 on the cells, off-diagonal pairs
+        (conj(Tf_jk), Tf_jk), and one corner pair for quasi."""
+        rows, cols, fv = self._Tf_entries
+        node, cell = self.interleave[cols], self.interleave[self.n_nodes + rows]
+        r, c, v = [cell, node], [node, cell], [fv, fv.conj()]
+        if damped:
+            at = self.interleave[:self.n_nodes]
+            r.append(at)
+            c.append(at)
+            v.append(-1j * self.C)
+        size = self.n_nodes + self.n_cells
+        return scipy.sparse.csr_array(
+            (np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+            shape=(size, size))
 
     @cached_property
     def Tf_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -426,8 +458,19 @@ class DiscreteOperatorSet:
 
     @cached_property
     def dirac_norm(self) -> float:
-        """||D + B||_2 in the weighted frame."""
-        return float(np.linalg.norm(self.dirac_frame(), 2))
+        """||D + B||_2 in the weighted frame, from the Gram band."""
+        return _band_norm(self.dirac_band(), self._cyclic)
+
+    @cached_property
+    def generator_norm(self) -> float:
+        """||G||_2 in the weighted frame, from the Gram band of the frame
+        [[0, I], [-T*T, -C]] with u_k and v_k at 2k and 2k + 1."""
+        m = self.n_nodes
+        Gf = scipy.sparse.block_array(
+            [[None, scipy.sparse.eye_array(m)],
+             [-self.H1f, scipy.sparse.diags_array(-self.C)]]).tocsr()
+        order = np.arange(2 * m).reshape(2, m).T.ravel()
+        return _band_norm(Gf[order][:, order], self._cyclic)
 
     def weighted_norm(self, v: np.ndarray, space: str = "dirac") -> float:
         w = self.weights(space)

@@ -46,6 +46,23 @@ def parse_bc(text: str) -> BoundaryCondition:
         f"unknown bc {text!r}; expected min|zero0|zero1|max|omega:RE,IM")
 
 
+def _integer(value) -> int:
+    """A config integer: a boolean or a number with a fractional part is an
+    error, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a boolean")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A config real number: a boolean is an error, not 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got a boolean")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     n_grid: int = 64
@@ -91,11 +108,11 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         kw = {}
-        parsers = {"n_grid": int, "zeta": float, "n_max": int,
+        parsers = {"n_grid": _integer, "zeta": _real, "n_max": _integer,
                    "rho": str, "alpha": str, "speed": str, "out": str,
                    "bc": parse_bc,
-                   "seeds": lambda v: tuple(int(s) for s in v),
-                   "fit_window": lambda v: tuple(float(x) for x in v)}
+                   "seeds": lambda v: tuple(_integer(s) for s in v),
+                   "fit_window": lambda v: tuple(_real(x) for x in v)}
         rename = {"rho": "rho_text", "alpha": "alpha_text",
                   "speed": "speed_text", "out": "out_dir"}
         for key, value in raw.items():

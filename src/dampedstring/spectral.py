@@ -1,8 +1,9 @@
 """Spectra of D+B, iG, and T*T, with eigenpair maps and structural checks.
 
-All dense eigendecompositions run in the similarity frame where the weighted
-inner product becomes Euclidean, so residuals and norms reported here are the
-weighted ones.
+Every eigensolve runs in the similarity frame where the weighted inner
+product becomes Euclidean, so residuals and norms reported here are the
+weighted ones: D+B as the tridiagonal band of that frame, iG as a dense
+matrix, its independent witness.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
+from . import tridiagonal
 from .coefficients import CoefficientSpec, integrate_product
 from .discretization import DiscreteOperatorSet
 from .reporting import to_csv
@@ -69,28 +71,65 @@ def _sort_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((np.angle(lam), np.abs(lam)))
 
 
-def _spectrum(Mf: np.ndarray, lam: np.ndarray, V: np.ndarray, scale: float,
-              tol_zero: float, source: str, keep_vectors: bool) -> Spectrum:
-    """Sort the eigenpairs (lam, V) of the frame matrix Mf, gate their
-    residuals at 1e-8 x scale = ||Mf||_2 and count the zero modes."""
-    res = np.linalg.norm(Mf @ V - V * lam[None, :], axis=0) / np.linalg.norm(V, axis=0)
+def _spectrum(lam: np.ndarray, res: np.ndarray, V: np.ndarray | None,
+              scale: float, tol_zero: float, source: str) -> Spectrum:
+    """Sort the eigenvalues lam with their residuals res (and vectors V),
+    gate the residuals at 1e-8 x scale = ||M||_2 and count the zero modes."""
     order = _sort_order(lam)
-    lam, res, V = lam[order], res[order], V[:, order]
+    lam, res = lam[order], res[order]
     bad = res > 1e-8 * scale
     if np.any(bad):
         raise RuntimeError(
             f"eigensolver residual {res[bad].max():.3e} exceeds 1e-8 x norm "
             f"at index {int(np.nonzero(bad)[0][0])}")
     zm = int(np.sum(np.abs(lam) < tol_zero))
-    return Spectrum(lam, res, zm, source, tol_zero, V if keep_vectors else None)
+    return Spectrum(lam, res, zm, source, tol_zero,
+                    None if V is None else V[:, order])
+
+
+def _damped_roots(mu: np.ndarray, c: np.ndarray, k_T: int,
+                  k_Ts: int) -> np.ndarray:
+    """The D + B spectrum when C acts on each eigenvector u of T*T as the
+    number c = <u, C u>: the roots of z^2 + i c z - mu = 0 for the nonzero
+    eigenvalues mu (the last len(mu) - k_T, ascending), -i c alone for the
+    k_T vectors of ker T, whose root 0 D + B does not have, and 0 for each
+    of the k_Ts vectors of ker T*; dim values in all."""
+    root = np.sqrt(mu[k_T:] - c[k_T:] ** 2 / 4 + 0j)
+    return np.concatenate([-0.5j * c[k_T:] + root, -0.5j * c[k_T:] - root,
+                           -1j * c[:k_T], np.zeros(k_Ts)])
+
+
+def _dirac_start(ops: DiscreteOperatorSet) -> np.ndarray:
+    """`_damped_roots` with c the mean of C over each mode: the spectrum to
+    first order in the variation of C, exact for constant C.  Each value is
+    moved by a distinct offset about as large as its second-order error
+    w^2 / spacing, w^2 the variance of C over the mode, and at least
+    2^-52 ||D + B||: that splits equal starts and the symmetry
+    lambda -> -conj(lambda), which Aberth iterates would otherwise keep,
+    without spoiling a start that is exact."""
+    mu, U = eigen_selfadjoint(ops)
+    weight = np.abs(U) ** 2
+    c = ops.C @ weight
+    w2 = np.maximum(np.abs(ops.C) ** 2 @ weight - np.abs(c) ** 2, 0.0)
+    k_T, k_Ts = ops.n_nodes - ops.rank, ops.n_cells - ops.rank
+    start = _damped_roots(mu, c, k_T, k_Ts)
+    spacing = 2 * ops.dirac_norm / len(start)
+    size = np.minimum(np.concatenate([w2[k_T:], w2[k_T:], w2[:k_T],
+                                      np.zeros(k_Ts)]) / spacing,
+                      1e-3 * spacing)
+    size = np.maximum(size, 2.0**-52 * ops.dirac_norm)
+    k = np.arange(len(start))
+    return start + size * np.exp(2j * np.pi * 0.6180339887 * k)
 
 
 def eigen_dirac(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectrum:
-    """Spectrum of D+B via a dense general eigensolver in the weighted frame."""
-    Mf = ops.dirac_frame()
-    lam, V = scipy.linalg.eig(Mf)
-    return _spectrum(Mf, lam, V, ops.dirac_norm, ops.tol_zero, "dirac",
-                     keep_vectors)
+    """Spectrum of D+B from its tridiagonal frame form in coordinate order,
+    by Ehrlich-Aberth iteration (`tridiagonal.eigensolve`) from the
+    constant-damping spectrum; vectors are columns of the weighted frame."""
+    lam, res, V = tridiagonal.eigensolve(ops.dirac_band(), _dirac_start(ops),
+                                         ops.dirac_norm, keep_vectors)
+    return _spectrum(lam, res, None if V is None else V[ops.interleave],
+                     ops.dirac_norm, ops.tol_zero, "dirac")
 
 
 def eigen_generator(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectrum:
@@ -99,8 +138,11 @@ def eigen_generator(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spe
     if np.allclose(Gf.imag, 0.0):
         Gf = Gf.real
     nu, V = scipy.linalg.eig(Gf)
-    return _spectrum(1j * Gf, 1j * nu, V, np.linalg.norm(Gf, 2), ops.tol_zero,
-                     "generator", keep_vectors)
+    lam = 1j * nu
+    res = (np.linalg.norm(1j * Gf @ V - V * lam[None, :], axis=0)
+           / np.linalg.norm(V, axis=0))
+    return _spectrum(lam, res, V if keep_vectors else None,
+                     ops.generator_norm, ops.tol_zero, "generator")
 
 
 def eigen_selfadjoint(ops: DiscreteOperatorSet) -> tuple[np.ndarray, np.ndarray]:
@@ -114,9 +156,11 @@ def constant_damping_dirac(ops: DiscreteOperatorSet) -> Spectrum:
     constant at the nodes.
 
     A scalar damping profile commutes with T*T, so every Hermitian eigenpair
-    (mu, u) of T*T yields the two pencil roots of z^2 + i a z - mu = 0 with
-    D+B eigenvectors (u, T u / lambda).  Much cheaper than a dense general
-    eigensolve at large n; rejected if the profile is not constant.
+    (mu, u) of T*T with mu != 0 yields the two pencil roots of
+    z^2 + i a z - mu = 0 with D+B eigenvectors (u, T u / lambda); a vector
+    of ker T yields -i a alone, with eigenvector (u, 0), and ker T* the
+    zero modes (`_damped_roots`).  Cheaper than the general eigensolve;
+    rejected if the profile is not constant.
 
     The residual reduces exactly to the node block: with H1 u = mu u and
     w = T u / lambda, the cell component of (D+B-lambda)(u, w) vanishes
@@ -128,19 +172,16 @@ def constant_damping_dirac(ops: DiscreteOperatorSet) -> Spectrum:
         raise ValueError("damping profile is not constant at the nodes")
     a = float(C[0])
     mu, U = eigen_selfadjoint(ops)
-    disc = np.sqrt(mu - a * a / 4.0 + 0j)
-    lam = np.concatenate([-0.5j * a + disc, -0.5j * a - disc])
-    # cell-space kernel of T* contributes exact zero eigenvalues that the
-    # node-space pencil cannot see
-    k_star = ops.n_cells - ops.rank
-    if k_star:
-        lam = np.concatenate([lam, np.zeros(k_star)])
+    k_T, k_Ts = ops.n_nodes - ops.rank, ops.n_cells - ops.rank
+    lam = _damped_roots(mu, np.full(len(mu), a), k_T, k_Ts)
     R = ops.H1f @ U
     R -= U * mu[None, :]
     rn = np.linalg.norm(R, axis=0)
-    rn = np.concatenate([np.tile(rn, 2), np.zeros(k_star)])
+    # per root, in the order of _damped_roots: its mode's residual and mu
+    rn = np.concatenate([np.tile(rn[k_T:], 2), rn[:k_T], np.zeros(k_Ts)])
+    mu = np.maximum(mu, 0.0)
+    mu2 = np.concatenate([np.tile(mu[k_T:], 2), mu[:k_T], np.zeros(k_Ts)])
     lam_safe = np.where(np.abs(lam) < ops.tol_zero, 1.0, np.abs(lam))
-    mu2 = np.concatenate([np.tile(np.maximum(mu, 0.0), 2), np.zeros(k_star)])
     vec_norm = np.sqrt(1.0 + mu2 / lam_safe**2)
     res = rn / (lam_safe * vec_norm)
     order = _sort_order(lam)

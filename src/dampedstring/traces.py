@@ -21,7 +21,7 @@ import numpy as np
 from .discretization import DiscreteOperatorSet, solve_regular
 from .greens import KernelUnavailableError, t0_analytic
 from .reporting import fmt_float
-from .spectral import Spectrum
+from .spectral import Spectrum, eigen_dirac
 
 __all__ = [
     "TraceLedger", "trace_coefficient", "eigen_sum", "verify_trace_identity",
@@ -84,10 +84,22 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
         raise ValueError("closed forms available only for n <= 1")
     if method != "neumann":
         raise ValueError(f"unknown method {method!r}")
+    return _neumann_coefficients(n, ops)[-1]
+
+
+def _neumann_coefficients(n_max: int, ops: DiscreteOperatorSet) -> list:
+    """t_0, t_2, ..., t_{2 n_max} from one run of the Taylor recurrence
+    R_0 = K, R_k = K (iC R_{k-1} + R_{k-2}), each read off on the way."""
+    K, C = ops.K, ops.C
     R_prev, R = np.zeros_like(K), K            # R_{-1}, R_0
-    for _ in range(2 * n):
-        R_prev, R = R, K @ (1j * (C[:, None] * R) + R_prev)
-    return float(np.imag(np.trace(2.0 * R_prev + 1j * (C[:, None] * R))))
+    t = []
+    for k in range(2 * n_max + 1):
+        if k % 2 == 0:
+            t.append(float(np.imag(np.trace(2.0 * R_prev
+                                            + 1j * (C[:, None] * R)))))
+        if k < 2 * n_max:
+            R_prev, R = R, K @ (1j * (C[:, None] * R) + R_prev)
+    return t
 
 
 def eigen_sum(m: int, spec: Spectrum) -> float:
@@ -109,10 +121,10 @@ def verify_trace_identity(n: int, ops: DiscreteOperatorSet,
 
 def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
                  n_max: int = N_MAX_DEFAULT) -> TraceLedger:
-    t_vals, lhs, disc = [], [], []
-    for n in range(n_max + 1):
-        method = "closed" if n <= 1 else "neumann"
-        t_vals.append(trace_coefficient(n, ops, method=method))
+    lhs, disc = [], []
+    t_vals = [trace_coefficient(n, ops) for n in range(min(n_max, 1) + 1)]
+    if n_max >= 2:
+        t_vals += _neumann_coefficients(n_max, ops)[2:]
     for m in range(2 * n_max + 2):
         lhs.append(eigen_sum(m, spec))
     for n in range(n_max + 1):
@@ -152,8 +164,7 @@ def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
         except np.linalg.LinAlgError:
             # zeta sits on a zero mode: use the primed eigenvalue sum, which
             # agrees with the trace and drops the singular directions
-            lam = np.linalg.eigvals(Mf)
-            lam = lam[np.abs(lam) > ops.tol_zero]
+            lam = eigen_dirac(ops).nonzero()
             return float(np.sum(np.imag(1.0 / (lam - z))))
         return float(np.trace((R - R.conj().T) / 2j).real)
 

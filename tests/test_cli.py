@@ -45,13 +45,35 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("text", ['{"seeds": []}', '{"fit_window": [0.1]}',
-                                  '{"n_grid": "abc"}', '{"bc": 5}', '[1, 2]'])
+                                  '{"n_grid": "abc"}', '{"bc": 5}', '[1, 2]',
+                                  '{"n_grid": 40.9}', '{"seeds": [1.7]}',
+                                  '{"zeta": true}'])
 def test_malformed_config_exits_two(tmp_path, capsys, text):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(text)
     assert run_cli("verify-all", "--config", str(cfg_path),
                    "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_grid", 40.9), ("n_max", True), ("seeds", [1.7]), ("seeds", [False]),
+    ("zeta", True), ("fit_window", [0.1, True])])
+def test_config_numbers_are_not_coerced(tmp_path, key, value):
+    """A fractional integer or a boolean number is an error naming its key,
+    not truncated to an int or read as 0 or 1."""
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=repr(key)):
+        RunConfig.from_json(cfg_path)
+
+
+def test_config_accepts_integral_floats(tmp_path):
+    cfg_path = tmp_path / "ok.json"
+    cfg_path.write_text(json.dumps({"n_grid": 40.0, "seeds": [3.0],
+                                    "zeta": 1}))
+    cfg = RunConfig.from_json(cfg_path)
+    assert (cfg.n_grid, cfg.seeds, cfg.zeta) == (40, (3,), 1.0)
 
 
 def test_usage_error_exit_code():

@@ -35,6 +35,16 @@ def test_t2_two_paths_agree(bc):
     assert abs(closed - neumann) <= 1e-10 * max(abs(closed), 1.0)
 
 
+def test_ledger_reads_every_order_off_one_recurrence(rand_setup):
+    """The ledger's t-values are the per-order calls, bit for bit: closed
+    forms for n <= 1, the Taylor recurrence above."""
+    ops, spec = rand_setup
+    ledger = traces.build_ledger(ops, spec, n_max=4)
+    per_order = [traces.trace_coefficient(n, ops, "closed" if n <= 1
+                                          else "neumann") for n in range(5)]
+    assert ledger.t == per_order
+
+
 def test_higher_order_identities(rand_setup):
     """Orders n=2,3 via the Neumann path against the eigenvalue sums."""
     ops, spec = rand_setup
