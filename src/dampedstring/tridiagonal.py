@@ -28,6 +28,7 @@ tridiagonal matrices.
 from __future__ import annotations
 
 import numpy as np
+import scipy.spatial
 
 __all__ = ["MAX_SWEEPS", "eigensolve"]
 
@@ -36,7 +37,7 @@ _TOL = 2.0**-48          # backward error at which an iterate stops, x ||A||
 _STALL = 2.0**-30        # backward error below which a stalled iterate stops
 _NEAR = 2.0**-24         # Aberth step below which the vector is formed
 _EPS = np.finfo(float).eps
-_CHUNK = 2**18           # iterates x positions per evaluation: the memory
+_CHUNK = 2**15           # iterates x positions per evaluation: the memory
 
 
 def _bands(A):
@@ -71,54 +72,56 @@ def _guard(x: np.ndarray, tiny: float) -> None:
         x[x == 0] = tiny
 
 
-def _pivots(a: np.ndarray, z: np.ndarray, p: np.ndarray, tiny: float,
+def _pivots(a: np.ndarray, z: np.ndarray, q: np.ndarray, tiny: float,
             slow: int):
     """LU pivots from the top and UL pivots from the bottom of the
     tridiagonal T - z, a[k] the diagonal at position k (a row, or one value
-    per column) and p[k] = b_k c_k, by r_k = (a_k - z) - p / r_(k-1 or k+1),
-    in one loop for both.  Returns the top pivots, the quotients p / r from
-    the top (row k: p_(k-1) / r_(k-1)) and from the bottom (row k:
-    p_k / r_(k+1)), and for the first ``slow`` iterates
-    (log det(T - z))' = sum_k r_k' / r_k from the top, by
-    r_k' = -1 + (p / r_(k-1)) r_(k-1)' / r_(k-1): near a defective
-    eigenvalue this stays accurate to within about sqrt(eps) of it, where
-    the sum of the diagonal of (T - z)^{-1} already cancels to noise.
+    per column) and q[k] = (p_k, p_(N-2-k)), p_k = b_k c_k, by
+    r_k = (a_k - z) - p / r_(k-1 or k+1), in one loop for both.  Returns the
+    top and the bottom pivots, gamma_k = top_k - p_k / bottom_(k+1), and for
+    the first ``slow`` iterates (log det(T - z))' = sum_k r_k' / r_k from the
+    top, by r_k' = -1 + (p_(k-1) / r_(k-1)) r_(k-1)' / r_(k-1): near a
+    defective eigenvalue this stays accurate to within about sqrt(eps) of
+    it, where the sum of the diagonal of (T - z)^{-1} already cancels to
+    noise.
 
     An exactly zero pivot is rare: the loop runs with a division by zero
     raised, and only then again with such pivots moved to tiny."""
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            return _pivot_loop(a, z, p, tiny, slow, guarded=False)
+            return _pivot_loop(a, z, q, tiny, slow, guarded=False)
     except FloatingPointError:
-        return _pivot_loop(a, z, p, tiny, slow, guarded=True)
+        return _pivot_loop(a, z, q, tiny, slow, guarded=True)
 
 
-def _pivot_loop(a, z, p, tiny, slow, guarded):
+def _pivot_loop(a, z, q, tiny, slow, guarded):
     N = len(a)
     both = np.empty((N, 2, len(z)), dtype=complex)
     np.subtract(a, z, out=both[:, 0])
     np.subtract(a[::-1], z, out=both[:, 1])
-    quot = np.empty_like(both)
-    quot[0] = 0.0
-    q = np.zeros((N, 2) + p.shape[1:], dtype=complex)
-    q[1:, 0], q[1:, 1] = p, p[::-1]
-    rows, quots, couplings = list(both), list(quot), list(q)
+    gamma = np.empty((N, len(z)), dtype=complex)   # p_k / bottom_(k+1) first
+    gamma[-1] = 0.0
+    quot = np.empty((2, len(z)), dtype=complex)
+    rows, couplings = list(both), list(q)
     cols = slice(0, slow)
     if guarded:
         _guard(rows[0], tiny)
     d = -1.0 / rows[0][0][cols]                 # r_0' / r_0
     g = d.copy()
     for k in range(1, N):
-        np.divide(couplings[k], rows[k - 1], out=quots[k])
-        rows[k] -= quots[k]
+        np.divide(couplings[k - 1], rows[k - 1], out=quot)
+        rows[k] -= quot
+        gamma[N - 1 - k] = quot[1]
         if guarded:
             _guard(rows[k], tiny)
         if slow:
-            d *= quots[k][0][cols]
+            d *= quot[0][cols]
             d -= 1.0
             d /= rows[k][0][cols]
             g += d
-    return both[:, 0], quot[:, 0], quot[::-1, 1], g
+    top = both[:, 0]
+    np.subtract(top, gamma, out=gamma)
+    return top, both[::-1, 1], gamma, g
 
 
 def _chain(ratio: np.ndarray, up: bool) -> np.ndarray:
@@ -152,41 +155,49 @@ def _factor(bands, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float):
     N = len(a)
     cyclic = bool(upper or lower)
 
-    def along(rows: int):
-        # the ring positions along each iterate's chain, rows of them
-        return (cut[None, :] + np.arange(rows)[:, None]) % N
+    def along(rows: int, sel=slice(None)):
+        # the ring positions along the chains of the iterates sel picks
+        return (cut[None, sel] + np.arange(rows)[:, None]) % N
 
-    def over(v):
-        # -1 / v along each iterate's chain, one row per coupling
-        return (-1.0 / v)[along(N - 1)] if cyclic else (-1.0 / v)[:, None]
+    def chain(v, sel=slice(None)):
+        # v along each picked iterate's chain, one row per coupling
+        return v[along(N - 1, sel)] if cyclic else v[:, None]
 
-    def turn():
+    def turn(sel=slice(None)):
         # w_k: the product of b_j / c_j along the chain before position k
         ahead = np.concatenate([[1.0], np.cumprod(np.tile(b / c, 2))])
-        return ahead[cut[None, :] + np.arange(N)[:, None]] / ahead[cut]
+        return ahead[cut[None, sel] + np.arange(N)[:, None]] / ahead[cut[sel]]
+
+    # x_k / x_(k+1) = -b_k / top_k and x_(k+1) / x_k = -c_k / bottom_(k+1)
+    # for a vector of T - z, above and below its twist
+    def ratio_up(sel=slice(None)):
+        return np.divide(chain(-b, sel), top[:-1, sel])
+
+    def ratio_down(sel=slice(None)):
+        return np.divide(chain(-c, sel), bottom[1:, sel])
     if cyclic:
         # couplings around the ring, A[i, i+1] and A[i+1, i] with i+1 mod N
         b, c = np.append(b, lower), np.append(c, upper)
         hi, lo = c[cut - 1], b[cut - 1]         # A[cut, cut-1], A[cut-1, cut]
-        a, p = a[along(N)], (b * c)[along(N - 1)]
+        pos = along(N - 1)
+        top, bottom, gamma, g_slow = _pivots(
+            a[along(N)], z, np.stack([(b * c)[pos], (b * c)[pos[::-1]]], 1),
+            tiny, slow)
+        del pos
     else:
-        a, p = a[:, None], (b * c)[:, None]
-    top, from_top, from_bottom, g_slow = _pivots(a, z, p, tiny, slow)
-    # gamma_k = top_k + bottom_k - (a_k - z), bottom_k = a_k - z - from_bottom_k
-    gamma = top - from_bottom
-    del top, a, p         # the pivots' array, held only by top, and inputs
+        p = b * c
+        top, bottom, gamma, g_slow = _pivots(
+            a[:, None], z, np.stack([p, p[::-1]], 1)[..., None], tiny, slow)
     _guard(gamma, tiny)
     g = -np.sum(1.0 / gamma, axis=0)            # (log det(T - z))'
     g[:slow] = g_slow
-    # -b_k / top_k and -c_k / bottom_(k+1), the ratios of neighbouring
-    # components of a vector of T - z, are quotients the pivots formed
     if cyclic:
         # end columns of (T - z)^{-1}, each scaled to 1 at its own end:
         # x0 = gamma_0 (T - z)^{-1} e_0, xn = gamma_(N-1) (T - z)^{-1} e_(N-1).
         # Those of the transpose are y0 = w x0 and yn = w xn / w_(N-1), with
         # w_k the product of b_j / c_j over the chain before k, of modulus 1
-        x0 = _chain(from_bottom[:-1] * over(b), up=False)
-        xn = _chain(from_top[1:] * over(c), up=True)
+        x0 = _chain(ratio_down(), up=False)
+        xn = _chain(ratio_up(), up=True)
         w = turn()
         wn = w[-1].copy()
         g0, gn = gamma[0], gamma[-1]
@@ -204,38 +215,53 @@ def _factor(bands, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float):
 
     def vectors(sel):
         # of the iterates sel picks: the column of (A - z)^{-1} with the
-        # largest diagonal entry, scaled.  Formed for every iterate when
-        # most are picked: copies of the picked columns would cost more
-        few = 2 * np.count_nonzero(sel) < len(sel)
-
-        def pick(M):
-            return M[..., sel] if few and M.shape[-1] > 1 else M
-        d = 1.0 / pick(gamma)
+        # largest diagonal entry, scaled
+        cols = np.flatnonzero(sel)
+        d = gamma[:, cols]
+        np.reciprocal(d, out=d)
         if cyclic:
-            Ji, X0, Xn = pick(Jinv), pick(x0), pick(xn)
-            W, Wn = pick(turn()), pick(wn)
-            # the Sherman-Morrison-Woodbury part of the diagonal
-            d -= W * (X0 * (Ji[0, 0] / Wn * Xn + Ji[0, 1] * X0)
-                      + Xn * (Ji[1, 0] / Wn * Xn + Ji[1, 1] * X0))
+            Ji, X0, Xn = Jinv[..., cols], x0[:, cols], xn[:, cols]
+            W, Wn = turn(cols), wn[cols]
+            # the Sherman-Morrison-Woodbury part of the diagonal,
+            # W (Ji01 X0^2 + (Ji00 / Wn + Ji11) X0 Xn + Ji10 / Wn Xn^2)
+            smw = X0 * X0
+            smw *= Ji[0, 1]
+            term = X0 * Xn
+            term *= Ji[0, 0] / Wn + Ji[1, 1]
+            smw += term
+            np.multiply(Xn, Xn, out=term)
+            term *= Ji[1, 0] / Wn
+            smw += term
+            del term
+            smw *= W
+            d -= smw
+            del smw
         twist = np.argmax(np.abs(d), axis=0)
         del d
+        if cyclic:
+            # gamma_twist times row twist of [yn y0]^T, for the correction
+            t = twist, np.arange(len(cols))
+            left = [gamma[twist, cols] * W[t]
+                    * (Ji[i, 0] / Wn * Xn[t] + Ji[i, 1] * X0[t])
+                    for i in (0, 1)]
+            del W
         k = np.arange(N - 1)[:, None]
-        ratio = pick(from_top[1:]) * pick(over(c))
+        ratio = ratio_up(cols)
         np.copyto(ratio, 1.0, where=k >= twist)
         x = _chain(ratio, up=True)
-        ratio = pick(from_bottom[:-1]) * pick(over(b))
+        ratio = ratio_down(cols)
         np.copyto(ratio, 1.0, where=k < twist)
         x *= _chain(ratio, up=False)
         del ratio
         if cyclic:
-            t = twist, np.arange(len(twist))
-            left = [W[t] * (Ji[i, 0] / Wn * Xn[t] + Ji[i, 1] * X0[t])
-                    for i in (0, 1)]
-            x -= pick(gamma)[t] * (X0 * left[0] + Xn * left[1])
+            corr = X0 * left[0]
+            corr += Xn * left[1]
+            x -= corr
+            del corr, X0, Xn
             out = np.empty_like(x)
-            out[pick(along(N)), t[1]] = x
+            out[along(N, cols), t[1]] = x
             x = out
-        return x if few else x[:, sel]
+        return x
     return g, vectors
 
 
@@ -254,7 +280,8 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
 
     ``scale`` is ||A||_2.  An iterate whose Aberth step is small gets its
     twisted vector x, and stops once ||(A - z) x|| / ||x|| is at most
-    2^-48 scale, or has stopped falling below 2^-30 scale.  Returns
+    2^-48 scale or, converging only linearly, has stopped falling below
+    2^-30 scale.  Returns
     (eigenvalues, those backward errors, unit eigenvectors as columns or
     None), in the order of ``start``.  RuntimeError when an iterate has not
     stopped after MAX_SWEEPS sweeps, or when the eigenvalues do not sum to
@@ -267,7 +294,6 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
     bands = _bands(A)
     tol, stall = _TOL * scale, _STALL * scale
     near, tiny = _NEAR * scale, _EPS * scale
-    chunk = max(64, _CHUNK // N)
     z = np.array(start, dtype=complex)
     cut = np.zeros(N, dtype=int)
     last = np.full(N, np.inf)                   # |Aberth step| a sweep ago
@@ -280,6 +306,10 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
         active = active[np.argsort(~slow[active], kind="stable")]
         step = np.zeros(len(active), dtype=complex)
         done = np.zeros(len(active), dtype=bool)
+        # equal parts of iterates x positions at most _CHUNK, or of 64
+        # iterates where that is too few
+        parts = max(1, min(-(-len(active) * N // _CHUNK), len(active) // 64))
+        chunk = -(-len(active) // parts)
         for lo in range(0, len(active), chunk):
             part = slice(lo, lo + chunk)
             idx = active[part]
@@ -299,21 +329,24 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
             X = vecs(sel) if sel.any() else None
             del vecs      # and with it the factorization
             if X is not None:
+                got = idx[sel]
                 X /= np.linalg.norm(X, axis=0)
                 R = A @ X
-                R -= X * z[idx[sel]]
+                R -= X * z[got]
                 r = np.linalg.norm(R, axis=0)
                 del R
-                # at the tolerance, or stalled well below the residual gate:
-                # an iterate of a defective cluster (a Jordan pair at
-                # critical damping) reaches only about sqrt(eps) of its
-                # eigenvalue, and its backward error stops falling there
-                done[lo + np.flatnonzero(sel)] = (r <= tol) | (
-                    (r <= stall) & (r >= 0.5 * res[idx[sel]]))
-                res[idx[sel]] = r
-                cut[idx[sel]] = np.argmax(np.abs(X), axis=0)
+                # at the tolerance, or, converging only linearly, stalled
+                # well below the residual gate: an iterate of a defective
+                # cluster (a Jordan pair at critical damping) reaches only
+                # about sqrt(eps) of its eigenvalue, and its backward error
+                # may stop falling there
+                stuck = slow[got] & (r <= stall) & (r >= 0.5 * res[got])
+                done[lo + np.flatnonzero(sel)] = (r <= tol) | stuck
+                res[got] = r
+                cut[got] = np.argmax(np.abs(X), axis=0)
                 if vectors:
-                    V[:, idx[sel]] = X
+                    V[:, got] = X
+                del X
         z[active[~done]] -= step[~done]
         active = active[~done]
         if not len(active):
@@ -323,14 +356,29 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
             f"Aberth iteration: {len(active)} of {N} eigenvalues above "
             f"backward error {tol:.3e} after {MAX_SWEEPS} sweeps (worst "
             f"{res[active].max():.3e})")
-    # the multiset as a whole: the eigenvalues sum to the trace, so one
-    # found twice in place of a missing one shows here.  An iterate with
-    # backward error r may sit sqrt(r scale) from its eigenvalue where that
-    # is defective (a Jordan pair)
-    gap = abs(np.sum(z) - np.sum(bands[0]))
-    bound = stall * np.sqrt(N) + np.sum(np.sqrt(np.maximum(res, tiny) * scale))
+    _check_trace(z, res, np.sum(bands[0]), scale)
+    return z, res, V
+
+
+def _check_trace(z: np.ndarray, res: np.ndarray, trace: complex,
+                 scale: float) -> None:
+    """RuntimeError unless the eigenvalues z, with backward errors res, sum
+    to ``trace``: one found twice in place of a missing one shows here.
+
+    Each is charged its backward error r (at least eps scale, for the
+    rounding of the sums) times 16 + scale / max(delta, sqrt(r scale) / 4),
+    delta its distance to the nearest other z.  Away from the others an
+    eigenvalue of a matrix of norm ``scale`` moves by about r; a close pair
+    may be nearly defective, moving it by up to about r scale / delta; and a
+    member of a Jordan pair sits up to sqrt(r scale) from its eigenvalue, as
+    does a duplicate, which is caught once the eigenvalue it replaces lies
+    farther off than that."""
+    r = np.maximum(res, _EPS * scale)
+    points = np.column_stack([z.real, z.imag])
+    delta = scipy.spatial.KDTree(points).query(points, k=2)[0][:, 1]
+    bound = np.sum(r * (16 + scale / np.maximum(delta, np.sqrt(r * scale) / 4)))
+    gap = abs(np.sum(z) - trace)
     if gap > bound:
         raise RuntimeError(
             f"Aberth iteration: the eigenvalues sum to the trace only within "
-            f"{gap:.3e}")
-    return z, res, V
+            f"{gap:.3e}, beyond their error bound {bound:.3e}")

@@ -135,3 +135,30 @@ def test_exactly_zero_pivot_is_moved():
     start[0] = 0.0
     z, res, _ = tridiagonal.eigensolve(A, start, float(np.abs(lam).max()))
     assert ds.multiset_distance(z, lam) <= 1e-13 * np.abs(lam).max()
+
+
+def test_trace_check_catches_a_duplicate():
+    """An eigenvalue found twice in place of its neighbour fails the trace
+    check; the multiset as found passes.  First the path tridiagonal matrix
+    of size 1024, whose top spacing 2.8e-5 lies below N sqrt(eps) ||A||,
+    then D + B at n = 512: its top eigenvalue, and a low one."""
+    N = 1024
+    lam = 2 * np.cos(np.pi * np.arange(1, N + 1) / (N + 1)) + 0j
+    res = np.full(N, 1e-16)
+    tridiagonal._check_trace(lam, res, 0.0, 2.0)
+    dup = lam.copy()
+    dup[1] = lam[0]
+    with pytest.raises(RuntimeError, match="sum to the trace"):
+        tridiagonal._check_trace(dup, res, 0.0, 2.0)
+    rho, alpha = COEFFICIENTS["variable"]
+    ops = ds.build_operator_set(512, rho, alpha, ds.BoundaryCondition.minimal())
+    spec = ds.eigen_dirac(ops)
+    lam, res = spec.eigenvalues, spec.residuals
+    trace = -1j * np.sum(ops.C)
+    tridiagonal._check_trace(lam, res, trace, ops.dirac_norm)
+    top = np.argsort(lam.real)[-2:]
+    for i, j in (top, (0, 1)):
+        dup = lam.copy()
+        dup[j] = lam[i]
+        with pytest.raises(RuntimeError, match="sum to the trace"):
+            tridiagonal._check_trace(dup, res, trace, ops.dirac_norm)
