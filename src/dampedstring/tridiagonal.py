@@ -28,7 +28,6 @@ tridiagonal matrices.
 from __future__ import annotations
 
 import numpy as np
-import scipy.spatial
 
 __all__ = ["MAX_SWEEPS", "eigensolve"]
 
@@ -374,8 +373,12 @@ def _check_trace(z: np.ndarray, res: np.ndarray, trace: complex,
     does a duplicate, which is caught once the eigenvalue it replaces lies
     farther off than that."""
     r = np.maximum(res, _EPS * scale)
-    points = np.column_stack([z.real, z.imag])
-    delta = scipy.spatial.KDTree(points).query(points, k=2)[0][:, 1]
+    delta = np.empty(len(z))
+    rows = max(1, _CHUNK // len(z))
+    for lo in range(0, len(z), rows):
+        d = np.abs(z[lo:lo + rows, None] - z)
+        d[np.arange(len(d)), lo + np.arange(len(d))] = np.inf
+        delta[lo:lo + rows] = d.min(axis=1)
     bound = np.sum(r * (16 + scale / np.maximum(delta, np.sqrt(r * scale) / 4)))
     gap = abs(np.sum(z) - trace)
     if gap > bound:
