@@ -77,7 +77,7 @@ def cmd_spectrum(cfg: RunConfig, report: VerificationReport) -> None:
     (out / "spectrum.csv").write_text(spectral.spectrum_to_csv(spec))
     (out / "eigenvalue_scatter.csv").write_text(to_csv(
         ("re", "im", "branch"),
-        zip(spec.eigenvalues.real, spec.eigenvalues.imag, spec.branches())))
+        (spec.eigenvalues.real, spec.eigenvalues.imag, spec.branches())))
     report.add("spectrum.max_residual", "spectral.eigensolver",
                float(spec.residuals.max()), 1e-8 * ops.dirac_norm)
     strip = spectral.check_strip(spec, ops)
@@ -96,10 +96,10 @@ def cmd_greens(cfg: RunConfig, report: VerificationReport) -> None:
         report.add("greens.kernel_available", "greens.kernel", 1.0, None,
                    hard=False)
         return
-    rows = zip(np.repeat(xs, len(xs)), np.tile(xs, len(xs)), K.real.ravel(),
-               K.imag.ravel())
-    (out / "greens_kernel.csv").write_text(
-        to_csv(("x", "xp", "re_k", "im_k"), rows))
+    (out / "greens_kernel.csv").write_text(to_csv(
+        ("x", "xp", "re_k", "im_k"),
+        (np.repeat(xs, len(xs)), np.tile(xs, len(xs)), K.real.ravel(),
+         K.imag.ravel())))
     t0 = greens.t0_analytic(cfg.bc, alpha)
     ops = _ops_from(cfg)
     t0_disc = traces.trace_coefficient(0, ops)
@@ -182,7 +182,7 @@ def cmd_asymptotics(cfg: RunConfig, report: VerificationReport) -> None:
     jj = np.arange(lo, hi + 1)
     (_out_dir(cfg) / "slope_fit.csv").write_text(to_csv(
         ("j", "re_lambda", "fit_value"),
-        zip(jj, branch[lo - 1:hi], fit["slope"] * jj + fit["intercept"])))
+        (jj, branch[lo - 1:hi], fit["slope"] * jj + fit["intercept"])))
 
 
 def cmd_riesz(cfg: RunConfig, report: VerificationReport) -> None:

@@ -462,15 +462,21 @@ class DiscreteOperatorSet:
         return _band_norm(self.dirac_band(), self._cyclic)
 
     @cached_property
-    def generator_norm(self) -> float:
-        """||G||_2 in the weighted frame, from the Gram band of the frame
-        [[0, I], [-T*T, -C]] with u_k and v_k at 2k and 2k + 1."""
+    def generator_frame(self):
+        """The frame form [[0, I], [-T*T, -C]] of G as a sparse matrix in
+        block order (u, then v), built from H1f and C."""
         m = self.n_nodes
-        Gf = scipy.sparse.block_array(
+        return scipy.sparse.block_array(
             [[None, scipy.sparse.eye_array(m)],
              [-self.H1f, scipy.sparse.diags_array(-self.C)]]).tocsr()
-        order = np.arange(2 * m).reshape(2, m).T.ravel()
-        return _band_norm(Gf[order][:, order], self._cyclic)
+
+    @cached_property
+    def generator_norm(self) -> float:
+        """||G||_2 in the weighted frame, from the Gram band of
+        `generator_frame` with u_k and v_k at 2k and 2k + 1."""
+        order = np.arange(2 * self.n_nodes).reshape(2, -1).T.ravel()
+        return _band_norm(self.generator_frame[order][:, order],
+                          self._cyclic)
 
     def weighted_norm(self, v: np.ndarray, space: str = "dirac") -> float:
         w = self.weights(space)

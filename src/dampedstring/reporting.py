@@ -1,8 +1,8 @@
 """Run configuration, verification reports, and the artifact number format.
 
 Every artifact writes a float by `fmt_float` (shortest round-trip ``repr``)
-and every CSV is built by `to_csv`, so identical configuration and seed
-produce byte-identical output files.
+and every CSV is built column by column by `to_csv`, so identical
+configuration and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -224,11 +224,17 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def to_csv(header: tuple[str, ...], rows) -> str:
-    """CSV text: the header names, then one line per row; floats are
-    written by `fmt_float`, integers and labels as they are."""
-    def cell(x):
-        return fmt_float(x) if isinstance(x, (float, np.floating)) else str(x)
+def to_csv(header: tuple[str, ...], columns) -> str:
+    """CSV text: the header names, then one line per row of the equally
+    long ``columns``.  A float column is written value by value as
+    `fmt_float` writes it, the ``repr`` of the Python float; integer and
+    label columns are written by ``str``.  ValueError when the columns
+    differ in length."""
+    columns = [np.asarray(col) for col in columns]
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("CSV columns differ in length")
+    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist())
+             for col in columns]
     lines = [",".join(header)]
-    lines.extend(",".join(map(cell, row)) for row in rows)
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"

@@ -343,8 +343,9 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
 
 
 def clusters_to_csv(clusters: list) -> str:
-    rows = ((c.cluster_id, c.branch, len(c.members), c.contour.center.real,
-             c.contour.center.imag, c.rank, c.idempotency_defect, c.s)
-            for c in clusters)
+    columns = zip(*((c.cluster_id, c.branch, len(c.members),
+                     c.contour.center.real, c.contour.center.imag, c.rank,
+                     c.idempotency_defect, c.s) for c in clusters))
     return to_csv(("cluster_id", "branch", "member_count", "center_re",
-                   "center_im", "rank", "idempotency_defect", "s"), rows)
+                   "center_im", "rank", "idempotency_defect", "s"),
+                  list(columns))

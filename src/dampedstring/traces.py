@@ -66,21 +66,24 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
     """t_{2n} by the closed forms (n <= 1) or the Taylor recurrence.
 
     ``method="closed"`` uses tr(C K) for n=0 and 3 tr(C K^2) - tr((CK)^3)
-    for n=1; ``method="neumann"`` expands (T*T - zeta^2 - i zeta C)^{-1} as
-    sum_k R_k zeta^k, whose coefficients obey R_0 = K and
-    R_k = K (iC R_{k-1} + R_{k-2}), and reads t_{2n} off the zeta^{2n}
-    coefficient Im tr(2 R_{2n-1} + iC R_{2n}) in 2n products.  Both paths
-    agree to rounding for n <= 1, which the verify command asserts.
+    for n=1, each trace of a product read as a sum of elementwise products
+    (tr(XY) = sum(X * Y^T)), so only (CK)^2 is formed; ``method="neumann"``
+    expands (T*T - zeta^2 - i zeta C)^{-1} as sum_k R_k zeta^k, whose
+    coefficients obey R_0 = K and R_k = K (iC R_{k-1} + R_{k-2}), and reads
+    t_{2n} off the zeta^{2n} coefficient Im tr(2 R_{2n-1} + iC R_{2n}) in
+    2n products.  Both paths agree to rounding for n <= 1, which the verify
+    command asserts.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     K, C = ops.K, ops.C
     if method == "closed":
         if n == 0:
-            return float(np.real(np.trace(C[:, None] * K)))
+            return float(np.real(np.sum(C * np.diag(K))))
         if n == 1:
             CK = C[:, None] * K
-            return float(np.real(3.0 * np.trace(CK @ K) - np.trace(CK @ CK @ CK)))
+            return float(np.real(3.0 * np.sum(CK * K.T)
+                                 - np.sum((CK @ CK) * CK.T)))
         raise ValueError("closed forms available only for n <= 1")
     if method != "neumann":
         raise ValueError(f"unknown method {method!r}")
@@ -95,8 +98,8 @@ def _neumann_coefficients(n_max: int, ops: DiscreteOperatorSet) -> list:
     t = []
     for k in range(2 * n_max + 1):
         if k % 2 == 0:
-            t.append(float(np.imag(np.trace(2.0 * R_prev
-                                            + 1j * (C[:, None] * R)))))
+            t.append(float(np.imag(2.0 * np.trace(R_prev)
+                                   + 1j * np.sum(C * np.diag(R)))))
         if k < 2 * n_max:
             R_prev, R = R, K @ (1j * (C[:, None] * R) + R_prev)
     return t
@@ -144,29 +147,35 @@ def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
     """(lhs, rhs, parity_defect) of the resolvent-trace identity at real zeta.
 
     lhs is the trace of the anti-Hermitian part of the direct dense inverse
-    of (D + B - zeta) in the weighted frame; rhs is the reduced node-space
-    expression Im tr[(2 zeta + iC)(T*T - zeta^2 - i zeta C)^{-1}].
+    of (D + B - zeta) in the weighted frame, sum Im diag; rhs is the reduced
+    node-space expression Im tr[(2 zeta + iC)(T*T - zeta^2 - i zeta C)^{-1}],
+    sum_k (2 zeta + i C_k) inv_kk, since 2 zeta + iC is diagonal.
     """
     if abs(np.imag(zeta)) > 0:
         raise ValueError("zeta must be real")
     zeta = float(np.real(zeta))
 
     def rhs_at(z: float) -> float:
-        m = ops.n_nodes
         C = ops.C
-        inv = solve_regular(ops.H1 - z * z * np.eye(m) - 1j * z * np.diag(C))
-        return float(np.imag(np.trace((np.diag(1j * C) + 2 * z * np.eye(m)) @ inv)))
+        A = ops.H1.copy()
+        diag = np.diag_indices_from(A)
+        # (T*T - z^2) - i z C, rounded as the dense expression rounds it
+        A[diag] -= z * z
+        A[diag] -= 1j * z * C
+        inv = solve_regular(A)
+        return float(np.imag(np.sum((1j * C + 2 * z) * np.diag(inv))))
 
     def lhs_at(z: float) -> float:
         Mf = ops.dirac_frame()
+        Mf[np.diag_indices_from(Mf)] -= z
         try:
-            R = solve_regular(Mf - z * np.eye(Mf.shape[0]))
+            R = solve_regular(Mf)
         except np.linalg.LinAlgError:
             # zeta sits on a zero mode: use the primed eigenvalue sum, which
             # agrees with the trace and drops the singular directions
             lam = eigen_dirac(ops).nonzero()
             return float(np.sum(np.imag(1.0 / (lam - z))))
-        return float(np.trace((R - R.conj().T) / 2j).real)
+        return float(np.sum(np.diag(R).imag))
 
     lhs = lhs_at(zeta)
     rhs = rhs_at(zeta)
@@ -223,19 +232,21 @@ def livsic_check(ops: DiscreteOperatorSet, zeta: float = 0.3,
                  margin: float = 0.5) -> dict:
     """Shifted-resolvent eigenvalue sum against the trace of its imaginary part.
 
-    R = (D + B - (z1 + zeta))^{-1} with Im z1 above the damping norm, so the
-    shift sits in the resolvent set; in finite dimensions the root system is
-    complete and the sum equals the trace exactly, which also witnesses the
-    inequality direction sum Im lambda(R) <= tr Im(R).
+    R = (D + B - z)^{-1} with z = zeta + i (max|C| + margin) above the
+    damping strip, so the shift sits in the resolvent set.  The eigenvalues
+    of R are mu_j = 1/(lambda_j - z) by spectral mapping, with lambda_j the
+    spectrum of D + B from `eigen_dirac`; the trace is sum Im diag(R) of the
+    dense inverse, an independent path.  In finite dimensions the root
+    system is complete and the sum equals the trace exactly, which also
+    witnesses the inequality direction sum Im mu_j <= tr Im(R).
     """
-    Mf = ops.dirac_frame()
     bnorm = float(np.abs(ops.C).max())
-    z1 = 1j * (bnorm + margin)
-    z = z1 + zeta
-    R = solve_regular(Mf - z * np.eye(Mf.shape[0]))
-    lam = np.linalg.eigvals(R)
-    lhs = float(np.sum(lam.imag))
-    rhs = float(np.trace((R - R.conj().T) / 2j).real)
+    z = zeta + 1j * (bnorm + margin)
+    lam = eigen_dirac(ops).eigenvalues
+    lhs = float(np.sum((1.0 / (lam - z)).imag))
+    Mf = ops.dirac_frame()
+    Mf[np.diag_indices_from(Mf)] -= z
+    rhs = float(np.sum(np.diag(solve_regular(Mf)).imag))
     return {"eig_im_sum": lhs, "trace_im": rhs, "gap": abs(lhs - rhs),
             "inequality_holds": lhs <= rhs + 1e-9, "shift": complex(z)}
 

@@ -1,0 +1,45 @@
+import numpy as np
+import pytest
+
+from dampedstring.reporting import fmt_float, to_csv
+
+
+def _rowwise_csv(header, rows):
+    """The row-by-row CSV formatting that `to_csv` replaced: a float cell by
+    `fmt_float`, any other cell by str."""
+    def cell(x):
+        return fmt_float(x) if isinstance(x, (float, np.floating)) else str(x)
+    lines = [",".join(header)]
+    lines.extend(",".join(map(cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_columns_match_rowwise_formatting_byte_for_byte():
+    floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+                       2.2250738585072014e-308 / 3, 0.1, -1.5e300, 1.0 / 3])
+    n = len(floats)
+    columns = (
+        np.arange(n),                                     # numpy ints
+        list(range(-3, n - 3)),                           # Python ints
+        np.array(["plus", "minus", "zero", "overdamped", "plus"] * 2),
+        floats,
+        floats[::-1].tolist(),                            # Python floats
+        np.array([0.1, -0.0, 1e-45, np.nan, -np.inf, 3.4e38, 1.0 / 3, 7.0,
+                  -2.5e-40, 1e-8], dtype=np.float32),
+        (floats > 0).astype(int),
+    )
+    header = ("i", "k", "branch", "x", "y", "x32", "flag")
+    text = to_csv(header, columns)
+    assert text == _rowwise_csv(header, zip(*columns))
+    assert text.encode() == _rowwise_csv(header, zip(*columns)).encode()
+    assert "-0.0" in text and "nan" in text and "5e-324" in text
+    assert "np." not in text
+
+
+def test_header_only_without_rows():
+    assert to_csv(("a", "b"), (np.array([]), [])) == "a,b\n"
+
+
+def test_columns_of_different_length_rejected():
+    with pytest.raises(ValueError, match="length"):
+        to_csv(("a", "b"), ([1.0, 2.0], [1.0]))

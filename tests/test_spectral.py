@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,88 @@ def test_factorization_identity_random(damped_ops):
         assert out["factorization_residual"] < 1e-12
         assert out["E_inverse_defect"] < 1e-12
         assert out["F_inverse_defect"] < 1e-12
+
+
+def _dense_factorization(z, ops):
+    """The identity with every block factor assembled as a dense 2m x 2m
+    matrix: the oracle of the blockwise check."""
+    m = ops.n_nodes
+    I, O, R = np.eye(m), np.zeros((m, m)), np.diag(ops.C)
+    L = z * z * I + z * 1j * R - ops.H1
+    E = np.block([[-z * I - 1j * R, -1j * I], [I, O]])
+    Einv = np.block([[O, I], [1j * I, -1j * (-z * I - 1j * R)]])
+    F = np.block([[I, O], [-z * I, 1j * I]])
+    Finv = np.block([[I, O], [-1j * z * I, -1j * I]])
+    lhs = np.block([[L, O], [O, I]]) @ F
+    rhs = E @ (1j * ops.G - z * np.eye(2 * m))
+    I2 = np.eye(2 * m)
+    return {
+        "factorization_residual": np.linalg.norm(lhs - rhs)
+        / max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0),
+        "E_inverse_defect": np.linalg.norm(E @ Einv - I2),
+        "F_inverse_defect": np.linalg.norm(F @ Finv - I2),
+    }
+
+
+@pytest.mark.parametrize("z", [0.37 - 0.2j, 1.5, -0.4 + 2.0j])
+@pytest.mark.parametrize("bc", ["min", "max", "omega:0.5,0.3"])
+def test_factorization_identity_matches_dense_blocks(bc, z):
+    rho, alpha = ds.random_coefficients(9)
+    ops = ds.build_operator_set(24, rho, alpha, ds.parse_bc(bc))
+    fast = spectral.verify_factorization_identity(z, ops)
+    dense = _dense_factorization(z, ops)
+    for key in fast:
+        assert fast[key] < 1e-12
+        assert abs(fast[key] - dense[key]) <= 1e-15
+
+
+@pytest.mark.parametrize("block", ["G11", "G12", "G21", "G22"])
+def test_factorization_identity_reads_every_block_of_G(damped_ops, block):
+    """A wrong entry in any block of the assembled G fails the check."""
+    ops = ds.build_operator_set(damped_ops.grid.n, damped_ops.rho,
+                                damped_ops.alpha, damped_ops.bc)
+    m = ops.n_nodes
+    G = ops.G.copy()
+    i, j = (int(block[1]) - 1) * m, (int(block[2]) - 1) * m
+    G[i + 2, j + 3] += 1e-6 * np.abs(G).max()
+    ops.__dict__["G"] = G
+    out = spectral.verify_factorization_identity(0.37 - 0.2j, ops)
+    assert out["factorization_residual"] > 1e-9
+
+
+def test_factorization_identity_forms_no_2m_array():
+    """The blockwise check stays below the memory of one complex 2m x 2m
+    array, which the dense form needs for each of its block factors."""
+    rho, alpha = ds.random_coefficients(9)
+    ops = ds.build_operator_set(256, rho, alpha, MIN)
+    ops.G, ops.H1
+    m = ops.n_nodes
+    tracemalloc.start()
+    try:
+        spectral.verify_factorization_identity(0.37 - 0.2j, ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * m) ** 2 * 16
+
+
+def test_generator_residuals_hold_assembled_G_to_the_bands(damped_ops):
+    """The residuals of iG come from the sparse frame built from T*T and C,
+    so an eigensolve of a wrong assembled G fails the residual gate."""
+    good = ds.eigen_generator(damped_ops, keep_vectors=True)
+    Gf = damped_ops.frame(damped_ops.G, "generator")
+    dense = (np.linalg.norm(1j * Gf @ good.vectors
+                            - good.vectors * good.eigenvalues[None, :], axis=0)
+             / np.linalg.norm(good.vectors, axis=0))
+    assert np.abs(good.residuals - dense).max() <= 1e-12 * damped_ops.generator_norm
+    ops = ds.build_operator_set(damped_ops.grid.n, damped_ops.rho,
+                                damped_ops.alpha, damped_ops.bc)
+    m = ops.n_nodes
+    G = ops.G.copy()
+    G[m + 2, 3] += 1e-3 * np.abs(G).max()
+    ops.__dict__["G"] = G
+    with pytest.raises(RuntimeError, match="residual"):
+        ds.eigen_generator(ops)
 
 
 def test_fit_asymptotics_undamped():

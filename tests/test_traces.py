@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dampedstring as ds
 from dampedstring import traces
@@ -154,6 +155,87 @@ def test_livsic_equality_and_inequality():
     out = traces.livsic_check(ops)
     assert out["gap"] < 1e-9
     assert out["inequality_holds"]
+
+
+def _dense_livsic_sum(ops, shift):
+    """sum Im mu over the eigenvalues of R = (D + B - shift)^{-1} by a dense
+    eigensolve of the dense inverse: the oracle of the spectral mapping."""
+    Mf = ops.dirac_frame()
+    R = np.linalg.inv(Mf - shift * np.eye(Mf.shape[0]))
+    return float(np.sum(np.linalg.eigvals(R).imag))
+
+
+def _critical_ops(n):
+    """Constant damping a = 2 sqrt(mu_1) on min: the lowest pencil pair is
+    a Jordan block at -ia/2."""
+    undamped = ds.build_operator_set(n, RHO1, ds.constant(0.0, "damping"), MIN)
+    a = 2 * np.sqrt(undamped.H1_eigvals[0])
+    return ds.build_operator_set(n, RHO1, ds.constant(a, "damping"), MIN)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "max", "omega:1,0"])
+def test_livsic_sum_matches_dense_eigvals(bc, n):
+    """The spectral-mapping sum over the Dirac spectrum agrees with the
+    dense eigenvalues of R, on families with zero modes (max, omega:1,0)
+    and an exactly double spectrum among them."""
+    rho, alpha = ds.random_coefficients(25)
+    ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
+    out = traces.livsic_check(ops)
+    oracle = _dense_livsic_sum(ops, out["shift"])
+    assert abs(out["eig_im_sum"] - oracle) <= 1e-12 * abs(oracle)
+    assert abs(out["trace_im"] - oracle) <= 1e-12 * abs(oracle)
+    assert out["gap"] < 1e-9
+    assert out["inequality_holds"]
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_livsic_sum_at_critical_damping(n):
+    ops = _critical_ops(n)
+    out = traces.livsic_check(ops)
+    oracle = _dense_livsic_sum(ops, out["shift"])
+    assert abs(out["eig_im_sum"] - oracle) <= 1e-12 * abs(oracle)
+    assert out["gap"] < 1e-9
+
+
+def test_traces_use_no_dense_eigensolve(monkeypatch):
+    """The Livsic sum comes from the tridiagonal Dirac spectrum, never from
+    a dense eigensolve of the resolvent."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense eigensolve called")
+
+    for mod, name in ((np.linalg, "eigvals"), (np.linalg, "eig"),
+                      (scipy.linalg, "eigvals"), (scipy.linalg, "eig")):
+        monkeypatch.setattr(mod, name, forbidden)
+    rho, alpha = ds.random_coefficients(25)
+    ops = ds.build_operator_set(16, rho, alpha, ds.BoundaryCondition.maximal())
+    assert traces.livsic_check(ops)["gap"] < 1e-9
+    lhs, rhs, _ = traces.resolvent_trace_expansion(0.1, ops)
+    assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("bc", ["min", "zero0", "omega:0.5,0.3"])
+def test_traces_match_full_products(bc):
+    """The traces read off diagonals and elementwise sums equal the traces
+    of the full products they replace."""
+    rho, alpha = ds.random_coefficients(26)
+    ops = ds.build_operator_set(24, rho, alpha, ds.parse_bc(bc))
+    K, C = ops.K, ops.C
+    CK = C[:, None] * K
+    t0 = np.trace(CK).real
+    t2 = np.real(3.0 * np.trace(CK @ K) - np.trace(CK @ CK @ CK))
+    assert traces.trace_coefficient(0, ops) == pytest.approx(t0, rel=1e-13)
+    assert traces.trace_coefficient(1, ops) == pytest.approx(t2, rel=1e-12)
+    z = 0.1
+    m = ops.n_nodes
+    inv = np.linalg.inv(ops.H1 - z * z * np.eye(m) - 1j * z * np.diag(C))
+    rhs = np.imag(np.trace((np.diag(1j * C) + 2 * z * np.eye(m)) @ inv))
+    Mf = ops.dirac_frame()
+    R = np.linalg.inv(Mf - z * np.eye(Mf.shape[0]))
+    lhs = np.trace((R - R.conj().T) / 2j).real
+    got_lhs, got_rhs, _ = traces.resolvent_trace_expansion(z, ops)
+    assert got_rhs == pytest.approx(rhs, rel=1e-12)
+    assert got_lhs == pytest.approx(lhs, rel=1e-12)
 
 
 def test_series_coefficient_sanity():
