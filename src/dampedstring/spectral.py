@@ -19,9 +19,13 @@ from .coefficients import CoefficientSpec, integrate_product
 from .discretization import DiscreteOperatorSet
 from .reporting import to_csv
 
+_MODE_CHUNK = 2**15      # modes x positions per batched inverse iteration
+_EPS = np.finfo(float).eps
+
 __all__ = [
     "Spectrum", "EigenPair",
     "eigen_dirac", "eigen_generator", "eigen_selfadjoint",
+    "selfadjoint_modes",
     "constant_damping_dirac", "weighted_residual",
     "pencil_residual", "map_generator_to_dirac", "map_dirac_to_generator",
     "multiset_distance", "check_symmetry", "check_strip",
@@ -106,11 +110,13 @@ def _dirac_start(ops: DiscreteOperatorSet) -> np.ndarray:
     w^2 / spacing, w^2 the variance of C over the mode, and at least
     2^-52 ||D + B||: that splits equal starts and the symmetry
     lambda -> -conj(lambda), which Aberth iterates would otherwise keep,
-    without spoiling a start that is exact."""
-    mu, U = eigen_selfadjoint(ops)
-    weight = np.abs(U) ** 2
-    c = ops.C @ weight
-    w2 = np.maximum(np.abs(ops.C) ** 2 @ weight - np.abs(c) ** 2, 0.0)
+    without spoiling a start that is exact.
+
+    The means of C and C^2 over each mode are those of its inverse iterate
+    (`selfadjoint_modes`), so no eigenvector matrix of T*T is formed."""
+    C = ops.C
+    mu, _, (c, c2) = selfadjoint_modes(ops, (C, np.abs(C) ** 2))
+    w2 = np.maximum(c2 - np.abs(c) ** 2, 0.0)
     k_T, k_Ts = ops.n_nodes - ops.rank, ops.n_cells - ops.rank
     start = _damped_roots(mu, c, k_T, k_Ts)
     spacing = 2 * ops.dirac_norm / len(start)
@@ -152,8 +158,149 @@ def eigen_generator(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spe
 
 def eigen_selfadjoint(ops: DiscreteOperatorSet) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues/vectors of T*T (Hermitian in the node frame), ascending,
-    by the band solver."""
+    by the band solver: O(m^3) with the m x m vector matrix, for the
+    intertwining check; per-mode statistics come from `selfadjoint_modes`."""
     return ops.frame_eigh("node", vectors=True)
+
+
+def selfadjoint_modes(ops: DiscreteOperatorSet, weights=()
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-mode statistics of T*T in the node frame without its eigenvector
+    matrix: (mu, res, means), mu the eigenvalues (`ops.H1_eigvals`,
+    ascending), res[j] the backward error ||(H1f - mu_j) x|| / ||x|| of an
+    inverse iterate x for mu_j, and means[i, j] = x^H diag(w_i) x / x^H x
+    for each row w_i of ``weights``.
+
+    The iterates are taken by chunks of modes (`_inverse_iterates`), each
+    array at most _MODE_CHUNK modes x positions.  One step leaves x off its
+    eigenvector by about the shift's error over the gap to the next
+    eigenvalue, enough for the residual; the means take a second step,
+    which squares that.  A mode whose residual is above 1e-8 ||T*T|| is
+    retried once, with the ring cut at m/2 for a cyclic T*T and with one
+    more step otherwise; RuntimeError names a mode still above it.
+    """
+    H = ops.H1f
+    mu = ops.H1_eigvals
+    m = len(mu)
+    W = np.asarray(weights, dtype=float).reshape(-1, m)
+    scale = max(float(mu[-1]), 0.0)           # ||T*T||, semidefinite
+    # the ring: diagonal, H[i, i+1] and H[i+1, i] with i+1 mod m, whose last
+    # entries are the corners (zero unless T*T is cyclic)
+    ring = (H.diagonal(), np.append(H.diagonal(1), H.diagonal(1 - m)),
+            np.append(H.diagonal(-1), H.diagonal(m - 1)))
+    cyclic = bool(ring[1][-1] or ring[2][-1])
+    steps = 2 if len(W) else 1
+    res, means = _mode_stats(H, ring, mu, W, 0, steps, scale)
+    gate = 1e-8 * scale
+    bad = np.flatnonzero(~(res <= gate))      # nan fails too
+    if len(bad):
+        res[bad], means[:, bad] = _mode_stats(
+            H, ring, mu[bad], W, m // 2 if cyclic else 0,
+            steps + (not cyclic), scale)
+        bad = bad[~(res[bad] <= gate)]
+        if len(bad):
+            j = int(bad[0])
+            raise RuntimeError(
+                f"inverse iteration of T*T: mode {j} (mu = {mu[j]:.6e}) has "
+                f"backward error {res[j]:.3e} above 1e-8 x norm after a retry")
+    return mu, res, means
+
+
+def _mode_stats(H, ring, mu, W, cut, steps, scale):
+    """(res, means) of `selfadjoint_modes` for the shifts mu, by chunks."""
+    m = H.shape[0]
+    res, means = np.empty(len(mu)), np.empty((len(W), len(mu)))
+    # a fixed pseudo-random start, uniform on [-1, 1] as in LAPACK ?stein
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+    per = max(1, _MODE_CHUNK // m)
+    for lo in range(0, len(mu), per):
+        s = mu[lo:lo + per]
+        x = _inverse_iterates(ring, s, start, cut, steps, _EPS * scale)
+        p = _abs2(x)
+        R = (H @ x.T).T
+        R -= s[:, None] * x
+        norm2 = p.sum(axis=1)
+        res[lo:lo + per] = np.sqrt(_abs2(R).sum(axis=1) / norm2)
+        means[:, lo:lo + per] = (W @ p.T) / norm2
+    return res, means
+
+
+def _abs2(v: np.ndarray) -> np.ndarray:
+    return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
+
+
+def _inverse_iterates(ring, shifts, start, cut, steps, tiny):
+    """Inverse iterates of the Hermitian tridiagonal ring (a, up, low) less
+    each shift, one row per shift in coordinate order, from ``start`` by
+    ``steps`` steps.
+
+    The ring is read as the chain from unknown ``cut`` to cut - 1; the k
+    shifted chains stand as blocks of one tridiagonal matrix, parted by zero
+    couplings, which LAPACK ?gttrf factors with partial pivoting in one
+    call (a zero below the diagonal never makes it swap rows, so no pivot
+    crosses a block) and ?gttrs solves, in real arithmetic when the chain
+    is real (only the corners of T*T carry the phase of omega).  An exactly
+    zero pivot becomes ``tiny``.  The two corners that close a cyclic ring
+    are a rank-2 update: the chain solves for e_0 and e_(m-1) ride along as
+    two more right-hand sides, and the Sherman-Morrison-Woodbury 2 x 2
+    system of each shift is solved in closed form."""
+    a, up, low = (np.roll(v, -cut) for v in ring) if cut else ring
+    k, m = len(shifts), len(a)
+    P, Q = low[-1], up[-1]                    # chain[0, m-1], chain[m-1, 0]
+    cyclic = bool(P or Q)
+    chain = a, up[:-1], low[:-1]
+    if not any(np.imag(v).any() for v in chain):
+        chain = tuple(np.real(v) for v in chain)
+    a, up, low = chain
+    d = (a[None, :] - shifts[:, None]).ravel()
+    du = np.tile(np.append(up, 0.0), k)[:-1]
+    dl = np.tile(np.append(low, 0.0), k)[:-1]
+    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"),
+                                                 (d, du, dl))
+    dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=True,
+                                       overwrite_d=True, overwrite_du=True)
+    if info > 0:
+        d[d == 0] = tiny
+
+    def solve(b):
+        # b, one right-hand side per column, through the chains; a complex
+        # b with real factors as its real and imaginary columns
+        split = np.iscomplexobj(b) and not np.iscomplexobj(d)
+        if split:
+            b = np.concatenate([b.real, b.imag], axis=1)
+        y = gttrs(dl, d, du, du2, ipiv, b, overwrite_b=True)[0]
+        if split:
+            half = y.shape[1] // 2
+            y = y[:, :half] + 1j * y[:, half:]
+        return y
+    B = np.zeros((3 if cyclic else 1, k * m), dtype=d.dtype).T
+    B[:, 0] = np.tile(start, k)
+    if cyclic:
+        B[0::m, 1] = 1.0
+        B[m - 1::m, 2] = 1.0
+    X = solve(B)
+    x = X[:, 0].reshape(k, m)
+    if cyclic:
+        z0, zn = X[:, 1].reshape(k, m), X[:, 2].reshape(k, m)
+        M00, M01 = 1 + P * z0[:, -1], P * zn[:, -1]
+        M10, M11 = Q * z0[:, 0], 1 + Q * zn[:, 0]
+        det = (M00 * M11 - M01 * M10)[:, None]
+    for step in range(steps):
+        if step:
+            x = x / np.linalg.norm(x, axis=1)[:, None]
+            x = solve(x.reshape(-1, 1)).reshape(k, m)
+        if cyclic:
+            # x = y - [z0 zn] M^{-1} (P y_(m-1), Q y_0), times det M: M
+            # vanishes at an eigenvalue of multiplicity two, where rounding
+            # may leave it exactly singular, and then x lies on z0 and zn,
+            # which are null vectors there (their sum if M is exactly 0)
+            r0, r1 = P * x[:, -1], Q * x[:, 0]
+            x = x * det
+            x -= z0 * (M11 * r0 - M01 * r1)[:, None]
+            x -= zn * (M00 * r1 - M10 * r0)[:, None]
+            dead = ~x.any(axis=1)
+            x[dead] = z0[dead] + zn[dead]
+    return np.roll(x, cut, axis=1) if cut else x
 
 
 def constant_damping_dirac(ops: DiscreteOperatorSet) -> Spectrum:
@@ -169,19 +316,17 @@ def constant_damping_dirac(ops: DiscreteOperatorSet) -> Spectrum:
 
     The residual reduces exactly to the node block: with H1 u = mu u and
     w = T u / lambda, the cell component of (D+B-lambda)(u, w) vanishes
-    identically and the node component equals (H1 u - mu u)/lambda, so only
-    one product with the sparse node-frame T*T is needed.
+    identically and the node component equals (H1 u - mu u)/lambda, so each
+    root takes its mode's backward error ||H1f u - mu u|| for a unit u, the
+    inverse iterate of `selfadjoint_modes`: no eigenvector matrix is formed.
     """
     C = ops.C
     if np.ptp(C) > 1e-13 * max(1.0, np.abs(C).max()):
         raise ValueError("damping profile is not constant at the nodes")
     a = float(C[0])
-    mu, U = eigen_selfadjoint(ops)
+    mu, rn, _ = selfadjoint_modes(ops)
     k_T, k_Ts = ops.n_nodes - ops.rank, ops.n_cells - ops.rank
     lam = _damped_roots(mu, np.full(len(mu), a), k_T, k_Ts)
-    R = ops.H1f @ U
-    R -= U * mu[None, :]
-    rn = np.linalg.norm(R, axis=0)
     # per root, in the order of _damped_roots: its mode's residual and mu
     rn = np.concatenate([np.tile(rn[k_T:], 2), rn[:k_T], np.zeros(k_Ts)])
     mu = np.maximum(mu, 0.0)

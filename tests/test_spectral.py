@@ -232,3 +232,118 @@ def test_spectrum_csv_shape(damped_ops):
     assert lines[0] == "index,re_lambda,im_lambda,residual,zero_mode_flag,branch"
     assert len(lines) == len(spec) + 1
     assert sum(line.split(",")[4] == "1" for line in lines[1:]) == spec.zero_modes
+
+
+def _coefficients(kind):
+    if kind == "constant":
+        return RHO1, ds.constant(0.7, "damping")
+    if kind == "contrast":
+        # density 1 on [0, 0.4) and 100 beyond
+        rho = ds.CoefficientSpec((ds.Piece(0.0, 0.4, (1.0,)),
+                                  ds.Piece(0.4, 1.0, (100.0,))), "density")
+        return rho, ds.polynomial((0.5, 1.0), "damping")
+    return ds.random_coefficients(kind)
+
+
+@pytest.mark.parametrize("kind", ["constant", 1, 2, "contrast"])
+@pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "max", "omega:1,0",
+                                "omega:-1,0", "omega:0,1", "omega:0.5,0.3"])
+def test_selfadjoint_modes_match_the_eigenvectors(bc, kind):
+    """Residuals and means of C, C^2 from the inverse iterates against those
+    of the band solver's eigenvectors; on a repeated pair (gap at most
+    1e-8 ||T*T||) only the pair's sum of means is defined."""
+    rho, alpha = _coefficients(kind)
+    for n in (4, 16, 64, 256):
+        ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
+        C = ops.C
+        weights = np.stack([C, C**2])
+        mu, res, means = spectral.selfadjoint_modes(ops, weights)
+        _, res1, none = spectral.selfadjoint_modes(ops)
+        mu_d, U = spectral.eigen_selfadjoint(ops)
+        dense = weights @ np.abs(U) ** 2
+        norm = np.linalg.norm(ops.H1f.toarray(), 2)
+        assert none.shape == (0, len(mu))
+        assert np.array_equal(mu, ops.H1_eigvals)
+        assert np.abs(mu - mu_d).max() <= 1e-12 * norm
+        assert res.max() <= 1e-10 * norm and res1.max() <= 1e-10 * norm
+        tol = 1e-10 * np.abs(weights).max(axis=1)[:, None]
+        close = np.diff(mu) <= 1e-8 * norm
+        assert not np.any(close[1:] & close[:-1])      # at most pairs
+        paired = np.append(close, False) | np.insert(close, 0, False)
+        assert np.all(np.abs(means - dense)[:, ~paired] <= tol)
+        first = np.flatnonzero(close)
+        pair_sum = means[:, first] + means[:, first + 1]
+        assert np.all(np.abs(pair_sum - dense[:, first] - dense[:, first + 1])
+                      <= tol)
+
+
+def test_mode_statistics_form_no_m_by_m_array():
+    """The start of the Dirac eigensolve and the constant-damping path peak
+    below half of one complex m x m array (the eigenvector matrix)."""
+    omega = ds.parse_bc("omega:0,1")
+    cases = ((spectral._dirac_start, ds.random_coefficients(3)),
+             (ds.constant_damping_dirac, (RHO1, ds.constant(0.7, "damping"))))
+    for run, (rho, alpha) in cases:
+        ops = ds.build_operator_set(1024, rho, alpha, omega)
+        ops.H1f, ops.H1_eigvals, ops.dirac_norm, ops.rank
+        m = ops.n_nodes
+        tracemalloc.start()
+        try:
+            run(ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 16 / 2
+
+
+def _corrupt_iterates(monkeypatch, rows):
+    """Replace the iterates of the chosen shift rows (all when rows is None)
+    by ones, for the calls of `_inverse_iterates` that are not retries;
+    returns the list of (cut, steps) of every call."""
+    real, calls = spectral._inverse_iterates, []
+
+    def fake(ring, shifts, start, cut, steps, tiny):
+        calls.append((cut, steps))
+        x = real(ring, shifts, start, cut, steps, tiny)
+        if len(calls) == 1 or rows is None:
+            x[slice(None) if rows is None else rows] = 1.0
+        return x
+    monkeypatch.setattr(spectral, "_inverse_iterates", fake)
+    return calls
+
+
+@pytest.mark.parametrize("bc", ["min", "omega:0,1"])
+def test_mode_above_the_gate_is_retried(monkeypatch, bc):
+    ops = ds.build_operator_set(32, RHO1, ds.constant(0.7, "damping"),
+                                ds.parse_bc(bc))
+    calls = _corrupt_iterates(monkeypatch, [3, 5])
+    mu, res, _ = spectral.selfadjoint_modes(ops, (ops.C,))
+    assert res.max() <= 1e-10 * mu[-1]
+    m = ops.n_nodes
+    assert calls[-1] == ((m // 2, 2) if bc.startswith("omega") else (0, 3))
+
+
+@pytest.mark.parametrize("bc", ["min", "omega:0,1"])
+def test_mode_still_above_the_gate_raises(monkeypatch, bc):
+    rho, alpha = ds.random_coefficients(3)
+    ops = ds.build_operator_set(32, rho, alpha, ds.parse_bc(bc))
+    _corrupt_iterates(monkeypatch, None)
+    with pytest.raises(RuntimeError, match="mode 0 "):
+        ds.eigen_dirac(ops)
+    const = ds.build_operator_set(32, RHO1, ds.constant(0.7, "damping"),
+                                  ds.parse_bc(bc))
+    with pytest.raises(RuntimeError, match="mode 0 "):
+        ds.constant_damping_dirac(const)
+
+
+@pytest.mark.parametrize("bc", ["omega:1,0", "omega:-1,0"])
+def test_selfadjoint_modes_on_exact_double_eigenvalues(bc):
+    """Constant coefficients on the periodic families: every eigenvalue but
+    the lowest of omega = 1 is double, and at these sizes rounding leaves
+    the 2 x 2 corner system of some exactly singular."""
+    for n in (12, 28, 196, 396):
+        ops = ds.build_operator_set(n, RHO1, ds.constant(0.7, "damping"),
+                                    ds.parse_bc(bc))
+        for weights in ((), (ops.C,)):
+            mu, res, _ = spectral.selfadjoint_modes(ops, weights)
+            assert res.max() <= 1e-10 * mu[-1]
