@@ -428,6 +428,16 @@ class DiscreteOperatorSet:
         return self.frame_eigh("node")
 
     @cached_property
+    def damping_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c, c2): the means of C and C^2 over each eigenvector of T*T, in
+        the order of H1_eigvals, from its inverse iterate
+        (`spectral.selfadjoint_modes`); the starts of the Dirac and the
+        generator eigensolves both read them."""
+        from .spectral import selfadjoint_modes
+        _, _, (c, c2) = selfadjoint_modes(self, (self.C, self.C ** 2))
+        return c, c2
+
+    @cached_property
     def H2_eigvals(self) -> np.ndarray:
         """Spectrum of TT* from its Hermitian frame form, ascending."""
         return self.frame_eigh("cell")

@@ -2,8 +2,8 @@
 
 Every eigensolve runs in the similarity frame where the weighted inner
 product becomes Euclidean, so residuals and norms reported here are the
-weighted ones: D+B as the tridiagonal band of that frame, iG as a dense
-matrix, its independent witness.
+weighted ones: D+B as the tridiagonal band of that frame, iG, its witness,
+as the tridiagonal quadratic pencil T*T - z^2 - i z C of the node frame.
 """
 
 from __future__ import annotations
@@ -103,29 +103,36 @@ def _damped_roots(mu: np.ndarray, c: np.ndarray, k_T: int,
                            -1j * c[:k_T], np.zeros(k_Ts)])
 
 
-def _dirac_start(ops: DiscreteOperatorSet) -> np.ndarray:
+def _damped_start(ops: DiscreteOperatorSet, k_T: int, k_Ts: int,
+                  radius: float) -> np.ndarray:
     """`_damped_roots` with c the mean of C over each mode: the spectrum to
     first order in the variation of C, exact for constant C.  Each value is
     moved by a distinct offset about as large as its second-order error
-    w^2 / spacing, w^2 the variance of C over the mode, and at least
-    2^-52 ||D + B||: that splits equal starts and the symmetry
-    lambda -> -conj(lambda), which Aberth iterates would otherwise keep,
-    without spoiling a start that is exact.
+    w^2 / spacing, w^2 the variance of C over the mode and spacing that of
+    the values over [-radius, radius], and at least 2^-52 radius: that
+    splits equal starts and the symmetry lambda -> -conj(lambda), which
+    Aberth iterates would otherwise keep, without spoiling a start that is
+    exact.
 
     The means of C and C^2 over each mode are those of its inverse iterate
-    (`selfadjoint_modes`), so no eigenvector matrix of T*T is formed."""
-    C = ops.C
-    mu, _, (c, c2) = selfadjoint_modes(ops, (C, np.abs(C) ** 2))
-    w2 = np.maximum(c2 - np.abs(c) ** 2, 0.0)
-    k_T, k_Ts = ops.n_nodes - ops.rank, ops.n_cells - ops.rank
-    start = _damped_roots(mu, c, k_T, k_Ts)
-    spacing = 2 * ops.dirac_norm / len(start)
+    (`ops.damping_means`), so no eigenvector matrix of T*T is formed."""
+    c, c2 = ops.damping_means
+    w2 = np.maximum(c2 - c ** 2, 0.0)
+    start = _damped_roots(ops.H1_eigvals, c, k_T, k_Ts)
+    spacing = 2 * radius / len(start)
     size = np.minimum(np.concatenate([w2[k_T:], w2[k_T:], w2[:k_T],
                                       np.zeros(k_Ts)]) / spacing,
                       1e-3 * spacing)
-    size = np.maximum(size, 2.0**-52 * ops.dirac_norm)
+    size = np.maximum(size, 2.0**-52 * radius)
     k = np.arange(len(start))
     return start + size * np.exp(2j * np.pi * 0.6180339887 * k)
+
+
+def _dirac_start(ops: DiscreteOperatorSet) -> np.ndarray:
+    """The start of `eigen_dirac`: `_damped_start` with a vector of ker T
+    giving -i<u, C u> alone and one of ker T* the root 0 (`_damped_roots`)."""
+    return _damped_start(ops, ops.n_nodes - ops.rank,
+                         ops.n_cells - ops.rank, ops.dirac_norm)
 
 
 def eigen_dirac(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectrum:
@@ -139,21 +146,33 @@ def eigen_dirac(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectru
 
 
 def eigen_generator(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectrum:
-    """Spectrum of iG on node+node space (real dgeev path when coefficients
-    are real): a dense eigensolve of the assembled G in the weighted frame,
-    the independent witness of the Dirac spectrum.  The residuals
-    ||iG_f v - lambda v|| are taken with the sparse `generator_frame`, built
-    from the bands of T*T and C, so they also hold the assembled G to it."""
-    Gf = ops.frame(ops.G, "generator")
-    if np.allclose(Gf.imag, 0.0):
-        Gf = Gf.real
-    nu, V = scipy.linalg.eig(Gf)
-    lam = 1j * nu
-    res = (np.linalg.norm(1j * (ops.generator_frame @ V) - V * lam[None, :],
-                          axis=0)
-           / np.linalg.norm(V, axis=0))
-    return _spectrum(lam, res, V if keep_vectors else None,
-                     ops.generator_norm, ops.tol_zero, "generator")
+    """Spectrum of iG on node+node space, the witness of the Dirac spectrum:
+    lambda is an eigenvalue of iG exactly when Q(lambda) = T*T - lambda^2
+    - i lambda C is singular, and then v = (u, -i lambda u) with
+    Q(lambda) u = 0 is its eigenvector.  The 2m roots of det Q, Q
+    tridiagonal in the node frame (cyclic for quasi), come from
+    Ehrlich-Aberth iteration (`tridiagonal.eigensolve` of degree 2) in
+    O(m^2), started from the constant-damping roots with each mode's mean
+    of C: for a vector of ker T these are 0 and -i<u, C u>, both roots of
+    det Q.  No dense eigensolve of G is run.
+
+    It is a second path to the D + B spectrum through other operators: the
+    m x m pencil on T*T with its own start and log-derivative, against the
+    first-order node + cell band; the two share only the twisted
+    factorization of the kernel.  The residuals are the kernel's backward
+    errors ||Q(lambda) u|| / (||u|| sqrt(1 + |lambda|^2)), which equal
+    ||iG_f v - lambda v|| / ||v||; ``keep_vectors`` keeps the v, unit in
+    the frame."""
+    radius = np.sqrt(max(float(ops.H1_eigvals[-1]), 0.0)) + np.abs(ops.C).max()
+    lam, res, U = tridiagonal.eigensolve(
+        ops.H1f, _damped_start(ops, 0, 0, radius), ops.generator_norm,
+        keep_vectors, damping=1j * ops.C)
+    V = None
+    if U is not None:
+        V = np.concatenate([U, U * (-1j * lam)])
+        V /= np.linalg.norm(V, axis=0)
+    return _spectrum(lam, res, V, ops.generator_norm, ops.tol_zero,
+                     "generator")
 
 
 def eigen_selfadjoint(ops: DiscreteOperatorSet) -> tuple[np.ndarray, np.ndarray]:

@@ -1,28 +1,34 @@
-"""Eigenvalues of a tridiagonal matrix, cyclic or not, by Ehrlich-Aberth
-iteration in O(N^2), with a backward error and an eigenvector for each.
+"""Eigenvalues of a tridiagonal matrix polynomial, cyclic or not, by
+Ehrlich-Aberth iteration in O(N^2), with a backward error and an
+eigenvector for each.
 
-At each iterate z, LU from the top and UL from the bottom of T - z meet in
-a twisted factorization (Fernando, Numer. Math. 75, 1997): gamma_k, the
-sum of the two pivots at k less a_k - z, is 1 / ((T - z)^{-1})_kk, and the
-twisted vector x with x_t = 1 solves (T - z) x = gamma_t e_t.  The sum of
-the 1 / gamma_k is the log-derivative of det(T - z) for the Aberth step; at
-the twist t of least |gamma_t|, x is an approximate eigenvector, and its
-backward error ||(T - z) x|| / ||x||, computed from x itself, is the
-stopping test and the reported residual.
+The polynomial is P(z) = A - z of degree 1, or P(z) = A - z diag(e) - z^2
+of degree 2 (a damped pencil such as T*T - z^2 - i z C): only its diagonal
+depends on z, so the off-diagonals and corners of A are those of every
+P(z).  At each iterate z, LU from the top and UL from the bottom of P(z)
+meet in a twisted factorization (Fernando, Numer. Math. 75, 1997): gamma_k,
+the sum of the two pivots at k less P_kk(z), is 1 / (P(z)^{-1})_kk, and the
+twisted vector x with x_t = 1 solves P(z) x = gamma_t e_t.  Since P'(z) is
+the diagonal -1 or -(e + 2z), the log-derivative of det P(z) for the Aberth
+step is the sum of the P'_kk(z) / gamma_k; at the twist t of least
+|gamma_t|, x is an approximate eigenvector, and the backward error of x
+itself is the stopping test.
 
 A cyclic matrix is a chain plus the two corners that close the ring, a
 rank-2 update; the Sherman-Morrison-Woodbury formula turns the end columns
 of the chain's inverse into the diagonal and the columns of the ring's.
 Each iterate cuts the ring where its eigenvector is largest, so that its
 chain is far from singular.  Its off-diagonal pairs must have equal moduli
-(a Hermitian pattern, as in a Dirac frame), so that the chain's left end
-columns are its right ones times a factor of modulus 1.
+(a Hermitian pattern, as in a Dirac frame or T*T), so that the chain's left
+end columns are its right ones times a factor of modulus 1.
 
 Only the pivots need a loop over the positions, vectorized over the
 iterates; every vector is a cumulative product of their ratios.
 
-Ref: Bini, Gemignani & Tisseur, SIMAX 27 (2005), for Ehrlich-Aberth on
-tridiagonal matrices.
+Refs: Bini, Gemignani & Tisseur, SIMAX 27 (2005), for Ehrlich-Aberth on
+tridiagonal matrices; Bini & Noferini, LAA 439 (2013), on matrix
+polynomials; Plestenjak, SIMAX 28 (2006), for tridiagonal quadratic
+pencils; Tisseur, LAA 309 (2000), for their backward error.
 """
 
 from __future__ import annotations
@@ -71,41 +77,64 @@ def _guard(x: np.ndarray, tiny: float) -> None:
         x[x == 0] = tiny
 
 
-def _pivots(a: np.ndarray, z: np.ndarray, q: np.ndarray, tiny: float,
-            slow: int):
+def _buffer(work: dict, name: str, shape: tuple) -> np.ndarray:
+    """An uninitialized complex array of the given shape: the front of the
+    work array ``name``, kept in ``work`` across the sweeps of one
+    eigensolve and enlarged when too small.  Mapping a fresh array for
+    every part would cost a page fault for each page it touches."""
+    size = int(np.prod(shape))
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size, dtype=complex)
+    return buf[:size].reshape(shape)
+
+
+def _pivots(a: np.ndarray, e, z: np.ndarray, q: np.ndarray, tiny: float,
+            slow: int, work: dict):
     """LU pivots from the top and UL pivots from the bottom of the
-    tridiagonal T - z, a[k] the diagonal at position k (a row, or one value
-    per column) and q[k] = (p_k, p_(N-2-k)), p_k = b_k c_k, by
-    r_k = (a_k - z) - p / r_(k-1 or k+1), in one loop for both.  Returns the
+    tridiagonal P(z), a[k] the diagonal of A at position k and e[k] that of
+    the damping (None for degree 1; each a row, or one value per column),
+    and q[k] = (p_k, p_(N-2-k)), p_k = b_k c_k, by
+    r_k = P_kk(z) - p / r_(k-1 or k+1), in one loop for both.  Returns the
     top and the bottom pivots, gamma_k = top_k - p_k / bottom_(k+1), and for
-    the first ``slow`` iterates (log det(T - z))' = sum_k r_k' / r_k from the
-    top, by r_k' = -1 + (p_(k-1) / r_(k-1)) r_(k-1)' / r_(k-1): near a
+    the first ``slow`` iterates (log det P(z))' = sum_k r_k' / r_k from the
+    top, by r_k' = P_kk'(z) + (p_(k-1) / r_(k-1)) r_(k-1)' / r_(k-1): near a
     defective eigenvalue this stays accurate to within about sqrt(eps) of
-    it, where the sum of the diagonal of (T - z)^{-1} already cancels to
+    it, where the sum of the diagonal of P(z)^{-1} already cancels to
     noise.
 
     An exactly zero pivot is rare: the loop runs with a division by zero
     raised, and only then again with such pivots moved to tiny."""
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            return _pivot_loop(a, z, q, tiny, slow, guarded=False)
+            return _pivot_loop(a, e, z, q, tiny, slow, work, guarded=False)
     except FloatingPointError:
-        return _pivot_loop(a, z, q, tiny, slow, guarded=True)
+        return _pivot_loop(a, e, z, q, tiny, slow, work, guarded=True)
 
 
-def _pivot_loop(a, z, q, tiny, slow, guarded):
+def _pivot_loop(a, e, z, q, tiny, slow, work, guarded):
     N = len(a)
-    both = np.empty((N, 2, len(z)), dtype=complex)
-    np.subtract(a, z, out=both[:, 0])
-    np.subtract(a[::-1], z, out=both[:, 1])
-    gamma = np.empty((N, len(z)), dtype=complex)   # p_k / bottom_(k+1) first
-    gamma[-1] = 0.0
-    quot = np.empty((2, len(z)), dtype=complex)
+    both = _buffer(work, "both", (N, 2, len(z)))
+    gamma = _buffer(work, "gamma", (N, len(z)))
+    diag = gamma                                # P_kk(z), until the loop
+    if e is None:
+        np.subtract(a, z, out=diag)
+    else:
+        np.add(e, z, out=diag)
+        diag *= z
+        np.subtract(a, diag, out=diag)
+    both[:, 0] = diag
+    both[:, 1] = diag[::-1]
+    top = both[:, 0]
+    gamma[-1] = 0.0                             # p_k / bottom_(k+1) first
+    quot = _buffer(work, "quot", (2, len(z)))
     rows, couplings = list(both), list(q)
     cols = slice(0, slow)
+    # P_kk'(z) of the slow iterates: -1, or -(e_k + 2z)
+    dp = None if e is None else -(e[:, cols] + 2 * z[cols])
     if guarded:
         _guard(rows[0], tiny)
-    d = -1.0 / rows[0][0][cols]                 # r_0' / r_0
+    d = (-1.0 if dp is None else dp[0]) / rows[0][0][cols]   # r_0' / r_0
     g = d.copy()
     for k in range(1, N):
         np.divide(couplings[k - 1], rows[k - 1], out=quot)
@@ -115,10 +144,12 @@ def _pivot_loop(a, z, q, tiny, slow, guarded):
             _guard(rows[k], tiny)
         if slow:
             d *= quot[0][cols]
-            d -= 1.0
+            if dp is None:
+                d -= 1.0
+            else:
+                d += dp[k]
             d /= rows[k][0][cols]
             g += d
-    top = both[:, 0]
     np.subtract(top, gamma, out=gamma)
     return top, both[::-1, 1], gamma, g
 
@@ -136,20 +167,22 @@ def _chain(ratio: np.ndarray, up: bool) -> np.ndarray:
     return x
 
 
-def _factor(bands, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float):
-    """Twisted factorization of A - z at each iterate z: the log-derivative
-    of det(A - z), and a function giving the twisted vectors (columns, in
-    the order of A) of the iterates a boolean mask picks.  The first
-    ``slow`` iterates converge only linearly and take the log-derivative
-    from the derivative of the pivots (`_pivots`).
+def _factor(bands, e, z: np.ndarray, cut: np.ndarray, slow: int,
+            tiny: float, work: dict):
+    """Twisted factorization of P(z) = A - z (A - z diag(e) - z^2 unless e
+    is None) at each iterate z: the log-derivative of det P(z), and a
+    function giving the twisted vectors (columns, in the order of A) of the
+    iterates a boolean mask picks.  The first ``slow`` iterates converge
+    only linearly and take the log-derivative from the derivative of the
+    pivots (`_pivots`).
 
     A cyclic A is read as the chain T that starts at unknown ``cut`` and
     ends at cut - 1, one per iterate, plus the two corners that close the
     ring there; the Sherman-Morrison-Woodbury formula on the end columns of
-    (T - z)^{-1} and of its transpose then gives the diagonal and the
-    columns of (A - z)^{-1}.  The chain is near-singular where an
-    eigenvector of A is small at the cut, so the cut follows each
-    iterate's largest component."""
+    the chain's inverse and of its transpose then gives the diagonal and
+    the columns of P(z)^{-1}.  The chain is near-singular where an
+    eigenvector is small at the cut, so the cut follows each iterate's
+    largest component."""
     a, b, c, upper, lower = bands
     N = len(a)
     cyclic = bool(upper or lower)
@@ -178,21 +211,28 @@ def _factor(bands, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float):
         # couplings around the ring, A[i, i+1] and A[i+1, i] with i+1 mod N
         b, c = np.append(b, lower), np.append(c, upper)
         hi, lo = c[cut - 1], b[cut - 1]         # A[cut, cut-1], A[cut-1, cut]
-        pos = along(N - 1)
+        pos, ring = along(N - 1), along(N)
+        a = a[ring]
+        e = None if e is None else e[ring]
         top, bottom, gamma, g_slow = _pivots(
-            a[along(N)], z, np.stack([(b * c)[pos], (b * c)[pos[::-1]]], 1),
-            tiny, slow)
-        del pos
+            a, e, z, np.stack([(b * c)[pos], (b * c)[pos[::-1]]], 1),
+            tiny, slow, work)
+        del pos, ring
     else:
         p = b * c
+        e = None if e is None else e[:, None]
         top, bottom, gamma, g_slow = _pivots(
-            a[:, None], z, np.stack([p, p[::-1]], 1)[..., None], tiny, slow)
+            a[:, None], e, z, np.stack([p, p[::-1]], 1)[..., None], tiny,
+            slow, work)
     _guard(gamma, tiny)
-    g = -np.sum(1.0 / gamma, axis=0)            # (log det(T - z))'
+    # -P_kk'(z) along each chain
+    slope = 1.0 if e is None else e + 2 * z
+    g = -np.sum(np.divide(slope, gamma, out=_buffer(work, "inv", gamma.shape)),
+                axis=0)                         # (log det P(z))'
     g[:slow] = g_slow
     if cyclic:
-        # end columns of (T - z)^{-1}, each scaled to 1 at its own end:
-        # x0 = gamma_0 (T - z)^{-1} e_0, xn = gamma_(N-1) (T - z)^{-1} e_(N-1).
+        # end columns of the chain's inverse, each scaled to 1 at its own
+        # end: x0 = gamma_0 T(z)^{-1} e_0, xn = gamma_(N-1) T(z)^{-1} e_(N-1).
         # Those of the transpose are y0 = w x0 and yn = w xn / w_(N-1), with
         # w_k the product of b_j / c_j over the chain before k, of modulus 1
         x0 = _chain(ratio_down(), up=False)
@@ -200,12 +240,15 @@ def _factor(bands, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float):
         w = turn()
         wn = w[-1].copy()
         g0, gn = gamma[0], gamma[-1]
-        # (A - z)^{-1} = (T - z)^{-1} - [x0 xn] J^{-1} [yn y0]^T
+        # P(z)^{-1} = T(z)^{-1} - [x0 xn] J^{-1} [yn y0]^T, whose diagonal
+        # enters the log-derivative with the weight -P_kk'(z)
         J = np.array([[gn * (g0 + hi * x0[-1]) / hi, gn],
                       [g0, g0 * (gn + lo * xn[0]) / lo]])
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
         _guard(det, tiny * tiny)
         Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
+        if e is not None:
+            w *= slope
         cross = np.einsum("kn,kn,kn->n", x0, xn, w)
         g += ((Jinv[0, 0] / wn + Jinv[1, 1]) * cross
               + Jinv[0, 1] * np.einsum("kn,kn,kn->n", x0, x0, w)
@@ -269,37 +312,52 @@ def _pull(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     d = z[idx, None] - z[None, :]
     d[np.arange(len(idx)), idx] = np.inf
     _guard(d, np.inf)
-    return np.sum(1.0 / d, axis=1)
+    return np.sum(np.divide(1.0, d, out=d), axis=1)
 
 
-def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
-    """Eigenvalues of the sparse N x N matrix A, tridiagonal apart from the
-    corners A[0, N-1] and A[N-1, 0], by Ehrlich-Aberth sweeps from the N
-    distinct values ``start``.
+def eigensolve(A, start: np.ndarray, scale: float, vectors=False,
+               damping=None):
+    """Eigenvalues of P(z) = A - z, or of P(z) = A - z diag(damping) - z^2
+    when ``damping`` is given, for the sparse N x N matrix A, tridiagonal
+    apart from the corners A[0, N-1] and A[N-1, 0], by Ehrlich-Aberth
+    sweeps from the N (2N) distinct values ``start``.
 
-    ``scale`` is ||A||_2.  An iterate whose Aberth step is small gets its
-    twisted vector x, and stops once ||(A - z) x|| / ||x|| is at most
-    2^-48 scale or, converging only linearly, has stopped falling below
-    2^-30 scale.  Returns
-    (eigenvalues, those backward errors, unit eigenvectors as columns or
-    None), in the order of ``start``.  RuntimeError when an iterate has not
-    stopped after MAX_SWEEPS sweeps, or when the eigenvalues do not sum to
-    the trace.
+    ``scale`` is ||A||_2 for degree 1; for degree 2 the norm of the
+    linearization L = [[0, I], [A, -diag(damping)]], whose eigenvalues are
+    those of P, at least ||A||_2.  An iterate whose Aberth step is small
+    gets its twisted vector x, and stops once the backward error of Tisseur
+    for P with its exact leading coefficient -1,
+    ||P(z) x|| / ((scale + |z| max|damping|) ||x||), is at most 2^-48 (the
+    residual of A - z against 2^-48 scale for degree 1; for degree 2 the
+    step must also be below 16 times that tolerance over 2|z| + max|damping|,
+    the size of P'(z)) or, converging only linearly, ||P(z) x|| / ||x|| has
+    stopped falling below 2^-30 scale.
+
+    Returns (eigenvalues, backward errors, unit eigenvectors as columns if
+    ``vectors`` else None), in the order of ``start``; for degree 2 the
+    backward error is the residual of the vector (x, z x) of L,
+    ||P(z) x|| / (||x|| sqrt(1 + |z|^2)).  RuntimeError when an iterate
+    has not stopped after MAX_SWEEPS sweeps, or when the eigenvalues do not
+    sum to the trace of L.
     """
     N = A.shape[0]
-    if len(start) != N:
-        raise ValueError(f"need {N} start values, got {len(start)}")
+    e = None if damping is None else np.asarray(damping, dtype=complex)
+    count = N if e is None else 2 * N
+    if len(start) != count:
+        raise ValueError(f"need {count} start values, got {len(start)}")
     A = A.tocsr()
     bands = _bands(A)
     tol, stall = _TOL * scale, _STALL * scale
     near, tiny = _NEAR * scale, _EPS * scale
     z = np.array(start, dtype=complex)
-    cut = np.zeros(N, dtype=int)
-    last = np.full(N, np.inf)                   # |Aberth step| a sweep ago
-    slow = np.zeros(N, dtype=bool)              # converging only linearly
-    res = np.full(N, np.inf)
-    V = np.zeros((N, N), dtype=complex) if vectors else None
-    active = np.arange(N)
+    cut = np.zeros(count, dtype=int)
+    last = np.full(count, np.inf)               # |Aberth step| a sweep ago
+    slow = np.zeros(count, dtype=bool)          # converging only linearly
+    res = np.full(count, np.inf)
+    V = np.zeros((N, count), dtype=complex) if vectors else None
+    emax = 0.0 if e is None else float(np.abs(e).max())
+    work = {}
+    active = np.arange(count)
     for _ in range(MAX_SWEEPS):
         # the slow iterates first, where the pivots also run their derivative
         active = active[np.argsort(~slow[active], kind="stable")]
@@ -312,9 +370,9 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
         for lo in range(0, len(active), chunk):
             part = slice(lo, lo + chunk)
             idx = active[part]
-            g, vecs = _factor(bands, z[idx], cut[idx],
-                              int(np.count_nonzero(slow[idx])), tiny)
-            # Aberth: the Newton step of det(A - z) / prod_{j != i} (z - z_j)
+            g, vecs = _factor(bands, e, z[idx], cut[idx],
+                              int(np.count_nonzero(slow[idx])), tiny, work)
+            # Aberth: the Newton step of det P(z) / prod_{j != i} (z - z_j)
             denom = g - _pull(z, idx)
             safe = denom != 0
             step[part] = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
@@ -323,7 +381,16 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
             # root converges only linearly)
             size = np.abs(step[part])
             slow[idx] = size >= 2.0**-10 * last[idx]
-            sel = (size <= 16 * tol) | ((size <= near) & slow[idx])
+            if e is None:
+                limit = reach = tol
+            else:
+                # the stop's tolerance, and the step below which it can be
+                # met: that tolerance over |P'(z)|, about 2|z| + max|e|
+                az = np.abs(z[idx])
+                limit = _TOL * (scale + emax * az)
+                with np.errstate(divide="ignore"):
+                    reach = limit / (2 * az + emax)
+            sel = (size <= 16 * reach) | ((size <= near) & slow[idx])
             last[idx] = size
             X = vecs(sel) if sel.any() else None
             del vecs      # and with it the factorization
@@ -331,7 +398,11 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
                 got = idx[sel]
                 X /= np.linalg.norm(X, axis=0)
                 R = A @ X
-                R -= X * z[got]
+                if e is None:
+                    R -= X * z[got]
+                else:
+                    R -= X * (z[got] * (e[:, None] + z[got]))
+                    limit, reach = limit[sel], reach[sel]
                 r = np.linalg.norm(R, axis=0)
                 del R
                 # at the tolerance, or, converging only linearly, stalled
@@ -340,7 +411,13 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
                 # about sqrt(eps) of its eigenvalue, and its backward error
                 # may stop falling there
                 stuck = slow[got] & (r <= stall) & (r >= 0.5 * res[got])
-                done[lo + np.flatnonzero(sel)] = (r <= tol) | stuck
+                stop = r <= limit
+                if e is not None:
+                    # a pencil root moves by about r / |P'(z)|, which may
+                    # be far above r / scale: its step must be small too
+                    stop &= size[sel] <= 16 * reach
+                stop |= stuck
+                done[lo + np.flatnonzero(sel)] = stop
                 res[got] = r
                 cut[got] = np.argmax(np.abs(X), axis=0)
                 if vectors:
@@ -351,11 +428,20 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors: bool = False):
         if not len(active):
             break
     else:
+        # the backward error of each iterate's last vector, relative as in
+        # the stop; a degree-2 iterate may be below it with its step not
+        worst = np.max(res[active] / (scale + emax * np.abs(z[active])))
         raise RuntimeError(
-            f"Aberth iteration: {len(active)} of {N} eigenvalues above "
-            f"backward error {tol:.3e} after {MAX_SWEEPS} sweeps (worst "
-            f"{res[active].max():.3e})")
-    _check_trace(z, res, np.sum(bands[0]), scale)
+            f"Aberth iteration: {len(active)} of {count} eigenvalues not "
+            f"stopped after {MAX_SWEEPS} sweeps (worst backward error "
+            f"{worst:.3e}, stop at {_TOL:.3e}"
+            + ("" if e is None else ", with a small step") + ")")
+    if e is None:
+        trace = np.sum(bands[0])
+    else:
+        res /= np.sqrt(1 + np.abs(z) ** 2)
+        trace = -np.sum(e)
+    _check_trace(z, res, trace, scale)
     return z, res, V
 
 

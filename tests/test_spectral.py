@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dampedstring as ds
 from dampedstring import spectral
@@ -192,9 +193,22 @@ def test_factorization_identity_forms_no_2m_array():
     assert peak < (2 * m) ** 2 * 16
 
 
+def _dense_generator(ops):
+    """The oracle of `eigen_generator`: a dense eigensolve of the assembled G
+    in the weighted frame, its residuals taken with the sparse
+    `generator_frame` and gated as the library gates its own."""
+    nu, V = scipy.linalg.eig(ops.frame(ops.G, "generator"))
+    lam = 1j * nu
+    V /= np.linalg.norm(V, axis=0)
+    res = np.linalg.norm(1j * (ops.generator_frame @ V) - V * lam, axis=0)
+    return spectral._spectrum(lam, res, V, ops.generator_norm, ops.tol_zero,
+                              "generator")
+
+
 def test_generator_residuals_hold_assembled_G_to_the_bands(damped_ops):
     """The residuals of iG come from the sparse frame built from T*T and C,
-    so an eigensolve of a wrong assembled G fails the residual gate."""
+    so an eigensolve of a wrong assembled G (the dense oracle's) fails the
+    residual gate."""
     good = ds.eigen_generator(damped_ops, keep_vectors=True)
     Gf = damped_ops.frame(damped_ops.G, "generator")
     dense = (np.linalg.norm(1j * Gf @ good.vectors
@@ -208,7 +222,7 @@ def test_generator_residuals_hold_assembled_G_to_the_bands(damped_ops):
     G[m + 2, 3] += 1e-3 * np.abs(G).max()
     ops.__dict__["G"] = G
     with pytest.raises(RuntimeError, match="residual"):
-        ds.eigen_generator(ops)
+        _dense_generator(ops)
 
 
 def test_fit_asymptotics_undamped():
@@ -347,3 +361,73 @@ def test_selfadjoint_modes_on_exact_double_eigenvalues(bc):
         for weights in ((), (ops.C,)):
             mu, res, _ = spectral.selfadjoint_modes(ops, weights)
             assert res.max() <= 1e-10 * mu[-1]
+
+
+FAMILIES = ["min", "zero0", "zero1", "max", "omega:1,0", "omega:-1,0",
+            "omega:0,1", "omega:0.5,0.3"]
+
+
+@pytest.mark.parametrize("kind", ["constant", 1, "contrast"])
+@pytest.mark.parametrize("bc", FAMILIES)
+def test_generator_pencil_matches_dense_oracle(bc, kind):
+    """The roots of det(T*T - z^2 - i z C) against a dense eigensolve of the
+    assembled G: the multiset, and the zero modes counted alike (ker T gives
+    the root 0 on max and omega:1,0)."""
+    rho, alpha = _coefficients(kind)
+    for n in (4, 16, 64, 256):
+        ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
+        gen, dense = ds.eigen_generator(ops), _dense_generator(ops)
+        assert len(gen) == 2 * ops.n_nodes
+        assert (ds.multiset_distance(gen.eigenvalues, dense.eigenvalues)
+                <= 1e-12 * ops.generator_norm), n
+        assert gen.zero_modes == dense.zero_modes, n
+        if bc in ("max", "omega:1,0"):
+            assert gen.zero_modes == ops.n_nodes - ops.rank == 1
+
+
+@pytest.mark.parametrize("bc", FAMILIES)
+def test_generator_vectors_carry_the_reported_residuals(bc):
+    """``keep_vectors`` gives unit columns (u, -i lambda u) of the frame whose
+    residuals under the dense frame of G are those reported."""
+    rho, alpha = ds.random_coefficients(1)
+    ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(bc))
+    gen = ds.eigen_generator(ops, keep_vectors=True)
+    V, lam, m = gen.vectors, gen.eigenvalues, ops.n_nodes
+    assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-14)
+    assert np.abs(V[m:] + 1j * lam * V[:m]).max() <= 1e-14 * np.abs(lam).max()
+    Gf = ops.frame(ops.G, "generator")
+    res = np.linalg.norm(1j * Gf @ V - V * lam, axis=0)
+    assert np.abs(res - gen.residuals).max() <= 1e-12 * ops.generator_norm
+
+
+def test_generator_critical_double_root():
+    """At a = 2 sqrt(mu_1) the lowest pair of the pencil is a Jordan block:
+    the generator spectrum stays within the 1e-8 ||Mf|| gate of the
+    constant-damping roots, as the Dirac spectrum does."""
+    undamped = ds.build_operator_set(64, RHO1, ds.constant(0.0, "damping"),
+                                     MIN)
+    a = 2 * np.sqrt(undamped.H1_eigvals[0])
+    ops = ds.build_operator_set(64, RHO1, ds.constant(a, "damping"), MIN)
+    gen = ds.eigen_generator(ops)
+    scale = np.linalg.norm(ops.dirac_frame(), 2)
+    exact = ds.constant_damping_dirac(ops)
+    assert (ds.multiset_distance(gen.nonzero(), exact.nonzero())
+            <= 1e-8 * scale)
+    pair = gen.eigenvalues[np.argsort(np.abs(gen.eigenvalues + 0.5j * a))[:2]]
+    assert np.abs(pair + 0.5j * a).max() <= 1e-8 * scale
+
+
+def test_generator_forms_no_m_by_m_array():
+    """Without ``keep_vectors`` the pencil path peaks below one complex
+    m x m array, an eighth of the dense eigensolve's 2m x 2m vectors."""
+    rho, alpha = ds.random_coefficients(3)
+    ops = ds.build_operator_set(1024, rho, alpha, MIN)
+    m = ops.n_nodes
+    tracemalloc.start()
+    try:
+        gen = ds.eigen_generator(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gen) == 2 * m
+    assert peak < m * m * 16
