@@ -19,8 +19,7 @@ from .greens import (KernelUnavailableError, apply_inverse_via_kernel,
 from .reporting import (ConfigError, RunConfig, VerificationReport, parse_bc,
                         random_coefficients)
 from .riesz import (Contour, ContourError, RieszCluster, cluster_eigenvalues,
-                    multiplicity, riesz_projection,
-                    verify_resolution_of_identity)
+                    riesz_projection, verify_resolution_of_identity)
 from .spectral import (EigenPair, Spectrum, check_strip, check_symmetry,
                        closed_form_constant_damping, constant_damping_dirac,
                        eigen_dirac, eigen_generator, fit_asymptotics,

@@ -22,6 +22,8 @@ from .reporting import (ConfigError, RunConfig, VerificationReport, parse_bc,
                         random_coefficients, to_csv)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+# verify-all runs these boundary families whatever the configured bc
+VERIFY_ALL_BCS = ("min", "zero0", "zero1", "omega:0,1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,8 +208,7 @@ def cmd_riesz(cfg: RunConfig, report: VerificationReport) -> None:
 
 def cmd_verify_all(cfg: RunConfig, report: VerificationReport) -> None:
     """The suite run on small grids: every identity family, each bc."""
-    families = [BoundaryCondition.minimal(), BoundaryCondition.zero0(),
-                BoundaryCondition.zero1(), BoundaryCondition.quasi(1j)]
+    families = [parse_bc(bc) for bc in VERIFY_ALL_BCS]
     expected_kernels = {
         "min": (0, 1, 1), "zero0": (0, 0, 0), "zero1": (0, 0, 0),
     }
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify-all" and args.bc is not None:
+            parser.error("verify-all takes no --bc: it runs its four fixed "
+                         "families " + ", ".join(VERIFY_ALL_BCS))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

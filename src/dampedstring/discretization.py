@@ -474,11 +474,17 @@ class DiscreteOperatorSet:
     @cached_property
     def generator_frame(self):
         """The frame form [[0, I], [-T*T, -C]] of G as a sparse matrix in
-        block order (u, then v), built from H1f and C."""
+        block order (u, then v), built from H1f and C as COO triplets (a
+        zero of C is not stored)."""
         m = self.n_nodes
-        return scipy.sparse.block_array(
-            [[None, scipy.sparse.eye_array(m)],
-             [-self.H1f, scipy.sparse.diags_array(-self.C)]]).tocsr()
+        H = self.H1f.tocoo()
+        k = np.arange(m)
+        damped = k[self.C != 0]
+        rows = np.concatenate([k, m + H.row, m + damped])
+        cols = np.concatenate([m + k, H.col, m + damped])
+        vals = np.concatenate([np.ones(m), -H.data, -self.C[damped]])
+        return scipy.sparse.coo_array((vals, (rows, cols)),
+                                      shape=(2 * m, 2 * m)).tocsr()
 
     @cached_property
     def generator_norm(self) -> float:

@@ -1,8 +1,12 @@
 """Riesz projections and branch-wise eigenvalue clusters.
 
-Cluster projections come directly from a reordered complex Schur form; the
-contour integral of the resolvent (`riesz_projection`) is kept as the
-independent oracle.
+Cluster projections come from the right and left eigenvectors of one
+`scipy.linalg.eig`: a cluster with right vectors X and left vectors Y
+projects by P = X (Y^H X)^{-1} Y^H.  Where Y^H X is nearly singular (a
+Jordan pair at critical damping) the cluster falls back to a reordered
+complex Schur form.  The contour integral of the resolvent
+(`riesz_projection`) is kept as the independent oracle; inside
+`verify_resolution_of_identity` it acts on a few Gaussian probe vectors.
 
 Projections are computed on the frame matrix (weighted similarity transform),
 so operator norms reported here are weighted operator norms.
@@ -10,6 +14,7 @@ so operator norms reported here are weighted operator norms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +28,21 @@ from .spectral import Spectrum
 
 __all__ = [
     "Contour", "RieszCluster",
-    "riesz_projection", "multiplicity", "cluster_eigenvalues",
+    "riesz_projection", "cluster_eigenvalues",
     "verify_resolution_of_identity", "clusters_to_csv",
 ]
 
 QUAD_TOL = 1e-10
 MAX_QUAD_NODES = 2 ** 14
+# a cluster whose unit-vector block Y^H X has its smallest singular value
+# below this takes the Schur path (the critical-damping Jordan pair: 2e-7)
+VECTOR_SIGMA_MIN = 1e-4
+# fixed Gaussian probes of the quadrature oracle; with p probes,
+# ||B||_2 <= PROBE_FACTOR max_i ||B w_i|| with probability 1 - 10^-p
+# (Halko, Martinsson & Tropp, SIAM Rev. 53 (2011), Lemma 4.1)
+N_PROBES = 4
+PROBE_SEED = 2011
+PROBE_FACTOR = 10.0 * np.sqrt(2.0 / np.pi)
 
 
 class ContourError(RuntimeError):
@@ -108,7 +122,8 @@ class RieszCluster:
 
 
 def riesz_projection(op: np.ndarray, contour: Contour,
-                     gap_min: float = 0.0, schur=None) -> np.ndarray:
+                     gap_min: float = 0.0, schur=None,
+                     probes: np.ndarray | None = None) -> np.ndarray:
     """P = -(2 pi i)^{-1} contour-integral of (op - zeta)^{-1} d zeta.
 
     Quadrature with node doubling until the update falls below 1e-10 in
@@ -120,6 +135,10 @@ def riesz_projection(op: np.ndarray, contour: Contour,
     `verify_resolution_of_identity` does when it integrates many contours of
     the same operator.  With ``gap_min > 0`` the contour must be a circle
     that keeps that distance from every eigenvalue.
+
+    With ``probes`` (a dim x p array W) the result is P W instead of P:
+    each node is one triangular solve with p right-hand sides, and the
+    update is measured by the probe bound `_probe_bound`.
     """
     if schur is None:
         Tmat, Q = scipy.linalg.schur(np.asarray(op, dtype=complex),
@@ -130,8 +149,11 @@ def riesz_projection(op: np.ndarray, contour: Contour,
         d = contour.distance(np.diag(Tmat)).min()
         if d < gap_min:
             raise ContourError(f"eigenvalue within {d:.3e} of the contour")
-    dim = Tmat.shape[0]
-    shift = np.arange(dim)
+    if probes is None:
+        rhs, size = None, lambda M: np.linalg.norm(M, 2)
+    else:  # P W = Q S, with S the quadrature of (T - zeta)^{-1} Q^H W
+        rhs, size = Q.conj().T @ probes, _probe_bound
+    A, diag = Tmat.copy(), np.diag(Tmat)
     n = 32
     prev = S = None
     while n <= MAX_QUAD_NODES:
@@ -140,42 +162,23 @@ def riesz_projection(op: np.ndarray, contour: Contour,
             S = S / 2
             z, dz = z[1::2], dz[1::2]
         else:
-            S = np.zeros((dim, dim), dtype=complex)
+            S = np.zeros_like(A if rhs is None else rhs)
         for zk, dzk in zip(z, dz):
-            A = Tmat.copy()
-            A[shift, shift] -= zk
-            S += dzk * scipy.linalg.lapack.ztrtri(A)[0]
-        P = (Q @ S @ Q.conj().T) / (-2j * np.pi)
-        if prev is not None and np.linalg.norm(P - prev, 2) <= QUAD_TOL:
+            np.fill_diagonal(A, diag - zk)
+            S += dzk * (scipy.linalg.lapack.ztrtri(A)[0] if rhs is None
+                        else scipy.linalg.lapack.ztrtrs(A, rhs)[0])
+        P = Q @ (S if rhs is not None else S @ Q.conj().T) / (-2j * np.pi)
+        if prev is not None and size(P - prev) <= QUAD_TOL:
             return P
         prev = P
         n *= 2
     raise ContourError("quadrature failed to converge within the node budget")
 
 
-def multiplicity(lambda0: complex, op: np.ndarray,
-                 radius: float | None = None) -> tuple[int, int]:
-    """(geometric, algebraic) multiplicity of an isolated eigenvalue.
-
-    Algebraic multiplicity is the numerical rank of the Riesz projection on a
-    circle of the given radius; geometric is the kernel dimension of
-    op - lambda0 by singular values.
-    """
-    lam = np.linalg.eigvals(op)
-    others = lam[np.abs(lam - lambda0) > (radius or 0) + 1e-12]
-    nearest = np.abs(others - lambda0).min() if len(others) else np.inf
-    if radius is None:
-        radius = nearest / 4.0
-    if not np.isfinite(radius) or nearest < 2 * radius:
-        raise ContourError("eigenvalue is not isolated at this radius")
-    P = riesz_projection(op, Contour("circle", lambda0, radius),
-                         gap_min=radius / 4.0)
-    sP = np.linalg.svd(P, compute_uv=False)
-    m_a = int(np.sum(sP > 0.5))
-    s = np.linalg.svd(op - lambda0 * np.eye(op.shape[0]), compute_uv=False)
-    scale = max(s[0], 1.0)
-    m_g = int(np.sum(s < 1e-8 * scale))
-    return m_g, m_a
+def _probe_bound(B: np.ndarray) -> float:
+    """PROBE_FACTOR times the largest column norm of B = M W: an upper bound
+    of ||M||_2 with probability 1 - 10^-p over the Gaussian probes W."""
+    return float(PROBE_FACTOR * np.linalg.norm(B, axis=0).max())
 
 
 def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
@@ -233,10 +236,47 @@ def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
     return clusters
 
 
+def _enclosed(c: RieszCluster, eigenvalues: np.ndarray) -> np.ndarray:
+    """The eigenvalues the cluster's contour encloses, as a mask;
+    ContourError unless they are as many as its members."""
+    select = c.contour.encloses(eigenvalues)
+    if select.sum() != len(c.members):
+        raise ContourError(
+            f"contour of cluster {c.cluster_id} encloses {select.sum()} "
+            f"eigenvalues, not its {len(c.members)} members")
+    return select
+
+
+def _vector_projection(X: np.ndarray, Y: np.ndarray) -> tuple:
+    """Thin factors (L, R) of the spectral projectors P = X (Y^H X)^{-1} Y^H
+    of a stack of clusters of k members each, from their unit right and left
+    eigenvectors X, Y (n x dim x k), and a mask of the clusters whose block
+    Y^H X has its smallest singular value at least VECTOR_SIGMA_MIN (the
+    factors of the others are meaningless).
+
+    L is an orthonormal basis of range X (x / ||x|| for k = 1, else a thin
+    QR X = L R_x) and R = R_x (Y^H X)^{-1} Y^H; for k = 1, L R is the
+    rank-1 projector x y^H / (y^H x) (Golub & Van Loan, section 7.2.2).
+    """
+    Yh = Y.conj().swapaxes(1, 2)
+    M = Yh @ X
+    k = M.shape[1]
+    sigma = (np.abs(M[:, 0, 0]) if k == 1
+             else np.linalg.svd(M, compute_uv=False)[:, -1])
+    good = sigma >= VECTOR_SIGMA_MIN
+    M = np.where(good[:, None, None], M, np.eye(k))  # no division by ~0
+    if k == 1:
+        nx = np.linalg.norm(X, axis=1, keepdims=True)
+        return X / nx, nx / M * Yh, good
+    L, Rx = np.linalg.qr(X)
+    return L, Rx @ np.linalg.solve(M, Yh), good
+
+
 def _direct_projection(select: np.ndarray, schur) -> tuple:
     """Thin factors (L, R) of the spectral projector P = L R onto the
-    eigenvalues ``select`` picks from the diagonal of the Schur form (T, Q),
-    and the cluster's reciprocal condition s = 1/sqrt(1 + ||X||_F^2).
+    eigenvalues ``select`` picks (not all of them) from the diagonal of the
+    Schur form (T, Q), and the cluster's reciprocal condition
+    s = 1/sqrt(1 + ||X||_F^2).
 
     ztrsen moves the selected eigenvalues to the leading block T11 of
     T' = Q'^H op Q'; the Sylvester solution T11 X - X T22 = T12 gives
@@ -247,9 +287,7 @@ def _direct_projection(select: np.ndarray, schur) -> tuple:
     default).
     """
     Tmat, Q = schur
-    dim, k = len(select), int(select.sum())
-    if k == dim:
-        return np.eye(dim), np.eye(dim), 1.0
+    k = int(select.sum())
     Ts, Qs, _, _, _, _, info = scipy.linalg.lapack.ztrsen(
         select.astype(np.int32), Tmat, Q, job="N")
     if info != 0:
@@ -278,67 +316,156 @@ def _oracle_sample(clusters: list) -> list:
     return sample
 
 
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values, ascending, of each k x dim block of a stack M
+    (n x k x dim), from its k x k Gram matrix: a row's is its norm."""
+    gram = M @ M.conj().swapaxes(1, 2)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
+
+
+def _fill_factors(clusters: list, groups: list, owned: list,
+                  left: np.ndarray, right: np.ndarray, schur) -> int:
+    """Give every cluster its factors L, R and its s; return how many
+    clusters took the Schur path.  ``groups`` lists (k, cluster indices) by
+    cluster size k, ``owned`` the eigenvector columns of each cluster, and
+    ``schur()`` the Schur form, built on first use."""
+    dim = len(left)
+    schur_clusters = 0
+    for k, group in groups:
+        if k == dim:
+            c = clusters[group[0]]
+            c.L, c.R, c.s = np.eye(dim), np.eye(dim), 1.0
+            continue
+        cols = np.array([owned[j] for j in group])
+        L, R, good = _vector_projection(right[:, cols].transpose(1, 0, 2),
+                                        left[:, cols].transpose(1, 0, 2))
+        s = np.ones(len(group))
+        s[good] = (1.0 + np.linalg.norm(R, axis=(1, 2))[good] ** 2 - k) ** -0.5
+        for j, Lj, Rj, sj, ok in zip(group, L, R, s, good):
+            c = clusters[j]
+            if ok:
+                c.L, c.R, c.s = Lj.copy(), Rj.copy(), float(sj)
+            else:
+                schur_clusters += 1
+                c.L, c.R, c.s = _direct_projection(
+                    _enclosed(c, np.diag(schur()[0])), schur())
+    return schur_clusters
+
+
+def _stacked_records(clusters: list, groups: list, op: np.ndarray) -> dict:
+    """Rank and idempotency defect of every cluster, and the records that
+    read the stacked factors, each stacked group by group."""
+    dim = len(op)
+    order = np.concatenate([group for _, group in groups])
+    Ls = np.hstack([clusters[j].L for j in order])
+    Rs = np.vstack([clusters[j].R for j in order])
+    owner = np.repeat(order, [len(clusters[j].R) for j in order])
+    defect = float(np.linalg.norm(Ls @ Rs - np.eye(dim), 2))
+    RL = Rs @ Ls
+    middle = np.zeros((len(clusters), len(clusters)))
+    np.add.at(middle, (owner[:, None], owner[None, :]), np.abs(RL) ** 2)
+    L_squares = np.bincount(owner, np.linalg.norm(Ls, axis=0) ** 2)
+    R_squares = np.bincount(owner, np.linalg.norm(Rs, axis=1) ** 2)
+    bound = np.sqrt(middle * L_squares[:, None] * R_squares[None, :])
+    np.fill_diagonal(bound, 0.0)
+    OL, RO = op @ Ls, Rs @ op
+    op_norm = np.linalg.norm(op, 2)
+    commutator = projection_norm = 0.0
+    end = 0
+    for k, group in groups:
+        # views of the group's blocks, n x dim x k and n x k x dim
+        n = len(group)
+        span, end = slice(end, end + n * k), end + n * k
+        L = Ls[:, span].reshape(dim, n, k).transpose(1, 0, 2)
+        OLk = OL[:, span].reshape(dim, n, k).transpose(1, 0, 2)
+        R, ROk = Rs[span].reshape(n, k, dim), RO[span].reshape(n, k, dim)
+        RLk = RL[span, span].reshape(n, k, n, k)[np.arange(n), :, np.arange(n)]
+        sv = _singular_values(R)
+        idempotency = _singular_values((RLk - np.eye(k)) @ R)[:, -1]
+        # op P - P op = E R - L F; with E = L E1 + E2, E2 orthogonal to
+        # range L, its squared norm is ||E1 R - F||_F^2 + tr(E2^H E2 R R^H)
+        ROL = R @ OLk
+        E2 = OLk - L @ ROL
+        E1 = L.conj().swapaxes(1, 2) @ E2
+        E2 -= L @ E1
+        inside = E1 @ R - (ROk - ROL @ R)
+        gram_R = R @ R.conj().swapaxes(1, 2)
+        gram_E2 = E2.conj().swapaxes(1, 2) @ E2
+        square = (np.linalg.norm(inside, axis=(1, 2)) ** 2
+                  + np.sum(gram_R.conj() * gram_E2, axis=(1, 2)).real)
+        commutator = max(commutator, float(np.max(
+            np.sqrt(np.maximum(square, 0.0)) / (op_norm * sv[:, -1]))))
+        projection_norm = max(projection_norm, float(sv[:, -1].max()))
+        for j, rank, d in zip(group, np.sum(sv > 0.5, axis=1), idempotency):
+            clusters[j].rank = int(rank)
+            clusters[j].idempotency_defect = float(d)
+    return {
+        "sum_defect": defect,
+        "max_cross_product": float(bound.max()),
+        "max_commutator": commutator,
+        "max_projection_norm": projection_norm,
+    }
+
+
 def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     """Fill in projections, then check sum(P) = I and pairwise products.
 
-    Each projection P = L R comes directly from one reordering of a shared
-    complex Schur form (`_direct_projection`); the cluster keeps the thin
-    factors L, R, not the dense P.  L has orthonormal columns, so the
-    singular values, rank and idempotency defect ||L (R L - I) R||_2 of P
-    are read off the k x dim factor R.  The stacked factors give sum(P) as
-    one product, and every ||P_i P_j||_2 is bounded by
-    ||L_i||_F ||R_i L_j||_F ||R_j||_F, where the blocks R_i L_j of one
-    product of the stacked factors give all the middle norms at once.
+    One `scipy.linalg.eig` gives every right and left eigenvector, and
+    `contour.encloses` assigns its eigenvalues to the clusters.  A cluster's
+    projection P = L R comes from its vectors (`_vector_projection`); only a
+    cluster whose unit-vector block Y^H X has a singular value below
+    VECTOR_SIGMA_MIN is reordered out of a complex Schur form instead
+    (`_direct_projection`), and a cluster of the whole spectrum is the
+    identity.  The cluster keeps the thin factors L, R, not the dense P.  L
+    has orthonormal columns, so ||P||_F = ||R||_F and the reciprocal
+    condition is s = 1/sqrt(1 + ||X||_F^2) = (1 + ||R||_F^2 - k)^{-1/2};
+    the singular values, rank and ||P||_2 are those of R, read off its
+    k x k Gram matrix.  Clusters of equal size are handled as one stack.
+
+    The stacked factors give sum(P) as one product, and one product
+    R_stack L_stack gives, in its diagonal blocks R_i L_i, the idempotency
+    defect ||(R_i L_i - I) R_i||_2, and, in every block, the middle factor
+    of the bound ||P_i P_j||_2 <= ||L_i||_F ||R_i L_j||_F ||R_j||_F.
 
     Two independent witnesses are reported: the commutator residual
-    ||op P - P op||_F / (||op||_2 ||R||_2) of every cluster, and the
-    distance ||P_quad - P||_2 to the contour integral `riesz_projection` on
-    the sample of `_oracle_sample` (rectangles are left out of the sample:
-    their quadrature needs thousands of nodes).
+    ||op P - P op||_F / (||op||_2 ||P||_2) of every cluster, and an upper
+    bound of ||P_quad - P||_2, P_quad the contour integral
+    `riesz_projection`, on the sample of `_oracle_sample` (rectangles are
+    left out of the sample: their quadrature needs thousands of nodes).
+    The commutator is E R - L F, with the residual blocks
+    E = op L - L (R op L) and F = R op - (R op L) R; splitting E along L
+    gives its Frobenius norm from k x k products.  The quadrature acts on
+    N_PROBES fixed Gaussian probes W, and the record is `_probe_bound` of
+    (P_quad - P) W, an upper bound with probability 1 - 10^-4.
     """
     dim = op.shape[0]
     covered = sorted(i for c in clusters for i in c.members)
     if covered != list(range(dim)):
         raise ContourError("clusters do not cover the whole spectrum")
     op = np.asarray(op, dtype=complex)
-    schur = scipy.linalg.schur(op, output="complex")
-    diag = np.diag(schur[0])
-    op_norm = np.linalg.norm(op, 2)
-    commutator = 0.0
-    for c in clusters:
-        select = c.contour.encloses(diag)
-        if select.sum() != len(c.members):
-            raise ContourError(
-                f"contour of cluster {c.cluster_id} encloses {select.sum()} "
-                f"eigenvalues, not its {len(c.members)} members")
-        L, R, c.s = _direct_projection(select, schur)
-        c.L, c.R = L, R
-        sv = np.linalg.svd(R, compute_uv=False)
-        c.rank = int(np.sum(sv > 0.5))
-        c.idempotency_defect = float(np.linalg.norm(
-            (R @ L - np.eye(len(R))) @ R, 2))
-        commutator = max(commutator, float(
-            np.linalg.norm((op @ L) @ R - L @ (R @ op)) / (op_norm * sv[0])))
-    Ls, Rs = [c.L for c in clusters], [c.R for c in clusters]
-    defect = float(np.linalg.norm(np.hstack(Ls) @ np.vstack(Rs) - np.eye(dim), 2))
-    owner = np.repeat(np.arange(len(clusters)), [len(R) for R in Rs])
-    middle = np.zeros((len(clusters), len(clusters)))
-    np.add.at(middle, (owner[:, None], owner[None, :]),
-              np.abs(np.vstack(Rs) @ np.hstack(Ls)) ** 2)
-    bound = (np.array([np.linalg.norm(L) for L in Ls])[:, None]
-             * np.sqrt(middle)
-             * np.array([np.linalg.norm(R) for R in Rs])[None, :])
-    np.fill_diagonal(bound, 0.0)
-    deviation = max((np.linalg.norm(
-        riesz_projection(op, c.contour, schur=schur) - c.projection, 2)
-        for c in _oracle_sample(clusters)), default=0.0)
+    lam, left, right = scipy.linalg.eig(op, left=True, right=True)
+    owned = [np.flatnonzero(_enclosed(c, lam)) for c in clusters]
+    sizes = np.array([len(m) for m in owned])
+    groups = [(k, np.flatnonzero(sizes == k)) for k in np.unique(sizes)]
+    schur = functools.cache(
+        lambda: scipy.linalg.schur(op, output="complex"))
+    schur_clusters = _fill_factors(clusters, groups, owned, left, right, schur)
+    del left, right
+    records = _stacked_records(clusters, groups, op)
+    probes = np.random.default_rng(PROBE_SEED).standard_normal((dim, N_PROBES))
+    deviation = max((_probe_bound(
+        riesz_projection(op, c.contour, schur=schur(), probes=probes)
+        - c.L @ (c.R @ probes)) for c in _oracle_sample(clusters)),
+        default=0.0)
     return {
-        "sum_defect": defect,
-        "max_cross_product": float(bound.max()),
+        "sum_defect": records["sum_defect"],
+        "max_cross_product": records["max_cross_product"],
         "max_idempotency_defect": max(c.idempotency_defect for c in clusters),
         "total_rank": sum(c.rank for c in clusters),
-        "max_commutator": commutator,
+        "max_commutator": records["max_commutator"],
         "max_quadrature_deviation": float(deviation),
+        "max_projection_norm": records["max_projection_norm"],
+        "schur_clusters": schur_clusters,
     }
 
 

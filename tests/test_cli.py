@@ -160,6 +160,30 @@ def test_verify_all_passes(tmp_path):
             == (tmp_path / "report.json").read_bytes())
 
 
+def test_verify_all_rejects_bc_flag(tmp_path, capsys):
+    """verify-all runs fixed families, so an explicit --bc is a usage
+    error naming them, not an option silently ignored."""
+    assert run_cli("verify-all", "--bc", "max", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "--bc" in err
+    for bc in cli.VERIFY_ALL_BCS:
+        assert bc in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_all_accepts_config_bc(tmp_path):
+    """A config file's bc serves the other commands; verify-all accepts it
+    and runs its fixed families."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"bc": "max", "seeds": [11]}))
+    assert run_cli("verify-all", "--config", str(cfg_path),
+                   "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "verify_all.json").read_text())
+    names = [r["name"] for r in report["records"]]
+    assert any(name.endswith(".quasi") for name in names)
+    assert not any(name.endswith(".max") for name in names)
+
+
 def _number(cell):
     try:
         return int(cell)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,24 @@ def test_dense_products_filled_from_bands(random_coeffs, tag):
     ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(tag))
     for H, ref in ((ops.H1, ops.Tstar @ ops.T), (ops.H2, ops.T @ ops.Tstar)):
         assert np.linalg.norm(H - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("undamped", [False, True])
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_generator_frame_matches_block_assembly(random_coeffs, tag, undamped):
+    """The CSR arrays built from COO triplets are those of the block
+    assembly [[0, I], [-H1f, diag(-C)]], which stores no zero of C."""
+    rho, alpha = random_coeffs
+    if undamped:
+        alpha = ds.constant(0.0, "damping")
+    ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(tag))
+    ref = scipy.sparse.block_array(
+        [[None, scipy.sparse.eye_array(ops.n_nodes)],
+         [-ops.H1f, scipy.sparse.diags_array(-ops.C)]]).tocsr()
+    G = ops.generator_frame
+    assert (G.shape, G.dtype) == (ref.shape, ref.dtype)
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(G, part), getattr(ref, part))
 
 
 @pytest.mark.parametrize("tag", FAMILIES)

@@ -98,13 +98,6 @@ def test_projection_gap_check_rejects_rectangle(small_ops):
     with pytest.raises(ValueError):
         riesz.riesz_projection(op, box, gap_min=half / 4)
 
-def test_multiplicity_simple(small_ops):
-    op = small_ops.dirac_frame()
-    lam = np.linalg.eigvals(op)
-    lam0 = lam[np.argmin(np.abs(lam - np.pi))]
-    assert riesz.multiplicity(lam0, op) == (1, 1)
-
-
 def test_near_critical_damping_cluster():
     """Near a = 2 pi the lowest pair nearly collides; the clusterer must
     merge it and the projection rank must count both members."""
@@ -213,6 +206,8 @@ def test_critical_damping_jordan_pair():
     P = riesz.riesz_projection(ops.dirac_frame(), pair.contour)
     assert np.linalg.norm(P - pair.projection, 2) < 1e-9
     assert out["sum_defect"] < 1e-8
+    # the pair's eigenvectors are nearly parallel: it takes the Schur path
+    assert out["schur_clusters"] == 1
 
 
 def test_contour_enclosing_wrong_count_is_rejected(small_ops):
@@ -251,3 +246,75 @@ def test_cluster_csv_format(small_resolution):
     assert total_members == len(spec)
     s = np.array([float(line.split(",")[7]) for line in lines[1:]])
     assert np.all((s > 0) & (s <= 1))
+
+
+FAMILIES = ["min", "zero0", "max", "omega:1,0", "omega:0,1", "omega:0.5,0.3"]
+
+
+def _resolution(n, tag, coefficients):
+    ops = ds.build_operator_set(n, *coefficients, ds.parse_bc(tag))
+    clusters = riesz.cluster_eigenvalues(ds.eigen_dirac(ops), ops)
+    op = ops.dirac_frame()
+    return op, clusters, riesz.verify_resolution_of_identity(clusters, op)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_vector_projections_match_quadrature(n, tag):
+    """Every cluster's projection from the eigenvectors, rectangles and
+    zero modes included, against the full contour integral."""
+    op, clusters, out = _resolution(n, tag, ds.random_coefficients(5))
+    for c in clusters:
+        P = riesz.riesz_projection(op, c.contour)
+        assert np.linalg.norm(P - c.projection, 2) < 1e-9
+    assert out["schur_clusters"] == 0
+    assert out["max_projection_norm"] == pytest.approx(
+        max(np.linalg.norm(c.projection, 2) for c in clusters), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [24, 32])
+@pytest.mark.parametrize("tag", ["min", "omega:0,1"])
+@pytest.mark.parametrize("damping", ["variable", "constant"])
+def test_well_separated_clusters_never_reorder_schur(monkeypatch, n, tag,
+                                                     damping):
+    calls = []
+    ztrsen = scipy.linalg.lapack.ztrsen
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ztrsen(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", counting)
+    rho, alpha = ds.random_coefficients(n)
+    if damping == "constant":
+        rho, alpha = RHO1, ds.constant(0.7, "damping")
+    _, clusters, out = _resolution(n, tag, (rho, alpha))
+    assert calls == []
+    assert out["schur_clusters"] == 0
+    assert out["total_rank"] == sum(len(c.members) for c in clusters)
+
+
+@pytest.mark.parametrize("tag", ["min", "max", "omega:0.5,0.3"])
+def test_s_matches_schur_reordering(tag):
+    """s = (1 + ||R||_F^2 - k)^(-1/2) from the vector factors equals
+    1/sqrt(1 + ||X||_F^2) of the Sylvester solution."""
+    op, clusters, _ = _resolution(24, tag, ds.random_coefficients(7))
+    schur = scipy.linalg.schur(np.asarray(op, dtype=complex),
+                               output="complex")
+    for c in clusters:
+        select = c.contour.encloses(np.diag(schur[0]))
+        L, R, s = riesz._direct_projection(select, schur)
+        assert abs(c.s - s) < 1e-12
+        assert np.linalg.norm(L @ R - c.projection, 2) < 1e-12
+
+
+def test_probe_bound_dominates_quadrature_distance(small_ops,
+                                                   small_resolution):
+    """The probe record bounds ||P_quad - P||_2 of every sampled cluster."""
+    _, clusters, out = small_resolution
+    op = small_ops.dirac_frame()
+    sample = riesz._oracle_sample(clusters)
+    assert sample
+    direct = max(np.linalg.norm(riesz.riesz_projection(op, c.contour)
+                                - c.projection, 2) for c in sample)
+    assert out["max_quadrature_deviation"] >= direct
