@@ -22,8 +22,10 @@ from .reporting import (ConfigError, RunConfig, VerificationReport, parse_bc,
                         random_coefficients, to_csv)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-# verify-all runs these boundary families whatever the configured bc
+# verify-all runs these boundary families whatever the configured bc and
+# n_grid, at fixed grid sizes
 VERIFY_ALL_BCS = ("min", "zero0", "zero1", "omega:0,1")
+VERIFY_ALL_N, VERIFY_ALL_ANCHOR_N = 32, 256
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,7 +216,7 @@ def cmd_verify_all(cfg: RunConfig, report: VerificationReport) -> None:
     }
     rho, alpha = random_coefficients(cfg.seeds[0])
     for bc in families:
-        ops = build_operator_set(32, rho, alpha, bc)
+        ops = build_operator_set(VERIFY_ALL_N, rho, alpha, bc)
         spec = spectral.eigen_dirac(ops)
         scale = float(np.abs(spec.nonzero()).min()) ** -2 * len(spec)
         d_even, d_odd = traces.verify_trace_identity(0, ops, spec)
@@ -232,7 +234,7 @@ def cmd_verify_all(cfg: RunConfig, report: VerificationReport) -> None:
         report.add(f"susy.isospectral.{bc.tag}", "susy.isospectral",
                    iso["relative_distance"], 1e-10)
     # deterministic continuum anchors on the Dirichlet-type family
-    ops = build_operator_set(256, constant(1.0, "density"),
+    ops = build_operator_set(VERIFY_ALL_ANCHOR_N, constant(1.0, "density"),
                              constant(1.0, "damping"),
                              BoundaryCondition.minimal())
     t0 = traces.trace_coefficient(0, ops)
@@ -273,6 +275,10 @@ def main(argv=None) -> int:
         if args.command == "verify-all" and args.bc is not None:
             parser.error("verify-all takes no --bc: it runs its four fixed "
                          "families " + ", ".join(VERIFY_ALL_BCS))
+        if args.command == "verify-all" and args.n is not None:
+            parser.error("verify-all takes no --n: it runs its families at "
+                         f"n = {VERIFY_ALL_N} and its continuum anchors at "
+                         f"n = {VERIFY_ALL_ANCHOR_N}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -27,10 +27,6 @@ __all__ = [
     "WeightedGrid",
     "DiscreteOperatorSet",
     "build_grid",
-    "assemble_adjoint",
-    "assemble_dirac",
-    "assemble_damping",
-    "assemble_generator",
     "build_operator_set",
     "kernel_dimensions",
     "solve_regular",
@@ -133,39 +129,6 @@ def build_grid(n: int, rho: CoefficientSpec, bc: BoundaryCondition) -> WeightedG
     return WeightedGrid(n, bc, keep, xk, mids, wu, wv)
 
 
-def assemble_adjoint(T: np.ndarray, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
-    """Weighted adjoint Tstar = Wu^{-1} T^H Wv; the defining identity, not a stencil."""
-    if T.shape != (len(wv), len(wu)):
-        raise ValueError("T shape inconsistent with the weight vectors")
-    return (T.conj().T * wv[None, :]) / wu[:, None]
-
-
-def assemble_dirac(T: np.ndarray, Tstar: np.ndarray) -> np.ndarray:
-    m, n = T.shape[1], T.shape[0]
-    D = np.zeros((m + n, m + n), dtype=complex)
-    D[:m, m:] = Tstar
-    D[m:, :m] = T
-    return D
-
-
-def assemble_damping(C: np.ndarray, n_cells: int) -> np.ndarray:
-    """Damping block diag(-i C, 0) on node + cell space."""
-    m = len(C)
-    B = np.zeros((m + n_cells, m + n_cells), dtype=complex)
-    B[:m, :m] = np.diag(-1j * C)
-    return B
-
-
-def assemble_generator(TstarT: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Wave generator G = [[0, I], [-T*T, -R]] on node + node space."""
-    m = TstarT.shape[0]
-    G = np.zeros((2 * m, 2 * m), dtype=TstarT.dtype)
-    G[:m, m:] = np.eye(m)
-    G[m:, :m] = -TstarT
-    G[m:, m:] = -np.diag(R)
-    return G
-
-
 def _fold(size: int) -> np.ndarray:
     """The order (0, N-1, 1, N-2, ...): it puts the first and the last
     unknown next to each other and every coordinate neighbour within two
@@ -224,6 +187,59 @@ def _dense(shape: tuple, rows: np.ndarray, cols: np.ndarray,
     return M
 
 
+def _unframe(A, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, value) of the nonzeros of diag(s)^{-1} A diag(s), for
+    the CSR frame form A of an operator: its entries back in the weighted
+    space, divided and multiplied in complex arithmetic."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return rows, A.indices, A.data.astype(complex) / s[rows] * s[A.indices]
+
+
+def _chain_count(e: np.ndarray, t: float) -> int:
+    """Number of eigenvalues in (-t, t] of the zero-diagonal Hermitian
+    tridiagonal matrix with sub-diagonal e, from the Sturm counts at -t and
+    t of LAPACK ?stebz.  The eigenvalues depend only on |e|, so the count
+    is taken in real arithmetic; the eigenvalues themselves are not read,
+    so the bisection tolerance is the whole interval."""
+    count, *_, info = scipy.linalg.lapack.dstebz(
+        np.zeros(len(e) + 1), np.abs(e), 1, -t, t, 0, 0, 2 * t, "E")
+    if info:
+        raise RuntimeError(f"?stebz failed with info {info}")
+    return int(count)
+
+
+def _ring_count(e: np.ndarray, corner: complex, t: float) -> int:
+    """Number of eigenvalues in [-t, t) of the zero-diagonal Hermitian ring
+    with sub-diagonal e and the corner ``corner`` at its last row, first
+    column.
+
+    The first and the last unknown are cut off.  By Haynsworth's inertia
+    additivity the inertia of ring - s is that of the interior chain - s
+    plus that of the 2 x 2 Schur complement S(s) of the interior, taken
+    with the ?gttrf/?gttrs pair at s = t and s = -t.  Here the interior is
+    the Golub-Kahan matrix of a square bidiagonal with a nonzero diagonal,
+    so it is nonsingular and S(s) is defined."""
+    inner = e[1:-1]
+    count = _chain_count(inner, t)
+    # the columns of the ring at the cut unknowns, on the interior rows
+    cut = np.zeros((len(inner) + 1, 2), dtype=complex)
+    cut[0, 0], cut[-1, 1] = e[0], np.conj(e[-1])
+    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (cut,))
+    for sign in (1, -1):
+        s = sign * t
+        factors = gttrf(inner, np.full(len(cut), -s, dtype=complex),
+                        inner.conj())
+        if factors[-1]:
+            raise RuntimeError("the interior of the ring is singular")
+        X = gttrs(*factors[:-1], cut)[0]
+        low = corner - e[-1] * X[-1, 0]
+        S = np.array([[-s - np.conj(e[0]) * X[0, 0], np.conj(low)],
+                      [low, -s - e[-1] * X[-1, 1]]])
+        # eigenvalues of ring - s below 0, less those of the interior
+        count += sign * int(np.sum(np.linalg.eigvalsh(S) < 0))
+    return count
+
+
 def _product(key: np.ndarray, i: np.ndarray, j: np.ndarray, x: np.ndarray,
              y: np.ndarray, size: int):
     """Sparse size x size matrix that sums x[a] y[b] at (i[a], j[b]) over
@@ -248,9 +264,17 @@ class DiscreteOperatorSet:
 
     T is stored as its per-cell coefficients c_j = i/(h rho(x_{j+1/2})):
     (T u)_j = c_j (u_{j+1} - u_j), with node n read as omega * node 0 for
-    quasi.  The Hermitian problems (the singular values of T, the spectra of
-    T*T and TT*) are solved as bands in coordinate order.  Every dense
-    matrix (T, Tstar, Tf, H1, H2, D, B, G) is built on first use and kept.
+    quasi.  The Hermitian problems (the spectra of T*T and TT*) are solved
+    as bands in coordinate order.  Every dense matrix (T, Tstar, Tf, H1,
+    H2, D, B, G) is built on first use and kept, written from the nonzeros
+    of T and of the frame forms H1f, H2f.
+
+    The zero threshold `tol_zero` is 1e-10 ||Tf||_2, read off the top of the
+    spectrum of T*T.  The rank of T needs only the number of singular
+    values of Tf below tol/10, tol and 10 tol: each is an inertia count on
+    the zero-diagonal Golub-Kahan matrix [[0, Tf^H], [Tf, 0]] in coordinate
+    order (a Sturm count on a chain, a chain plus a 2 x 2 Schur complement
+    on the quasi ring), and no singular value is computed.
     """
 
     grid: WeightedGrid
@@ -301,12 +325,20 @@ class DiscreteOperatorSet:
         return rows, cols, np.sqrt(self.wv)[rows] * vals / np.sqrt(self.wu)[cols]
 
     @cached_property
+    def _Tstar_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(node, cell column, value) of the nonzeros of the weighted
+        adjoint Tstar = Wu^{-1} T^H Wv: the defining identity, not a
+        stencil."""
+        rows, cols, vals = self._T_entries
+        return cols, rows, vals.conj() * self.wv[rows] / self.wu[cols]
+
+    @cached_property
     def T(self) -> np.ndarray:
         return _dense((self.n_cells, self.n_nodes), *self._T_entries)
 
     @cached_property
     def Tstar(self) -> np.ndarray:
-        return assemble_adjoint(self.T, self.wu, self.wv)
+        return _dense((self.n_nodes, self.n_cells), *self._Tstar_entries)
 
     @cached_property
     def Tf(self) -> np.ndarray:
@@ -316,15 +348,27 @@ class DiscreteOperatorSet:
 
     @cached_property
     def D(self) -> np.ndarray:
-        return assemble_dirac(self.T, self.Tstar)
+        """Dirac operator [[0, Tstar], [T, 0]] on node + cell space."""
+        m, size = self.n_nodes, self.n_nodes + self.n_cells
+        (tr, tc, tv), (ar, ac, av) = self._T_entries, self._Tstar_entries
+        return _dense((size, size), np.concatenate([m + tr, ar]),
+                      np.concatenate([tc, m + ac]), np.concatenate([tv, av]))
 
     @cached_property
     def B(self) -> np.ndarray:
-        return assemble_damping(self.C, self.n_cells)
+        """Damping block diag(-i C, 0) on node + cell space."""
+        k, size = np.arange(self.n_nodes), self.n_nodes + self.n_cells
+        return _dense((size, size), k, k, -1j * self.C)
 
     @cached_property
     def G(self) -> np.ndarray:
-        return assemble_generator(self.H1, self.C)
+        """Wave generator [[0, I], [-T*T, -diag(C)]] on node + node space."""
+        m = self.n_nodes
+        k = np.arange(m)
+        rows, cols, vals = _unframe(self.H1f, np.sqrt(self.wu))
+        return _dense((2 * m, 2 * m), np.concatenate([k, m + rows, m + k]),
+                      np.concatenate([m + k, cols, m + k]),
+                      np.concatenate([np.ones(m), -vals, -self.C]))
 
     @cached_property
     def H1f(self):
@@ -343,14 +387,14 @@ class DiscreteOperatorSet:
     @cached_property
     def H1(self) -> np.ndarray:
         """TstarT on the node space, filled from the entries of H1f."""
-        s = np.sqrt(self.wu)
-        return self.H1f.toarray().astype(complex) / s[:, None] * s[None, :]
+        return _dense((self.n_nodes,) * 2,
+                      *_unframe(self.H1f, np.sqrt(self.wu)))
 
     @cached_property
     def H2(self) -> np.ndarray:
         """TTstar on the cell space, filled from the entries of H2f."""
-        s = np.sqrt(self.wv)
-        return self.H2f.toarray().astype(complex) / s[:, None] * s[None, :]
+        return _dense((self.n_cells,) * 2,
+                      *_unframe(self.H2f, np.sqrt(self.wv)))
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -358,20 +402,6 @@ class DiscreteOperatorSet:
         a = np.asarray(self.alpha.sample(self.grid.nodes))
         r = np.asarray(self.rho.sample(self.grid.nodes))
         return a / r**2
-
-    @cached_property
-    def sv(self) -> np.ndarray:
-        """Singular values of Tf, descending: the nonzero ones are the
-        square roots of the common nonzero spectrum of T*T and TT*.
-
-        They are the min(m, n) largest eigenvalues of the Golub-Kahan
-        matrix [[0, Tf^H], [Tf, 0]], whose nodes and cells interleave in
-        coordinate order into a band.  The square roots of the eigenvalues
-        of T*T would instead put a zero singular value near sqrt(eps) ||T||.
-        """
-        w = _band_eigh(self.dirac_band(damped=False), self._cyclic)
-        size = self.n_nodes + self.n_cells
-        return np.sort(np.abs(w[size - min(self.n_nodes, self.n_cells):]))[::-1]
 
     @cached_property
     def interleave(self) -> np.ndarray:
@@ -407,14 +437,45 @@ class DiscreteOperatorSet:
 
     @cached_property
     def tol_zero(self) -> float:
-        """Zero-mode threshold: 1e-10 times ||D||_2, the top singular value of Tf."""
-        return 1e-10 * float(self.sv[0])
+        """Zero-mode threshold: 1e-10 times ||D||_2 = ||Tf||_2, the square
+        root of the top eigenvalue of T*T (squared only at the top, so
+        accurate to rounding)."""
+        return 1e-10 * float(np.sqrt(max(self.H1_eigvals[-1], 0.0)))
+
+    def count_below(self, t: float) -> int:
+        """Number of singular values of Tf below t (t > 0), without
+        computing any: half the eigenvalues of the Golub-Kahan matrix within
+        t of 0, less the |m - n| zeros that the shape of Tf adds.  That
+        spectrum is symmetric about 0, so an odd count means an eigenvalue
+        at t itself: KernelAmbiguityError."""
+        e, corner = self._golub_kahan
+        count = (_ring_count(e, corner, t) if self._cyclic
+                 else _chain_count(e, t))
+        half, odd = divmod(count - abs(self.n_nodes - self.n_cells), 2)
+        if odd:
+            raise KernelAmbiguityError(f"a singular value at t = {t:.3e}")
+        return half
+
+    @cached_property
+    def _golub_kahan(self) -> tuple[np.ndarray, complex]:
+        """(e, corner): the sub-diagonal of the Golub-Kahan matrix
+        [[0, Tf^H], [Tf, 0]] in coordinate order and the entry at its last
+        row, first column (nonzero only for quasi)."""
+        band = self.dirac_band(damped=False)
+        return band.diagonal(-1), complex(band[band.shape[0] - 1, 0])
 
     @cached_property
     def rank(self) -> int:
-        """Numerical rank of T: the number of singular values at or above
-        tol_zero (KernelAmbiguityError when one sits near it)."""
-        return _rank(self.sv, self.tol_zero)
+        """Numerical rank of T: min(m, n) less the number of singular values
+        below tol_zero; KernelAmbiguityError when one lies within a factor
+        10 of it, i.e. when the counts below tol/10 and 10 tol differ."""
+        tol = self.tol_zero
+        low, at, high = map(self.count_below, (tol / 10, tol, 10 * tol))
+        if high != low:
+            raise KernelAmbiguityError(
+                f"{high - low} singular value(s) within a factor 10 of tol "
+                f"{tol:.3e}")
+        return min(self.n_nodes, self.n_cells) - at
 
     def frame_eigh(self, which: str = "node", vectors: bool = False):
         """Spectrum, ascending, of T*T ("node") or TT* ("cell") in its
@@ -540,11 +601,12 @@ def solve_regular(A: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 
 def kernel_dimensions(ops: DiscreteOperatorSet) -> tuple[int, int, int]:
-    """Numerical (dim ker T, dim ker Tstar, dim ker D) via singular values.
+    """Numerical (dim ker T, dim ker Tstar, dim ker D).
 
-    ker T and ker Tstar share the singular values of the frame factor;
-    ker D is counted from a separate SVD of the frame Dirac matrix, so the
-    census kT + kTs = kD compares two independent paths.
+    ker T and ker Tstar come from `rank`, inertia counts on the Golub-Kahan
+    matrix of the frame factor; ker D is counted from a dense SVD of the
+    frame Dirac matrix, so the census kT + kTs = kD compares two paths that
+    share no algorithm.
     """
     r = ops.rank
     sD = np.linalg.svd(ops.dirac_frame(ops.D), compute_uv=False)

@@ -171,11 +171,23 @@ def test_verify_all_rejects_bc_flag(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_verify_all_rejects_n_flag(tmp_path, capsys):
+    """verify-all runs fixed grid sizes, so an explicit --n is a usage error
+    naming them, not an option silently ignored."""
+    assert run_cli("verify-all", "--n", "64", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "--n" in err
+    for n in (cli.VERIFY_ALL_N, cli.VERIFY_ALL_ANCHOR_N):
+        assert f"n = {n}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_verify_all_accepts_config_bc(tmp_path):
-    """A config file's bc serves the other commands; verify-all accepts it
-    and runs its fixed families."""
+    """A config file's bc and n_grid serve the other commands; verify-all
+    accepts them and runs its fixed families."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"bc": "max", "seeds": [11]}))
+    cfg_path.write_text(json.dumps({"bc": "max", "n_grid": 48,
+                                    "seeds": [11]}))
     assert run_cli("verify-all", "--config", str(cfg_path),
                    "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "verify_all.json").read_text())
@@ -197,8 +209,9 @@ def test_every_csv_cell_is_a_number_or_label(tmp_path):
     written = set()
     for cmd in commands:
         out = tmp_path / cmd
-        # the slope fit needs the 40 branch modes of the default grid
-        size = [] if cmd == "asymptotics" else ["--n", "32"]
+        # the slope fit needs the 40 branch modes of the default grid, and
+        # verify-all runs its own fixed grids
+        size = [] if cmd in ("asymptotics", "verify-all") else ["--n", "32"]
         assert run_cli(cmd, *size, "--out", str(out)) == 0
         for path in out.glob("*.csv"):
             written.add(path.name)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dampedstring as ds
-from dampedstring.discretization import (assemble_adjoint, build_grid,
+from dampedstring.discretization import (KernelAmbiguityError, build_grid,
                                          build_operator_set, solve_regular)
 
 RHO1 = ds.constant(1.0, "density")
@@ -103,11 +104,73 @@ FAMILIES = ["min", "zero0", "zero1", "max", "omega:1,0", "omega:0,1",
 @pytest.mark.parametrize("n", [4, 16, 64])
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_band_singular_values_match_dense_svd(random_coeffs, tag, n):
+    """The number of singular values below t, counted by inertia on the
+    Golub-Kahan band, equals the dense SVD's at the zero thresholds and
+    halfway (geometrically) across every gap of the dense singular values
+    wider than 1e-8 s_0."""
     rho, alpha = random_coeffs
     ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(tag))
     s = np.linalg.svd(ops.Tf, compute_uv=False)
-    assert len(ops.sv) == len(s)
-    assert np.abs(ops.sv - s).max() <= 1e-13 * s[0]
+    gap = s[:-1] - s[1:] > 1e-8 * s[0]
+    floor = np.finfo(float).eps * s[0]       # an exact zero has no midpoint
+    mids = np.sqrt(s[:-1] * np.maximum(s[1:], floor))[gap]
+    tol = ops.tol_zero
+    assert len(mids) >= len(s) // 2
+    for t in (*mids, tol / 10, tol, 10 * tol):
+        assert ops.count_below(t) == np.sum(s < t)
+
+
+RANK_FAMILIES = ["min", "zero0", "zero1", "max", "omega:1,0", "omega:-1,0",
+                 "omega:0,1", "omega:0.5,0.3", "omega:1.0000001,0"]
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+@pytest.mark.parametrize("tag", RANK_FAMILIES)
+def test_rank_matches_dense_svd(tag, n):
+    """rank and its KernelAmbiguityError match the count of dense singular
+    values at or above tol_zero, with the ambiguity window (tol/10, 10 tol),
+    on four coefficient sets; omega = 1 + 1e-7 puts a singular value in the
+    window once n is large enough."""
+    sets = [(RHO1, ALPHA1), ds.random_coefficients(1),
+            ds.random_coefficients(2), ds.random_coefficients(42)]
+    raised = []
+    for rho, alpha in sets:
+        ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(tag))
+        s = np.linalg.svd(ops.Tf, compute_uv=False)
+        tol = ops.tol_zero
+        if np.any((s > tol / 10) & (s < 10 * tol)):
+            raised.append(True)
+            with pytest.raises(KernelAmbiguityError):
+                ops.rank
+        else:
+            raised.append(False)
+            assert ops.rank == np.sum(s >= tol)
+    if tag == "omega:1.0000001,0" and n >= 64:
+        assert all(raised)
+    elif tag != "omega:1.0000001,0":
+        assert not any(raised)
+
+
+def test_zero_threshold_and_rank_solve_no_golub_kahan_band(monkeypatch,
+                                                          random_coeffs):
+    """tol_zero, rank and kernel_dimensions solve no band of size m + n:
+    the threshold comes from the spectrum of T*T (size m) and the rank
+    from inertia counts."""
+    eig_banded = scipy.linalg.eig_banded
+    sizes = []
+
+    def wrapped(ab, *args, **kwargs):
+        sizes.append(ab.shape[1])
+        return eig_banded(ab, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", wrapped)
+    rho, alpha = random_coeffs
+    for tag in FAMILIES:
+        ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(tag))
+        ops.tol_zero
+        ops.rank
+        ds.kernel_dimensions(ops)
+        assert sizes and ops.n_nodes + ops.n_cells not in sizes
+        sizes.clear()
 
 
 @pytest.mark.parametrize("tag", FAMILIES)
@@ -116,6 +179,24 @@ def test_dense_products_filled_from_bands(random_coeffs, tag):
     ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(tag))
     for H, ref in ((ops.H1, ops.Tstar @ ops.T), (ops.H2, ops.T @ ops.Tstar)):
         assert np.linalg.norm(H - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_dense_operators_written_from_entries(random_coeffs, tag):
+    """D, B and G written from the nonzeros equal their block definitions
+    entry for entry."""
+    rho, alpha = random_coeffs
+    ops = ds.build_operator_set(12, rho, alpha, ds.parse_bc(tag))
+    m, n = ops.n_nodes, ops.n_cells
+    zm, zn = np.zeros((m, m)), np.zeros((n, n))
+    np.testing.assert_array_equal(ops.D, np.block([[zm, ops.Tstar],
+                                                   [ops.T, zn]]))
+    np.testing.assert_array_equal(
+        ops.B, np.block([[np.diag(-1j * ops.C), np.zeros((m, n))],
+                         [np.zeros((n, m)), zn]]))
+    np.testing.assert_array_equal(
+        ops.G, np.block([[zm, np.eye(m)], [-ops.H1, -np.diag(ops.C)]]))
+    assert all(M.dtype == complex for M in (ops.D, ops.B, ops.G))
 
 
 @pytest.mark.parametrize("undamped", [False, True])
@@ -198,5 +279,5 @@ def test_adjoint_property_random_draws(n, seed):
 def test_adjoint_helper_matches_definition(random_coeffs):
     rho, alpha = random_coeffs
     ops = ds.build_operator_set(10, rho, alpha, ds.BoundaryCondition.quasi(1j))
-    Tstar = assemble_adjoint(ops.T, ops.wu, ops.wv)
+    Tstar = (ops.T.conj().T * ops.wv[None, :]) / ops.wu[:, None]
     assert np.allclose(Tstar, ops.Tstar)
