@@ -24,12 +24,10 @@ from .spectral import (EigenPair, Spectrum, check_strip, check_symmetry,
                        closed_form_constant_damping, constant_damping_dirac,
                        eigen_dirac, eigen_generator, fit_asymptotics,
                        map_dirac_to_generator, map_generator_to_dirac,
-                       multiset_distance, pencil_residual,
-                       verify_factorization_identity)
+                       multiset_distance, verify_factorization_identity)
 from .susy import (BlockResolvent, PolarParts, block_diagonalize,
-                   check_intertwining, check_isospectral, dirac_from_h1,
-                   polar_decompose, resolvent_dirac, resolvent_perturbed,
-                   susy_partner_eigvec)
+                   check_intertwining, check_isospectral, polar_decompose,
+                   resolvent_dirac, resolvent_perturbed)
 from .traces import (TraceLedger, build_ledger, eigen_sum, livsic_check,
                      resolvent_trace_expansion, trace_coefficient,
                      verify_trace_identity)

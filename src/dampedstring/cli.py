@@ -97,7 +97,7 @@ def cmd_greens(cfg: RunConfig, report: VerificationReport) -> None:
         K = greens.greens_kernel(cfg.bc, xs[:, None], xs[None, :])
     except greens.KernelUnavailableError:
         # zero-mode families have no kernel at z=0; report and move on
-        report.add("greens.kernel_available", "greens.kernel", 1.0, None,
+        report.add("greens.kernel_available", "greens.kernel", 0.0, None,
                    hard=False)
         return
     (out / "greens_kernel.csv").write_text(to_csv(

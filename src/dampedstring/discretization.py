@@ -517,15 +517,13 @@ class DiscreteOperatorSet:
                  "dirac": [self.wu, self.wv], "generator": [self.wu, self.wu]}
         return np.concatenate(parts[space])
 
-    def frame(self, M: np.ndarray, space: str = "dirac") -> np.ndarray:
-        """Similarity transform of M on ``space`` to the frame where the
-        weighted inner product is Euclidean."""
-        s = np.sqrt(self.weights(space))
-        return s[:, None] * M / s[None, :]
-
-    def dirac_frame(self, M: np.ndarray | None = None) -> np.ndarray:
-        """The frame form of M, by default of D + B; built on each call."""
-        return self.frame(self.D + self.B if M is None else M)
+    def dirac_frame(self) -> np.ndarray:
+        """The frame form of D + B as a dense matrix in block order (nodes,
+        then cells): the band `dirac_band` rearranged, so its undamped part
+        is exactly Hermitian.  Built on each call, for the dense algorithms
+        that take it (the Riesz projections, the Livsic inverse)."""
+        at = self.interleave
+        return self.dirac_band()[at][:, at].toarray()
 
     @cached_property
     def dirac_norm(self) -> float:
@@ -605,10 +603,11 @@ def kernel_dimensions(ops: DiscreteOperatorSet) -> tuple[int, int, int]:
 
     ker T and ker Tstar come from `rank`, inertia counts on the Golub-Kahan
     matrix of the frame factor; ker D is counted from a dense SVD of the
-    frame Dirac matrix, so the census kT + kTs = kD compares two paths that
-    share no algorithm.
+    undamped frame band, so the census kT + kTs = kD compares two paths
+    that share no algorithm.
     """
     r = ops.rank
-    sD = np.linalg.svd(ops.dirac_frame(ops.D), compute_uv=False)
+    sD = np.linalg.svd(ops.dirac_band(damped=False).toarray(),
+                       compute_uv=False)
     kD = ops.n_nodes + ops.n_cells - _rank(sD, ops.tol_zero)
     return ops.n_nodes - r, ops.n_cells - r, kD

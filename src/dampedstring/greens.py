@@ -85,8 +85,8 @@ def t0_analytic(bc: BoundaryCondition, alpha: CoefficientSpec) -> float:
     return integrate_product([t0_weight_polynomial(bc), alpha])
 
 
-def apply_inverse_via_kernel(bc: BoundaryCondition, f, grid: WeightedGrid,
-                             rho: CoefficientSpec | None = None) -> np.ndarray:
+def apply_inverse_via_kernel(bc: BoundaryCondition, f,
+                             grid: WeightedGrid) -> np.ndarray:
     """Continuum (T*T)^{-1} f at the retained nodes via cell-midpoint quadrature.
 
     f may be a callable on [0,1] or values sampled at the cell midpoints.

@@ -23,6 +23,8 @@ __all__ = [
     "parse_bc", "random_coefficients", "fmt_float", "to_csv",
 ]
 
+MAX_PIECES, MAX_DEGREE = 3, 3   # of the seeded coefficient draws
+
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
@@ -193,20 +195,20 @@ class VerificationReport:
                    f"measured {r.measured:.6e} (tol {tol})")
 
 
-def random_coefficients(seed: int, max_pieces: int = 3,
-                        max_degree: int = 3) -> tuple[CoefficientSpec,
-                                                      CoefficientSpec]:
-    """Seeded draw of (rho, alpha): piecewise polynomials, rho in [0.5, 2],
-    alpha in [-1, 1], degree <= 3."""
+def random_coefficients(seed: int) -> tuple[CoefficientSpec,
+                                            CoefficientSpec]:
+    """Seeded draw of (rho, alpha): piecewise polynomials of at most
+    MAX_PIECES pieces of degree at most MAX_DEGREE, rho in [0.5, 2], alpha
+    in [-1, 1]."""
     rng = np.random.default_rng(seed)
 
     def draw(lo: float, hi: float, kind: str) -> CoefficientSpec:
-        k = int(rng.integers(1, max_pieces + 1))
+        k = int(rng.integers(1, MAX_PIECES + 1))
         cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, k - 1)),
                                [1.0]])
         pieces = []
         for a, b in zip(cuts[:-1], cuts[1:]):
-            deg = int(rng.integers(0, max_degree + 1))
+            deg = int(rng.integers(0, MAX_DEGREE + 1))
             # anchor the constant term inside the range, keep the variation
             # small enough that the whole piece stays within [lo, hi]
             c0 = rng.uniform(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))

@@ -34,6 +34,8 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 MAX_QUAD_NODES = 2 ** 14
+# eigenvalues closer than this times the asymptotic spacing share a cluster
+GAP_FRACTION = 0.5
 # a cluster whose unit-vector block Y^H X has its smallest singular value
 # below this takes the Schur path (the critical-damping Jordan pair: 2e-7)
 VECTOR_SIGMA_MIN = 1e-4
@@ -88,13 +90,6 @@ class Contour:
             dzs.append((b - a) * w)
         return np.stack([np.concatenate(zs), np.concatenate(dzs)])
 
-    def distance(self, w: np.ndarray) -> np.ndarray:
-        """Unsigned distance from points w to the circle."""
-        if self.kind != "circle":
-            raise ValueError("distance is defined for circles only")
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        return np.abs(np.abs(w - self.center) - self.radius)
-
     def encloses(self, w: np.ndarray) -> np.ndarray:
         w = np.atleast_1d(np.asarray(w, dtype=complex))
         if self.kind == "circle":
@@ -115,14 +110,8 @@ class RieszCluster:
     idempotency_defect: float = float("nan")
     s: float = float("nan")          # reciprocal condition 1/sqrt(1+||X||_F^2)
 
-    @property
-    def projection(self) -> np.ndarray | None:
-        """The dense projection L R, built on each access."""
-        return None if self.L is None else self.L @ self.R
 
-
-def riesz_projection(op: np.ndarray, contour: Contour,
-                     gap_min: float = 0.0, schur=None,
+def riesz_projection(op: np.ndarray, contour: Contour, schur=None,
                      probes: np.ndarray | None = None) -> np.ndarray:
     """P = -(2 pi i)^{-1} contour-integral of (op - zeta)^{-1} d zeta.
 
@@ -133,8 +122,7 @@ def riesz_projection(op: np.ndarray, contour: Contour,
     Passing a precomputed ``scipy.linalg.schur`` factorization (T, Q) turns
     every quadrature node into a triangular inversion, which is what
     `verify_resolution_of_identity` does when it integrates many contours of
-    the same operator.  With ``gap_min > 0`` the contour must be a circle
-    that keeps that distance from every eigenvalue.
+    the same operator.
 
     With ``probes`` (a dim x p array W) the result is P W instead of P:
     each node is one triangular solve with p right-hand sides, and the
@@ -145,10 +133,6 @@ def riesz_projection(op: np.ndarray, contour: Contour,
                                      output="complex")
     else:
         Tmat, Q = schur
-    if gap_min > 0:
-        d = contour.distance(np.diag(Tmat)).min()
-        if d < gap_min:
-            raise ContourError(f"eigenvalue within {d:.3e} of the contour")
     if probes is None:
         rhs, size = None, lambda M: np.linalg.norm(M, 2)
     else:  # P W = Q S, with S the quadrature of (T - zeta)^{-1} Q^H W
@@ -181,12 +165,11 @@ def _probe_bound(B: np.ndarray) -> float:
     return float(PROBE_FACTOR * np.linalg.norm(B, axis=0).max())
 
 
-def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
-                        gap_fraction: float = 0.5) -> list:
+def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet) -> list:
     """Single-linkage gap clusters, rectangles around clusters.
 
     Two eigenvalues share a cluster when a chain of eigenvalues joins them
-    with steps of at most ``gap_fraction`` times the asymptotic spacing
+    with steps of at most GAP_FRACTION times the asymptotic spacing
     pi / integral(rho); this also joins near-critical pairs that straddle
     the plus/minus branches.  Contour margins are a quarter of the distance
     to the nearest outside eigenvalue; clusters whose boxes would overlap
@@ -195,7 +178,7 @@ def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet,
     spacing = np.pi / integrate_product([ops.rho])
     lam = spec.eigenvalues
     labels = spec.branches()
-    near = np.abs(lam[:, None] - lam[None, :]) <= gap_fraction * spacing
+    near = np.abs(lam[:, None] - lam[None, :]) <= GAP_FRACTION * spacing
     n_groups, group = connected_components(near, directed=False)
     groups = [np.flatnonzero(group == k).tolist() for k in range(n_groups)]
 

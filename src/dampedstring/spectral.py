@@ -21,13 +21,14 @@ from .reporting import to_csv
 
 _MODE_CHUNK = 2**15      # modes x positions per batched inverse iteration
 _EPS = np.finfo(float).eps
+RANGE_TOL = 1e-8         # least-squares residual of a vector in ran(T)
+STRIP_SLACK = 1e-10      # rounding allowed past the damping strip
 
 __all__ = [
     "Spectrum", "EigenPair",
-    "eigen_dirac", "eigen_generator", "eigen_selfadjoint",
-    "selfadjoint_modes",
+    "eigen_dirac", "eigen_generator", "selfadjoint_modes",
     "constant_damping_dirac", "weighted_residual",
-    "pencil_residual", "map_generator_to_dirac", "map_dirac_to_generator",
+    "map_generator_to_dirac", "map_dirac_to_generator",
     "multiset_distance", "check_symmetry", "check_strip",
     "fit_asymptotics", "closed_form_constant_damping",
     "verify_factorization_identity", "spectrum_to_csv",
@@ -173,13 +174,6 @@ def eigen_generator(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spe
         V /= np.linalg.norm(V, axis=0)
     return _spectrum(lam, res, V, ops.generator_norm, ops.tol_zero,
                      "generator")
-
-
-def eigen_selfadjoint(ops: DiscreteOperatorSet) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues/vectors of T*T (Hermitian in the node frame), ascending,
-    by the band solver: O(m^3) with the m x m vector matrix, for the
-    intertwining check; per-mode statistics come from `selfadjoint_modes`."""
-    return ops.frame_eigh("node", vectors=True)
 
 
 def selfadjoint_modes(ops: DiscreteOperatorSet, weights=()
@@ -359,15 +353,6 @@ def constant_damping_dirac(ops: DiscreteOperatorSet) -> Spectrum:
     return Spectrum(lam, res, zm, "dirac", ops.tol_zero)
 
 
-def pencil_residual(lam: complex, u: np.ndarray, ops: DiscreteOperatorSet) -> float:
-    """Weighted residual of (T*T - lambda i R - lambda^2) u = 0 on the node space."""
-    nu = ops.weighted_norm(u, "node")
-    if nu == 0:
-        raise ValueError("zero vector has no pencil residual")
-    r = ops.H1 @ u - lam * 1j * (ops.C * u) - lam * lam * u
-    return ops.weighted_norm(r, "node") / nu
-
-
 def weighted_residual(M: np.ndarray, lam: complex, v: np.ndarray,
                       ops: DiscreteOperatorSet, space: str) -> float:
     """Weighted residual ||M v - lambda v|| / ||v|| on ``space``."""
@@ -387,8 +372,8 @@ def map_generator_to_dirac(pair: EigenPair, ops: DiscreteOperatorSet) -> EigenPa
                      weighted_residual(ops.D + ops.B, pair.lam, out, ops, "dirac"))
 
 
-def map_dirac_to_generator(pair: EigenPair, ops: DiscreteOperatorSet,
-                           range_tol: float = 1e-8) -> EigenPair:
+def map_dirac_to_generator(pair: EigenPair,
+                           ops: DiscreteOperatorSet) -> EigenPair:
     """(psi1, psi2) of D+B goes to (i T^{-1}|_ran psi2, psi1) of iG, lambda != 0."""
     if abs(pair.lam) < ops.tol_zero:
         raise ValueError("zero eigenvalue cannot be mapped")
@@ -397,7 +382,7 @@ def map_dirac_to_generator(pair: EigenPair, ops: DiscreteOperatorSet,
     rhs = np.sqrt(ops.wv) * psi2
     wf, *_ = np.linalg.lstsq(ops.Tf, rhs, rcond=None)
     resid = np.linalg.norm(ops.Tf @ wf - rhs)
-    if resid > range_tol * max(1.0, np.linalg.norm(rhs)):
+    if resid > RANGE_TOL * max(1.0, np.linalg.norm(rhs)):
         raise ValueError(f"second component lies outside ran(T): residual {resid:.3e}")
     w = wf / np.sqrt(ops.wu)
     out = np.concatenate([1j * w, psi1])
@@ -429,8 +414,8 @@ def check_symmetry(spec: Spectrum, companion: Spectrum | None = None) -> dict:
     return {"distance": d, "paired_with": "self" if companion is None else "companion"}
 
 
-def check_strip(spec: Spectrum, ops: DiscreteOperatorSet, slack: float = 1e-10) -> dict:
-    """Containment in the horizontal strip |Im| <= sup alpha/rho^2 (+ slack)."""
+def check_strip(spec: Spectrum, ops: DiscreteOperatorSet) -> dict:
+    """Containment in the strip |Im| <= sup alpha/rho^2, up to STRIP_SLACK."""
     xs = np.linspace(0.0, 1.0, 2001)
     bound = float(np.max(np.abs(np.asarray(ops.alpha.sample(xs))
                                 / np.asarray(ops.rho.sample(xs)) ** 2)))
@@ -439,9 +424,10 @@ def check_strip(spec: Spectrum, ops: DiscreteOperatorSet, slack: float = 1e-10) 
     return {
         "max_abs_im": max_im,
         "norm_bound": bound,
-        "inside_strip": max_im <= bound + slack,
+        "inside_strip": max_im <= bound + STRIP_SLACK,
         "dissipative_case": dissipative,
-        "upper_half_empty": bool(np.max(spec.eigenvalues.imag, initial=0.0) <= slack)
+        "upper_half_empty": bool(np.max(spec.eigenvalues.imag, initial=0.0)
+                                 <= STRIP_SLACK)
         if dissipative else None,
     }
 

@@ -14,15 +14,16 @@ import numpy as np
 import scipy.linalg
 
 from .discretization import DiscreteOperatorSet, solve_regular
-from .spectral import eigen_selfadjoint, multiset_distance, weighted_residual
+from .spectral import multiset_distance
 
 __all__ = [
     "PolarParts", "BlockResolvent",
-    "polar_decompose", "check_isospectral", "susy_partner_eigvec",
-    "dirac_from_h1", "diagonalizing_unitary", "block_diagonalize",
-    "check_intertwining", "first_resolvent_identity",
+    "polar_decompose", "check_isospectral", "diagonalizing_unitary",
+    "block_diagonalize", "check_intertwining", "first_resolvent_identity",
     "resolvent_dirac", "resolvent_perturbed", "trace_ideal_decay",
 ]
+
+DECAY_FROM = 5           # first index of the trace-ideal decay fit
 
 
 @dataclass(frozen=True)
@@ -84,24 +85,6 @@ def check_isospectral(ops: DiscreteOperatorSet) -> dict:
             "rank": r}
 
 
-def susy_partner_eigvec(f: np.ndarray, lambda2: float,
-                        ops: DiscreteOperatorSet) -> tuple[np.ndarray, float]:
-    """Push a T*T-eigenvector through T to a TT*-eigenvector for the same mu."""
-    if lambda2 < ops.tol_zero:
-        raise ValueError("eigenvalue below the zero threshold")
-    g = ops.T @ f
-    return g, weighted_residual(ops.H2, lambda2, g, ops, "cell")
-
-
-def dirac_from_h1(f: np.ndarray, lam: float, ops: DiscreteOperatorSet
-                  ) -> tuple[np.ndarray, float]:
-    """(f, Tf/lambda) is a D-eigenvector for lambda when T*T f = lambda^2 f."""
-    if abs(lam) < ops.tol_zero:
-        raise ValueError("lambda must be separated from zero")
-    psi = np.concatenate([f, (ops.T @ f) / lam])
-    return psi, weighted_residual(ops.D, lam, psi, ops, "dirac")
-
-
 def diagonalizing_unitary(parts: PolarParts) -> np.ndarray:
     """U = 2^{-1/2} [[I, V^H], [-V, I]] in the weighted frame.
 
@@ -146,7 +129,7 @@ def block_diagonalize(ops: DiscreteOperatorSet) -> dict:
 def check_intertwining(ops: DiscreteOperatorSet) -> dict:
     """V f(T*T) = f(T T*) V in the frame for polynomial and exponential f."""
     parts = polar_decompose(ops)
-    mu1, U1 = eigen_selfadjoint(ops)
+    mu1, U1 = ops.frame_eigh("node", vectors=True)
     mu2, U2 = ops.frame_eigh("cell", vectors=True)
     table = {"x": lambda x: x, "x2": lambda x: x * x,
              "exp": lambda x: np.exp(-x)}
@@ -216,16 +199,15 @@ def resolvent_perturbed(zeta: complex, ops: DiscreteOperatorSet) -> BlockResolve
     return BlockResolvent(zeta, ((b11, b12), (b21, b22)))
 
 
-def trace_ideal_decay(ops: DiscreteOperatorSet, j_lo: int = 5,
-                      j_hi: int | None = None) -> dict:
-    """Fitted log-log decay exponent of the eigenvalues of (T*T + I)^{-1}.
+def trace_ideal_decay(ops: DiscreteOperatorSet) -> dict:
+    """Fitted log-log decay exponent of the eigenvalues of (T*T + I)^{-1}
+    over the indices DECAY_FROM to max(DECAY_FROM + 10, m / 2).
 
     A proxy for summability of the resolvent's singular values: the j-th
     eigenvalue should fall off like j^{-2}.
     """
     lam = np.sort(1.0 / (ops.H1_eigvals + 1.0))[::-1]
-    if j_hi is None:
-        j_hi = max(j_lo + 10, len(lam) // 2)
-    j = np.arange(j_lo, j_hi + 1)
+    j_hi = max(DECAY_FROM + 10, len(lam) // 2)
+    j = np.arange(DECAY_FROM, j_hi + 1)
     slope, _ = np.polyfit(np.log(j), np.log(lam[j - 1]), 1)
-    return {"exponent": float(slope), "window": (j_lo, j_hi)}
+    return {"exponent": float(slope), "window": (DECAY_FROM, j_hi)}

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tridiagonal
 from .discretization import DiscreteOperatorSet, solve_regular
 from .greens import KernelUnavailableError, t0_analytic
 from .reporting import fmt_float
@@ -26,10 +27,11 @@ from .spectral import Spectrum, eigen_dirac
 __all__ = [
     "TraceLedger", "trace_coefficient", "eigen_sum", "verify_trace_identity",
     "build_ledger", "resolvent_trace_expansion", "regularized_sum_check",
-    "livsic_check", "series_coefficient_check",
+    "livsic_check",
 ]
 
 N_MAX_DEFAULT = 4
+LIVSIC_MARGIN = 0.5        # height of the Livsic shift above the strip
 
 
 @dataclass
@@ -146,41 +148,31 @@ def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
                               ) -> tuple[float, float, float]:
     """(lhs, rhs, parity_defect) of the resolvent-trace identity at real zeta.
 
-    lhs is the trace of the anti-Hermitian part of the direct dense inverse
-    of (D + B - zeta) in the weighted frame, sum Im diag; rhs is the reduced
-    node-space expression Im tr[(2 zeta + iC)(T*T - zeta^2 - i zeta C)^{-1}],
-    sum_k (2 zeta + i C_k) inv_kk, since 2 zeta + iC is diagonal.
+    Both sides are weighted traces of the inverse of a tridiagonal matrix
+    polynomial (cyclic for quasi), -(log det P)', which
+    `tridiagonal.resolvent_trace` reads off the twisted factorization of
+    the Aberth step; no dense matrix is formed.  lhs = Im tr(D + B -
+    zeta)^{-1}, of the frame band `dirac_band`; rhs = Im tr[(2 zeta + iC)
+    (T*T - zeta^2 - i zeta C)^{-1}], of the node-frame pencil on H1f; the
+    parity defect is |rhs(zeta) - rhs(-zeta)|.  The scales are ||T*T||, the
+    top of `H1_eigvals`, and max|C|.  Where D + B is singular at zeta (a
+    zero mode at zeta = 0), lhs is the primed eigenvalue sum, which drops
+    the singular directions; where the pencil is, LinAlgError.
     """
     if abs(np.imag(zeta)) > 0:
         raise ValueError("zeta must be real")
     zeta = float(np.real(zeta))
-
-    def rhs_at(z: float) -> float:
-        C = ops.C
-        A = ops.H1.copy()
-        diag = np.diag_indices_from(A)
-        # (T*T - z^2) - i z C, rounded as the dense expression rounds it
-        A[diag] -= z * z
-        A[diag] -= 1j * z * C
-        inv = solve_regular(A)
-        return float(np.imag(np.sum((1j * C + 2 * z) * np.diag(inv))))
-
-    def lhs_at(z: float) -> float:
-        Mf = ops.dirac_frame()
-        Mf[np.diag_indices_from(Mf)] -= z
-        try:
-            R = solve_regular(Mf)
-        except np.linalg.LinAlgError:
-            # zeta sits on a zero mode: use the primed eigenvalue sum, which
-            # agrees with the trace and drops the singular directions
-            lam = eigen_dirac(ops).nonzero()
-            return float(np.sum(np.imag(1.0 / (lam - z))))
-        return float(np.sum(np.diag(R).imag))
-
-    lhs = lhs_at(zeta)
-    rhs = rhs_at(zeta)
-    parity = abs(rhs - rhs_at(-zeta))
-    return lhs, rhs, parity
+    mu = max(float(ops.H1_eigvals[-1]), 0.0)
+    c_max = float(np.abs(ops.C).max())
+    try:
+        lhs = tridiagonal.resolvent_trace(ops.dirac_band(), zeta,
+                                          np.sqrt(mu) + c_max)[0].imag
+    except np.linalg.LinAlgError:
+        lam = eigen_dirac(ops).nonzero()
+        lhs = np.sum(np.imag(1.0 / (lam - zeta)))
+    rhs, mirror = tridiagonal.resolvent_trace(
+        ops.H1f, [zeta, -zeta], mu, damping=1j * ops.C).imag
+    return float(lhs), float(rhs), abs(float(rhs - mirror))
 
 
 def _paired_branches(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -228,20 +220,22 @@ def regularized_sum_check(spec: Spectrum, ops: DiscreteOperatorSet,
     }
 
 
-def livsic_check(ops: DiscreteOperatorSet, zeta: float = 0.3,
-                 margin: float = 0.5) -> dict:
+def livsic_check(ops: DiscreteOperatorSet, zeta: float = 0.3) -> dict:
     """Shifted-resolvent eigenvalue sum against the trace of its imaginary part.
 
-    R = (D + B - z)^{-1} with z = zeta + i (max|C| + margin) above the
-    damping strip, so the shift sits in the resolvent set.  The eigenvalues
-    of R are mu_j = 1/(lambda_j - z) by spectral mapping, with lambda_j the
-    spectrum of D + B from `eigen_dirac`; the trace is sum Im diag(R) of the
-    dense inverse, an independent path.  In finite dimensions the root
-    system is complete and the sum equals the trace exactly, which also
-    witnesses the inequality direction sum Im mu_j <= tr Im(R).
+    R = (D + B - z)^{-1} with z = zeta + i (max|C| + LIVSIC_MARGIN) above
+    the damping strip, so the shift sits in the resolvent set.  The
+    eigenvalues of R are mu_j = 1/(lambda_j - z) by spectral mapping, with
+    lambda_j the spectrum of D + B from `eigen_dirac`; the trace is
+    sum Im diag(R) of the dense inverse.  `eigen_dirac` and
+    `resolvent_trace_expansion` share the twisted factorization of
+    `tridiagonal`, so this dense inverse is what keeps the check an
+    independent path.  In finite dimensions the root system is complete and
+    the sum equals the trace exactly, which also witnesses the inequality
+    direction sum Im mu_j <= tr Im(R).
     """
     bnorm = float(np.abs(ops.C).max())
-    z = zeta + 1j * (bnorm + margin)
+    z = zeta + 1j * (bnorm + LIVSIC_MARGIN)
     lam = eigen_dirac(ops).eigenvalues
     lhs = float(np.sum((1.0 / (lam - z)).imag))
     Mf = ops.dirac_frame()
@@ -249,17 +243,3 @@ def livsic_check(ops: DiscreteOperatorSet, zeta: float = 0.3,
     rhs = float(np.sum(np.diag(solve_regular(Mf)).imag))
     return {"eig_im_sum": lhs, "trace_im": rhs, "gap": abs(lhs - rhs),
             "inequality_holds": lhs <= rhs + 1e-9, "shift": complex(z)}
-
-
-def series_coefficient_check(spec: Spectrum, orders: int = 3,
-                             half_width: float = 0.05,
-                             n_samples: int = 21) -> dict:
-    """Polynomial-fit coefficients of zeta -> sum' Im((lambda-zeta)^{-1}) vs -S_m."""
-    lam = spec.nonzero()
-    zs = np.linspace(-half_width, half_width, n_samples)
-    vals = np.array([np.sum((1.0 / (lam - z)).imag) for z in zs])
-    coeffs = np.polynomial.polynomial.polyfit(zs, vals, orders + 2)
-    sums = np.array([eigen_sum(m, spec) for m in range(orders + 1)])
-    gaps = np.abs(coeffs[:orders + 1] - (-sums))
-    return {"fit": coeffs[:orders + 1], "neg_S_m": -sums,
-            "max_gap": float(gaps.max())}

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MAX_SWEEPS", "eigensolve"]
+__all__ = ["MAX_SWEEPS", "eigensolve", "resolvent_trace"]
 
 MAX_SWEEPS = 60          # an iterate still above tolerance after this raises
 _TOL = 2.0**-48          # backward error at which an iterate stops, x ||A||
@@ -43,6 +43,7 @@ _STALL = 2.0**-30        # backward error below which a stalled iterate stops
 _NEAR = 2.0**-24         # Aberth step below which the vector is formed
 _EPS = np.finfo(float).eps
 _CHUNK = 2**15           # iterates x positions per evaluation: the memory
+_SINGULAR = 1e-12        # pivot of a singular P(z), x a bound of ||P(z)||
 
 
 def _bands(A):
@@ -170,11 +171,12 @@ def _chain(ratio: np.ndarray, up: bool) -> np.ndarray:
 def _factor(bands, e, z: np.ndarray, cut: np.ndarray, slow: int,
             tiny: float, work: dict):
     """Twisted factorization of P(z) = A - z (A - z diag(e) - z^2 unless e
-    is None) at each iterate z: the log-derivative of det P(z), and a
-    function giving the twisted vectors (columns, in the order of A) of the
-    iterates a boolean mask picks.  The first ``slow`` iterates converge
-    only linearly and take the log-derivative from the derivative of the
-    pivots (`_pivots`).
+    is None) at each iterate z: the log-derivative of det P(z), a function
+    giving the diagonal of P(z)^{-1} (and, for a ring, the parts of its
+    correction) of the iterates an index array picks, and one giving the
+    twisted vectors (columns, in the order of A) of the iterates a boolean
+    mask picks.  The first ``slow`` iterates converge only linearly and
+    take the log-derivative from the derivative of the pivots (`_pivots`).
 
     A cyclic A is read as the chain T that starts at unknown ``cut`` and
     ends at cut - 1, one per iterate, plus the two corners that close the
@@ -255,32 +257,42 @@ def _factor(bands, e, z: np.ndarray, cut: np.ndarray, slow: int,
               + Jinv[1, 0] / wn * np.einsum("kn,kn,kn->n", xn, xn, w))
         del w
 
-    def vectors(sel):
-        # of the iterates sel picks: the column of (A - z)^{-1} with the
-        # largest diagonal entry, scaled
-        cols = np.flatnonzero(sel)
+    def diagonal(cols):
+        # of the iterates cols: the diagonal of P(z)^{-1} along each chain,
+        # and for a ring the parts of its Sherman-Morrison-Woodbury term
+        # that its vectors read again
         d = gamma[:, cols]
         np.reciprocal(d, out=d)
-        if cyclic:
-            Ji, X0, Xn = Jinv[..., cols], x0[:, cols], xn[:, cols]
-            W, Wn = turn(cols), wn[cols]
-            # the Sherman-Morrison-Woodbury part of the diagonal,
-            # W (Ji01 X0^2 + (Ji00 / Wn + Ji11) X0 Xn + Ji10 / Wn Xn^2)
-            smw = X0 * X0
-            smw *= Ji[0, 1]
-            term = X0 * Xn
-            term *= Ji[0, 0] / Wn + Ji[1, 1]
-            smw += term
-            np.multiply(Xn, Xn, out=term)
-            term *= Ji[1, 0] / Wn
-            smw += term
-            del term
-            smw *= W
-            d -= smw
-            del smw
+        if not cyclic:
+            return d, None
+        Ji, X0, Xn = Jinv[..., cols], x0[:, cols], xn[:, cols]
+        W, Wn = turn(cols), wn[cols]
+        # the Sherman-Morrison-Woodbury part of the diagonal,
+        # W (Ji01 X0^2 + (Ji00 / Wn + Ji11) X0 Xn + Ji10 / Wn Xn^2)
+        smw = X0 * X0
+        smw *= Ji[0, 1]
+        term = X0 * Xn
+        term *= Ji[0, 0] / Wn + Ji[1, 1]
+        smw += term
+        np.multiply(Xn, Xn, out=term)
+        term *= Ji[1, 0] / Wn
+        smw += term
+        del term
+        smw *= W
+        d -= smw
+        del smw
+        return d, (Ji, X0, Xn, W, Wn)
+
+    def vectors(sel):
+        # of the iterates sel picks: the column of P(z)^{-1} with the
+        # largest diagonal entry, scaled
+        cols = np.flatnonzero(sel)
+        d, ring = diagonal(cols)
         twist = np.argmax(np.abs(d), axis=0)
         del d
         if cyclic:
+            Ji, X0, Xn, W, Wn = ring
+            del ring
             # gamma_twist times row twist of [yn y0]^T, for the correction
             t = twist, np.arange(len(cols))
             left = [gamma[twist, cols] * W[t]
@@ -304,7 +316,7 @@ def _factor(bands, e, z: np.ndarray, cut: np.ndarray, slow: int,
             out[along(N, cols), t[1]] = x
             x = out
         return x
-    return g, vectors
+    return g, diagonal, vectors
 
 
 def _pull(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -313,6 +325,36 @@ def _pull(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
     d[np.arange(len(idx)), idx] = np.inf
     _guard(d, np.inf)
     return np.sum(np.divide(1.0, d, out=d), axis=1)
+
+
+def resolvent_trace(A, z, scale: float, damping=None) -> np.ndarray:
+    """-(log det P(z))' = tr[-P'(z) P(z)^{-1}] at each value of the array z,
+    for the P(z) of `eigensolve`: tr (A - z)^{-1}, or with ``damping`` = e
+    tr[(2z + e)(A - z diag(e) - z^2)^{-1}].  It is the log-derivative of
+    the Aberth step, read off the same twisted factorization in O(N) per
+    value, and no dense matrix is formed.
+
+    ``scale`` bounds ||A||_2, so that s(z) = scale + |z| (for degree 2,
+    scale + |z| (max|e| + |z|)) bounds ||P(z)||_2.  np.linalg.LinAlgError
+    when P(z) is too close to singular for its inverse to mean anything: a
+    pivot gamma_k = 1 / [P(z)^{-1}]_kk below 1e-12 s(z).  For a ring these
+    are the ring's own pivots, from the Sherman-Morrison-Woodbury diagonal,
+    which grows without bound as its 2 x 2 corner system becomes singular.
+    """
+    e = None if damping is None else np.asarray(damping, dtype=complex)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    g, diagonal, _ = _factor(_bands(A.tocsr()), e, z,
+                             np.zeros(len(z), dtype=int), 0, _EPS * scale, {})
+    inverse = np.abs(diagonal(np.arange(len(z)))[0]).max(axis=0)
+    size = scale + np.abs(z) * (1.0 if e is None
+                                else np.abs(e).max() + np.abs(z))
+    near = ~(inverse * size * _SINGULAR <= 1.0)      # nan fails too
+    if near.any():
+        k = int(np.argmax(near))
+        raise np.linalg.LinAlgError(
+            f"too close to the spectrum: pivot {1.0 / inverse[k]:.3e} at "
+            f"z = {z[k]:.6g} below {_SINGULAR:g} x {size[k]:.3e}")
+    return -g
 
 
 def eigensolve(A, start: np.ndarray, scale: float, vectors=False,
@@ -370,8 +412,9 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors=False,
         for lo in range(0, len(active), chunk):
             part = slice(lo, lo + chunk)
             idx = active[part]
-            g, vecs = _factor(bands, e, z[idx], cut[idx],
-                              int(np.count_nonzero(slow[idx])), tiny, work)
+            g, diagonal, vecs = _factor(
+                bands, e, z[idx], cut[idx], int(np.count_nonzero(slow[idx])),
+                tiny, work)
             # Aberth: the Newton step of det P(z) / prod_{j != i} (z - z_j)
             denom = g - _pull(z, idx)
             safe = denom != 0
@@ -393,7 +436,7 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors=False,
             sel = (size <= 16 * reach) | ((size <= near) & slow[idx])
             last[idx] = size
             X = vecs(sel) if sel.any() else None
-            del vecs      # and with it the factorization
+            del diagonal, vecs      # and with them the factorization
             if X is not None:
                 got = idx[sel]
                 X /= np.linalg.norm(X, axis=0)

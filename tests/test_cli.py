@@ -139,6 +139,18 @@ def test_greens_command(tmp_path):
     assert (tmp_path / "greens_kernel.csv").exists()
 
 
+def test_greens_command_without_kernel(tmp_path):
+    """max has no Green's kernel at z = 0: the command says so with
+    kernel_available = 0 and writes no kernel."""
+    assert run_cli("greens", "--n", "32", "--bc", "max",
+                   "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    (record,) = report["records"]
+    assert record["name"] == "greens.kernel_available"
+    assert (record["measured"], record["status"]) == ("0.0", "report-only")
+    assert not (tmp_path / "greens_kernel.csv").exists()
+
+
 def test_riesz_command(tmp_path):
     assert run_cli("riesz", "--n", "24", "--bc", "min",
                    "--out", str(tmp_path)) == 0

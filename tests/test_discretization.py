@@ -9,6 +9,8 @@ import dampedstring as ds
 from dampedstring.discretization import (KernelAmbiguityError, build_grid,
                                          build_operator_set, solve_regular)
 
+from conftest import frame
+
 RHO1 = ds.constant(1.0, "density")
 ALPHA1 = ds.constant(1.0, "damping")
 
@@ -53,8 +55,26 @@ def test_adjoint_is_weighted_adjoint(random_coeffs):
 def test_dirac_frame_is_hermitian(random_coeffs):
     rho, alpha = random_coeffs
     ops = ds.build_operator_set(20, rho, alpha, ds.BoundaryCondition.zero0())
-    Df = ops.dirac_frame(ops.D)
+    Df = frame(ops, ops.D)
     assert np.linalg.norm(Df - Df.conj().T) < 1e-12 * np.linalg.norm(Df)
+
+
+@pytest.mark.parametrize("tag", ["min", "zero0", "zero1", "max", "omega:1,0",
+                                 "omega:0,1", "omega:0.5,0.3"])
+def test_dirac_frame_from_the_band(random_coeffs, tag):
+    """The dense Dirac frame is the band rearranged into block order: its
+    undamped part is exactly Hermitian, its diagonal -iC on the nodes, and
+    it equals the similarity transform of the assembled D + B to rounding."""
+    rho, alpha = random_coeffs
+    for n in (4, 16, 64):
+        ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(tag))
+        Mf = ops.dirac_frame()
+        m = ops.n_nodes
+        np.testing.assert_array_equal(np.diag(Mf)[:m], -1j * ops.C)
+        undamped = Mf - np.diag(np.diag(Mf))
+        np.testing.assert_array_equal(undamped, undamped.conj().T)
+        ref = frame(ops, ops.D + ops.B)
+        assert np.linalg.norm(Mf - ref) <= 4e-16 * np.linalg.norm(ref), n
 
 
 def test_generator_and_dirac_nonzero_spectra_agree(random_coeffs):
@@ -248,7 +268,7 @@ def test_solve_regular_refuses_singular_matrix():
 def test_tol_zero_is_scaled_dirac_norm(random_coeffs, tag):
     rho, alpha = random_coeffs
     ops = ds.build_operator_set(64, rho, alpha, ds.parse_bc(tag))
-    norm = np.linalg.norm(ops.dirac_frame(ops.D), 2)
+    norm = np.linalg.norm(frame(ops, ops.D), 2)
     assert ops.tol_zero == pytest.approx(1e-10 * norm, rel=1e-12, abs=0)
 
 

@@ -23,14 +23,14 @@ def small_resolution(small_ops):
     return spec, clusters, out
 
 
-def assert_gap_clusters(spec, ops, clusters, gap_fraction=0.5):
+def assert_gap_clusters(spec, ops, clusters):
     """Eigenvalues within the gap threshold share a cluster, and no contour
     encloses a member of another cluster."""
     lam = spec.eigenvalues
     owner = np.empty(len(lam), dtype=int)
     for c in clusters:
         owner[c.members] = c.cluster_id
-    thr = gap_fraction * np.pi / ds.integrate_product([ops.rho])
+    thr = riesz.GAP_FRACTION * np.pi / ds.integrate_product([ops.rho])
     i, j = np.nonzero(np.abs(lam[:, None] - lam[None, :]) <= thr)
     assert np.array_equal(owner[i], owner[j])
     for c in clusters:
@@ -76,27 +76,6 @@ def test_circle_quadrature_reuses_nested_nodes(small_ops, monkeypatch):
     assert len(calls) == 64
     assert abs(np.trace(P) - 1.0) < 1e-9
 
-
-def test_projection_rejects_contour_through_spectrum(small_ops):
-    op = small_ops.dirac_frame()
-    lam = np.linalg.eigvals(op)
-    lam0 = lam[np.argmin(np.abs(lam - np.pi))]
-    gap = np.sort(np.abs(lam - lam0))[1]
-    with pytest.raises(riesz.ContourError):
-        riesz.riesz_projection(op, riesz.Contour("circle", lam0, gap),
-                               gap_min=gap / 2)
-
-
-
-def test_projection_gap_check_rejects_rectangle(small_ops):
-    op = small_ops.dirac_frame()
-    lam = np.linalg.eigvals(op)
-    lam0 = lam[np.argmin(np.abs(lam - np.pi))]
-    half = 0.25 * np.sort(np.abs(lam - lam0))[1]
-    box = riesz.Contour("rectangle", lam0, lo=lam0 - half * (1 + 1j),
-                        hi=lam0 + half * (1 + 1j))
-    with pytest.raises(ValueError):
-        riesz.riesz_projection(op, box, gap_min=half / 4)
 
 def test_near_critical_damping_cluster():
     """Near a = 2 pi the lowest pair nearly collides; the clusterer must
@@ -166,13 +145,11 @@ def test_clusters_keep_thin_factors(small_ops, small_resolution):
         assert c.L.shape == (dim, k) and c.R.shape == (k, dim)
         # a view would keep the cluster's whole dim x dim Schur basis alive
         assert c.L.base is None
-        assert "projection" not in vars(c)
-        np.testing.assert_array_equal(c.projection, c.L @ c.R)
 
 
 def test_cross_product_bound_dominates_spectral_norms(small_resolution):
     _, clusters, out = small_resolution
-    direct = max(np.linalg.norm(a.projection @ b.projection, 2)
+    direct = max(np.linalg.norm(a.L @ a.R @ b.L @ b.R, 2)
                  for a in clusters for b in clusters if a is not b)
     assert out["max_cross_product"] >= direct
 
@@ -184,7 +161,7 @@ def test_direct_projections_match_quadrature(small_ops, small_resolution):
     op = small_ops.dirac_frame()
     for c in clusters:
         P = riesz.riesz_projection(op, c.contour)
-        assert np.linalg.norm(P - c.projection, 2) < 1e-9
+        assert np.linalg.norm(P - c.L @ c.R, 2) < 1e-9
     assert out["max_quadrature_deviation"] < 1e-9
     assert out["max_commutator"] < 1e-9
 
@@ -204,7 +181,7 @@ def test_critical_damping_jordan_pair():
     assert len(pair.members) == 2
     assert pair.rank == 2
     P = riesz.riesz_projection(ops.dirac_frame(), pair.contour)
-    assert np.linalg.norm(P - pair.projection, 2) < 1e-9
+    assert np.linalg.norm(P - pair.L @ pair.R, 2) < 1e-9
     assert out["sum_defect"] < 1e-8
     # the pair's eigenvectors are nearly parallel: it takes the Schur path
     assert out["schur_clusters"] == 1
@@ -229,7 +206,7 @@ def test_whole_spectrum_cluster_is_identity(small_ops):
                            riesz.Contour("rectangle", (lo + hi) / 2,
                                          lo=lo, hi=hi))
     out = riesz.verify_resolution_of_identity([c], op)
-    np.testing.assert_array_equal(c.projection, np.eye(len(lam)))
+    np.testing.assert_array_equal(c.L @ c.R, np.eye(len(lam)))
     assert c.s == 1.0
     assert c.rank == len(lam)
     assert out["sum_defect"] == 0.0
@@ -266,10 +243,10 @@ def test_vector_projections_match_quadrature(n, tag):
     op, clusters, out = _resolution(n, tag, ds.random_coefficients(5))
     for c in clusters:
         P = riesz.riesz_projection(op, c.contour)
-        assert np.linalg.norm(P - c.projection, 2) < 1e-9
+        assert np.linalg.norm(P - c.L @ c.R, 2) < 1e-9
     assert out["schur_clusters"] == 0
     assert out["max_projection_norm"] == pytest.approx(
-        max(np.linalg.norm(c.projection, 2) for c in clusters), rel=1e-12)
+        max(np.linalg.norm(c.L @ c.R, 2) for c in clusters), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [24, 32])
@@ -305,7 +282,7 @@ def test_s_matches_schur_reordering(tag):
         select = c.contour.encloses(np.diag(schur[0]))
         L, R, s = riesz._direct_projection(select, schur)
         assert abs(c.s - s) < 1e-12
-        assert np.linalg.norm(L @ R - c.projection, 2) < 1e-12
+        assert np.linalg.norm(L @ R - c.L @ c.R, 2) < 1e-12
 
 
 def test_probe_bound_dominates_quadrature_distance(small_ops,
@@ -316,5 +293,5 @@ def test_probe_bound_dominates_quadrature_distance(small_ops,
     sample = riesz._oracle_sample(clusters)
     assert sample
     direct = max(np.linalg.norm(riesz.riesz_projection(op, c.contour)
-                                - c.projection, 2) for c in sample)
+                                - c.L @ c.R, 2) for c in sample)
     assert out["max_quadrature_deviation"] >= direct

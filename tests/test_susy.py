@@ -4,6 +4,8 @@ import pytest
 import dampedstring as ds
 from dampedstring import susy
 
+from conftest import frame
+
 MIN = ds.BoundaryCondition.minimal()
 
 
@@ -37,32 +39,6 @@ def test_isospectrality_and_kernel_counts(ops):
     out = susy.check_isospectral(ops)
     assert out["relative_distance"] < 1e-12
     assert (out["ker_T"], out["ker_Tstar"]) == (0, 1)
-
-
-def test_partner_eigenvectors(ops):
-    H1f = ops.frame(ops.H1, "node")
-    mu, U = np.linalg.eigh(0.5 * (H1f + H1f.conj().T))
-    f = U[:, 3] / np.sqrt(ops.wu)
-    g, res = susy.susy_partner_eigvec(f, mu[3], ops)
-    assert res < 1e-10
-    # norm relation ||Tf||^2 = mu ||f||^2
-    assert (ops.weighted_norm(g, "cell") ** 2
-            == pytest.approx(mu[3] * ops.weighted_norm(f, "node") ** 2,
-                             rel=1e-10))
-
-
-def test_dirac_eigenvector_from_h1_pair(ops):
-    H1f = ops.frame(ops.H1, "node")
-    mu, U = np.linalg.eigh(0.5 * (H1f + H1f.conj().T))
-    f = U[:, 2] / np.sqrt(ops.wu)
-    lam = np.sqrt(mu[2])
-    psi, res = susy.dirac_from_h1(f, lam, ops)
-    assert res < 1e-10
-    # the sign-flipped companion is the (-lambda)-eigenvector
-    psi_minus = psi.copy()
-    psi_minus[ops.n_nodes:] *= -1
-    r = ops.D @ psi_minus + lam * psi_minus
-    assert ops.weighted_norm(r) / ops.weighted_norm(psi_minus) < 1e-10
 
 
 def test_block_diagonalization(ops):
@@ -107,7 +83,7 @@ def test_dirac_resolvent_large_imaginary_limit(ops):
 
 
 def test_dirac_resolvent_rejects_spectrum(ops):
-    mu = np.linalg.eigvalsh(ops.frame(ops.H1, "node"))
+    mu = np.linalg.eigvalsh(frame(ops, ops.H1, "node"))
     with pytest.raises(ValueError):
         susy.resolvent_dirac(np.sqrt(mu[0]), ops)
 

@@ -8,6 +8,8 @@ import scipy.sparse
 import dampedstring as ds
 from dampedstring import tridiagonal
 
+from conftest import frame
+
 FAMILIES = ["min", "zero0", "zero1", "max", "omega:0,1", "omega:1,0",
             "omega:0.5,0.3"]
 RHO1 = ds.constant(1.0, "density")
@@ -107,7 +109,7 @@ def test_band_norms_match_dense(tag):
         ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(tag))
         ref = np.linalg.norm(ops.dirac_frame(), 2)
         assert abs(ops.dirac_norm - ref) <= 1e-13 * ref
-        ref = np.linalg.norm(ops.frame(ops.G, "generator"), 2)
+        ref = np.linalg.norm(frame(ops, ops.G, "generator"), 2)
         assert abs(ops.generator_norm - ref) <= 1e-13 * ref
 
 
@@ -162,3 +164,66 @@ def test_trace_check_catches_a_duplicate():
         dup[j] = lam[i]
         with pytest.raises(RuntimeError, match="sum to the trace"):
             tridiagonal._check_trace(dup, res, trace, ops.dirac_norm)
+
+
+def _dense_weighted_trace(P, w):
+    """tr[diag(w) P^{-1}] from a dense inverse, and its first-order change
+    under a perturbation of P of 2-norm eps: eps sum_k |w_k| times the norms
+    of column k and row k of P^{-1}."""
+    inv = np.linalg.inv(P)
+    change = np.sum(np.abs(w) * np.linalg.norm(inv, axis=0)
+                    * np.linalg.norm(inv, axis=1))
+    return np.sum(w * np.diag(inv)), np.finfo(float).eps * change
+
+
+@pytest.mark.parametrize("coefficients", COEFFICIENTS)
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_resolvent_trace_matches_dense_oracle(tag, coefficients):
+    """tr (A - z)^{-1} of the Dirac band and tr[(2z + iC) Q(z)^{-1}] of the
+    pencil Q(z) = T*T - z^2 - i z C against dense inverses: within 1e-12
+    relative, plus what a backward error of eps ||P(z)|| moves the trace
+    by where P(z) is ill-conditioned (on max and omega:1,0, ker T puts an
+    eigenvalue of Q(z) near -z^2 - i z <C>)."""
+    rho, alpha = COEFFICIENTS[coefficients]
+    z = np.array([0.1, -0.1, 0.37, 0.3 + 1.5j])
+    for n in (4, 16, 64, 256):
+        ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(tag))
+        mu, C = ops.H1_eigvals[-1], ops.C
+        c_max = np.abs(C).max()
+        dirac = tridiagonal.resolvent_trace(ops.dirac_band(), z,
+                                            np.sqrt(mu) + c_max)
+        pencil = tridiagonal.resolvent_trace(ops.H1f, z, mu, damping=1j * C)
+        band, H = ops.dirac_band().toarray(), ops.H1f.toarray()
+        for k, zk in enumerate(z):
+            ref, change = _dense_weighted_trace(
+                band - zk * np.eye(len(band)), np.ones(len(band)))
+            size = np.sqrt(mu) + c_max + abs(zk)
+            assert abs(dirac[k] - ref) <= 1e-12 * abs(ref) + size * change
+            ref, change = _dense_weighted_trace(
+                H - zk * zk * np.eye(len(H)) - 1j * zk * np.diag(C),
+                2 * zk + 1j * C)
+            size = mu + abs(zk) * (c_max + abs(zk))
+            assert abs(pencil[k] - ref) <= 1e-12 * abs(ref) + size * change
+
+
+@pytest.mark.parametrize("tag, damping", [("min", False), ("max", True),
+                                          ("omega:1,0", False),
+                                          ("omega:1,0", True)])
+def test_resolvent_trace_refuses_a_singular_polynomial(tag, damping):
+    """At z = 0 the Dirac band of min and omega:1,0 is singular (ker T*;
+    on the ring the null vector vanishes at the cut node), and so is the
+    pencil of max and omega:1,0 (ker T); a nearby z is not refused."""
+    rho, alpha = COEFFICIENTS["variable"]
+    ops = ds.build_operator_set(32, rho, alpha, ds.parse_bc(tag))
+    mu = ops.H1_eigvals[-1]
+
+    def trace(z):
+        if damping:
+            return tridiagonal.resolvent_trace(ops.H1f, z, mu,
+                                               damping=1j * ops.C)
+        return tridiagonal.resolvent_trace(
+            ops.dirac_band(), z, np.sqrt(mu) + np.abs(ops.C).max())
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="too close to the spectrum"):
+        trace([0.0])
+    assert np.isfinite(trace([1e-3])).all()
