@@ -2,13 +2,16 @@
 
 Every artifact writes a float by `fmt_float` (shortest round-trip ``repr``)
 and every CSV is built column by column by `to_csv`, so identical
-configuration and seed produce byte-identical output files.
+configuration and seed produce byte-identical output files.  A report's
+``environment`` block also names the software it ran on (`run_environment`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from .discretization import BoundaryCondition
 __all__ = [
     "ConfigError", "RunConfig", "CheckRecord", "VerificationReport",
     "parse_bc", "random_coefficients", "fmt_float", "to_csv",
+    "run_environment",
 ]
 
 MAX_PIECES, MAX_DEGREE = 3, 3   # of the seeded coefficient draws
@@ -183,6 +187,7 @@ class VerificationReport:
                 "n_grid": self.config.n_grid,
                 "bc": str(self.config.bc),
                 "config_hash": self.config.fingerprint(),
+                **run_environment(),
             },
             "passed": self.passed,
             "records": [r.as_dict() for r in self.records],
@@ -193,6 +198,33 @@ class VerificationReport:
             tol = "-" if r.tolerance is None else f"{r.tolerance:.3e}"
             yield (f"[{r.status.upper():>11}] {r.name}: "
                    f"measured {r.measured:.6e} (tol {tol})")
+
+
+@functools.cache
+def run_environment() -> dict:
+    """The software a report ran on: the installed package's version (None
+    when it is imported from a source tree that is not installed), the
+    Python, numpy and scipy versions, the BLAS numpy was built with, and
+    every ``*_NUM_THREADS`` variable.  Computed once per process; every
+    call returns the same dict, which callers copy rather than change."""
+    import platform
+    from importlib import metadata
+
+    import scipy
+    try:
+        version = metadata.version("dampedstring")
+    except metadata.PackageNotFoundError:
+        version = None
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "package_version": version,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {k: v for k, v in sorted(os.environ.items())
+                    if k.endswith("_NUM_THREADS")},
+    }
 
 
 def random_coefficients(seed: int) -> tuple[CoefficientSpec,

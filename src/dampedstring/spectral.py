@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
+import scipy.sparse
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import tridiagonal
 from .coefficients import CoefficientSpec, integrate_product
@@ -392,15 +393,66 @@ def map_dirac_to_generator(pair: EigenPair,
 
 
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max matched |a_i - b_j| under the optimal assignment; inf if sizes differ."""
+    """Bottleneck distance between two multisets of complex numbers.
+
+    The least, over all one-to-one pairings of ``a`` with ``b``, of the
+    largest paired gap ``|a_i - b_j|``; inf if the sizes differ, 0.0 if
+    both are empty.  It is never larger than the largest gap of the pairing
+    that minimizes the sum of the gaps, and equals it wherever the gaps are
+    far below the spacing of the points.  ValueError names the first entry
+    that is not finite.
+
+    The pairing of the two sorted lists gives an upper bound r, and the
+    largest distance from any point to its nearest partner within r a lower
+    bound; when they meet, r is returned.  Otherwise the gaps of the pairs
+    within r are bisected, each step testing the graph of the pairs within
+    the step's gap for a perfect matching (Hopcroft and Karp).  No
+    len(a) x len(b) array is formed.
+    """
     a, b = np.asarray(a), np.asarray(b)
+    for name, x in (("a", a), ("b", b)):
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(f"multiset_distance: {name}[{bad[0]}] = "
+                             f"{x[bad[0]]} is not finite")
     if len(a) != len(b):
         return float("inf")
     if len(a) == 0:
         return 0.0
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    n = len(a)
+    a, b = np.sort_complex(a), np.sort_complex(b)
+    r = np.abs(a - b).max()
+    # the pairs within r lie in a window of the sorted real parts; the
+    # window holds the sorted partner whatever the rounding of a.real +- r
+    idx = np.arange(n)
+    lo = np.minimum(np.searchsorted(b.real, a.real - r, "left"), idx)
+    count = np.maximum(np.searchsorted(b.real, a.real + r, "right"),
+                       idx + 1) - lo
+    rows = np.repeat(idx, count)
+    cols = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
+                                              count)
+    gap = np.abs(a[rows] - b[cols])
+    keep = gap <= r
+    rows, cols, gap = rows[keep], cols[keep], gap[keep]
+    near_a, near_b = np.full(n, np.inf), np.full(n, np.inf)
+    np.minimum.at(near_a, rows, gap)
+    np.minimum.at(near_b, cols, gap)
+    lower = max(near_a.max(), near_b.max())
+    if lower == r:
+        return float(r)
+    levels = np.unique(gap[gap >= lower])   # from lower up to r
+    lo_k, hi_k = 0, len(levels) - 1         # levels[hi_k] admits a matching
+    while lo_k < hi_k:
+        mid = (lo_k + hi_k) // 2
+        within = gap <= levels[mid]
+        graph = scipy.sparse.csr_array(
+            (np.ones(within.sum(), bool), (rows[within], cols[within])),
+            shape=(n, n))
+        if np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0):
+            hi_k = mid
+        else:
+            lo_k = mid + 1
+    return float(levels[hi_k])
 
 
 def check_symmetry(spec: Spectrum, companion: Spectrum | None = None) -> dict:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,3 +254,29 @@ def test_programming_error_propagates(monkeypatch):
 def test_numerical_failure_exits_one(tmp_path):
     # 32 cells give fewer than the 40 branch modes the slope fit needs
     assert run_cli("asymptotics", "--n", "32", "--out", str(tmp_path)) == 1
+
+
+def test_commands_never_import_scipy_optimize(tmp_path):
+    """Importing the package, and the commands that compare spectra, leave
+    scipy.optimize (about 0.2 s and 17 MB per process) unimported."""
+    code = textwrap.dedent(f"""
+        import sys
+        from dampedstring import cli
+
+        def loaded():
+            return sorted(m for m in sys.modules
+                          if m.split(".")[:2] == ["scipy", "optimize"])
+
+        assert not loaded(), ("import dampedstring", loaded())
+        for argv in (["verify-all"], ["susy-check", "--n", "32"],
+                     ["spectrum", "--n", "32"]):
+            out = {str(tmp_path)!r} + "/" + argv[0]
+            assert cli.main([*argv, "--out", out]) == 0, argv
+            assert not loaded(), (argv, loaded())
+    """)
+    src = str(Path(ds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

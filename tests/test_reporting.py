@@ -1,7 +1,14 @@
+import json
+import platform
+from importlib import metadata
+
 import numpy as np
 import pytest
+import scipy
 
-from dampedstring.reporting import fmt_float, to_csv
+from dampedstring import reporting
+from dampedstring.reporting import (RunConfig, VerificationReport, fmt_float,
+                                    run_environment, to_csv)
 
 
 def _rowwise_csv(header, rows):
@@ -43,3 +50,28 @@ def test_header_only_without_rows():
 def test_columns_of_different_length_rejected():
     with pytest.raises(ValueError, match="length"):
         to_csv(("a", "b"), ([1.0, 2.0], [1.0]))
+
+
+def test_report_environment_names_the_software():
+    report = VerificationReport(RunConfig(n_grid=16))
+    report.add("check", "anchor", 0.5, 1.0)
+    doc = json.loads(report.to_json())
+    env = doc["environment"]
+    assert list(env) == ["n_grid", "bc", "config_hash", "package_version",
+                         "python", "numpy", "scipy", "blas", "threads"]
+    assert (env["n_grid"], env["bc"]) == (16, "min")
+    assert env["python"] == platform.python_version()
+    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+    assert set(env["blas"]) == {"name", "version"}
+    assert all(k.endswith("_NUM_THREADS") for k in env["threads"])
+    assert doc["records"] == [{"name": "check", "paper_anchor": "anchor",
+                               "status": "pass", "measured": "0.5",
+                               "tolerance": "1.0"}]
+    assert run_environment() is run_environment()   # computed once
+
+
+def test_report_environment_without_installed_package(monkeypatch):
+    def missing(name):
+        raise metadata.PackageNotFoundError(name)
+    monkeypatch.setattr(metadata, "version", missing)
+    assert reporting.run_environment.__wrapped__()["package_version"] is None

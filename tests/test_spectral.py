@@ -1,8 +1,13 @@
+import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment  # the oracle only
 
 import dampedstring as ds
 from dampedstring import spectral
@@ -412,3 +417,154 @@ def test_generator_forms_no_m_by_m_array():
         tracemalloc.stop()
     assert len(gen) == 2 * m
     assert peak < m * m * 16
+
+
+# -- the bottleneck multiset distance ---------------------------------------
+
+def _brute_bottleneck(a, b) -> float:
+    """Least largest gap over every permutation pairing a with b (k <= 7)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if len(a) != len(b):
+        return float("inf")
+    if len(a) == 0:
+        return 0.0
+    gaps = np.abs(a[:, None] - b[None, :])
+    perms = np.array(list(itertools.permutations(range(len(a)))))
+    return float(gaps[np.arange(len(a)), perms].max(axis=1).min())
+
+
+def _hungarian(a, b) -> float:
+    """Largest gap of the min-sum assignment (the distance's old definition)."""
+    gaps = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(gaps)
+    return float(gaps[rows, cols].max())
+
+
+def _draw(rng, kind: str, k: int):
+    if kind == "complex":
+        return rng.normal(size=k) + 1j * rng.normal(size=k)
+    if kind == "ties":       # a small integer lattice: equal gaps everywhere
+        return rng.integers(-2, 3, k) + 1j * rng.integers(-2, 3, k)
+    if kind == "duplicates":
+        return rng.choice([0.5, 1j, -1 + 1j], size=k)
+    if kind == "rounded":
+        return np.round(rng.normal(size=k) + 1j * rng.normal(size=k), 1)
+    return rng.normal(size=k)   # real, as check_isospectral passes them
+
+
+@pytest.mark.parametrize("kind", ["complex", "ties", "duplicates", "rounded",
+                                  "real"])
+def test_multiset_distance_matches_brute_force(kind):
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        k = int(rng.integers(1, 8))
+        a, b = _draw(rng, kind, k), _draw(rng, kind, k)
+        if kind == "duplicates":   # the same multiset, shuffled and nudged
+            b = rng.permutation(a) + 1e-3 * rng.integers(0, 2, k)
+        assert ds.multiset_distance(a, b) == _brute_bottleneck(a, b)
+
+
+def test_multiset_distance_empty_and_unequal_sizes():
+    assert ds.multiset_distance([], []) == 0.0
+    assert ds.multiset_distance([1.0], [1.0, 2.0]) == np.inf
+    assert ds.multiset_distance(np.array([], complex), [1j]) == np.inf
+
+
+def test_multiset_distance_window_survives_rounding():
+    """|1 + 2^-60| rounds to 1 = r, and 1 - r = 0 lies above -2^-60: the
+    window of real parts must still hold the sorted partner."""
+    assert ds.multiset_distance([1.0], [-2.0**-60]) == 1.0
+    assert ds.multiset_distance([1.0, 2.0], [-2.0**-60, 1.0]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_multiset_distance_rejects_non_finite(bad, side):
+    good = np.array([0.5, 1.0 + 1j, 2.0])
+    broken = good.copy()
+    broken[1] = bad
+    args = (broken, good) if side == "a" else (good, broken)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"{side}\[1\] = .* not finite"):
+            ds.multiset_distance(*args)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+@pytest.mark.parametrize("bc", ["min", "zero0", "max", "omega:0,1",
+                                "omega:1,0"])
+def test_multiset_distance_equals_the_assignment_on_spectra(bc, n):
+    """Far below the eigenvalue spacing the bottleneck and the largest gap
+    of the min-sum assignment are the same gap, to the last bit."""
+    rho, alpha = ds.random_coefficients(3)
+    ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
+    spec, gen = ds.eigen_dirac(ops), ds.eigen_generator(ops)
+    a, b = spec.nonzero(), gen.nonzero()
+    assert ds.multiset_distance(a, b) == _hungarian(a, b)
+    mirror = -np.conj(spec.eigenvalues)
+    assert (ds.check_symmetry(spec)["distance"]
+            == _hungarian(spec.eigenvalues, mirror))
+
+
+def test_multiset_distance_bisects_when_sorted_pairing_is_not_optimal(
+        monkeypatch):
+    """Sorted pairing: largest gap sqrt 5; nearest partners: sqrt 2; the
+    bottleneck, 2, needs the matching test."""
+    a = np.array([1 + 3j, 1, 2 + 3j])
+    b = np.array([2 + 2j, 1 + 1j, 2 + 1j])
+    real, calls = spectral.maximum_bipartite_matching, []
+
+    def counted(graph, perm_type):
+        calls.append(graph.nnz)
+        return real(graph, perm_type=perm_type)
+    monkeypatch.setattr(spectral, "maximum_bipartite_matching", counted)
+    assert ds.multiset_distance(a, b) == _brute_bottleneck(a, b) == 2.0
+    assert calls
+
+
+def test_multiset_distance_forms_no_n_by_n_array():
+    """4096 points shaped like a Dirac spectrum against a shuffled, perturbed
+    copy: the assignment's cost matrix alone would take 128 MB."""
+    k = np.arange(1, 2049)
+    plus = np.pi * k - 0.4j * (1 + np.sin(k))
+    lam = np.concatenate([plus, -np.conj(plus)])
+    rng = np.random.default_rng(5)
+    other = rng.permutation(lam) + 1e-12 * rng.normal(size=4096)
+    tracemalloc.start()
+    try:
+        d = ds.multiset_distance(lam, other)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < d < 1e-11
+    assert peak < 8 * 2**20
+
+
+_POINTS = st.one_of(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                       allow_infinity=False),
+    st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)))
+
+
+@st.composite
+def _multiset_pairs(draw):
+    k = draw(st.integers(0, 6))
+    same_size = st.lists(_POINTS, min_size=k, max_size=k)
+    return (np.array(draw(same_size), complex),
+            np.array(draw(same_size), complex))
+
+
+@given(pair=_multiset_pairs(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=2000, derandomize=True)
+def test_multiset_distance_properties(pair, seed):
+    a, b = pair
+    d = ds.multiset_distance(a, b)
+    assert ds.multiset_distance(b, a) == d
+    rng = np.random.default_rng(seed)
+    assert ds.multiset_distance(rng.permutation(a), rng.permutation(b)) == d
+    if len(a):
+        gaps = np.abs(a[:, None] - b[None, :])
+        nearest = max(gaps.min(axis=0).max(), gaps.min(axis=1).max())
+        sorted_pairing = np.abs(np.sort_complex(a) - np.sort_complex(b)).max()
+        assert nearest <= d <= sorted_pairing
+    assert d == _brute_bottleneck(a, b)
