@@ -430,10 +430,15 @@ class DiscreteOperatorSet:
             shape=(size, size))
 
     @cached_property
-    def Tf_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full SVD (W, s, Xh) of Tf with both singular-vector sets; the
-        polar factors are built from it."""
-        return np.linalg.svd(self.Tf)
+    def polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Polar factors (V, |T|, |T*|) of Tf = V |T|, from one thin SVD
+        W diag(s) Xh of Tf: V = W_r Xh_r over the `rank` singular values
+        above tol_zero (so V is the zero map on ker T), |T| = Xh^H diag(s)
+        Xh and |T*| = W diag(s) W^H."""
+        W, s, Xh = np.linalg.svd(self.Tf, full_matrices=False)
+        r = self.rank
+        return (W[:, :r] @ Xh[:r], (Xh.conj().T * s) @ Xh,
+                (W * s) @ W.conj().T)
 
     @cached_property
     def tol_zero(self) -> float:

@@ -1,9 +1,11 @@
 """Polar decomposition, supersymmetric partner identities, block resolvents.
 
-Everything is verified in the weighted similarity frame, where T*T and TT*
-become Hermitian and matrix square roots can be taken by eigendecomposition.
-Public matrices are returned in the original (unweighted) coordinates so they
-compose directly with the assembled operators.
+The partner identities are checked in the weighted frame, where T is the
+frame factor Tf and T*T, TT* are the Hermitian bands H1f, H2f.  The polar
+factors come from one SVD of Tf, formed once per operator set
+(`DiscreteOperatorSet.polar`).  The block resolvents are returned in the
+original (unweighted) coordinates, so they compare directly with the
+assembled D and D + B.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .discretization import DiscreteOperatorSet, solve_regular
 from .spectral import multiset_distance
 
 __all__ = [
     "PolarParts", "BlockResolvent",
-    "polar_decompose", "check_isospectral", "diagonalizing_unitary",
+    "polar_decompose", "check_isospectral",
     "block_diagonalize", "check_intertwining", "first_resolvent_identity",
     "resolvent_dirac", "resolvent_perturbed", "trace_ideal_decay",
 ]
@@ -38,7 +39,6 @@ class PolarParts:
     absT: np.ndarray
     absTstar: np.ndarray
     rank: int
-    tol_zero: float
 
 
 @dataclass(frozen=True)
@@ -52,95 +52,74 @@ class BlockResolvent:
 
 
 def polar_decompose(ops: DiscreteOperatorSet) -> PolarParts:
-    """SVD-based polar factors in the weighted frame.
+    """SVD-based polar factors in the weighted frame, as formed once per
+    operator set by `DiscreteOperatorSet.polar`.
 
     Singular values below ``tol_zero`` are treated as exact kernel
     directions, so V is the zero map there and a weighted isometry on the
     orthogonal complement.
     """
-    W, s, Xh = ops.Tf_svd
-    r = ops.rank
-    s_node = np.zeros(Xh.shape[0])
-    s_node[:len(s)] = s
-    s_cell = np.zeros(W.shape[0])
-    s_cell[:len(s)] = s
-    absT = (Xh.conj().T * s_node[None, :]) @ Xh
-    absTstar = (W * s_cell[None, :]) @ W.conj().T
-    V = W[:, :r] @ Xh[:r, :]
-    return PolarParts(V, absT, absTstar, r, ops.tol_zero)
+    return PolarParts(*ops.polar, ops.rank)
 
 
 def check_isospectral(ops: DiscreteOperatorSet) -> dict:
     """Nonzero spectra of T*T and TT* agree; zero counts match the kernels."""
-    mu1, mu2 = ops.H1_eigvals, ops.H2_eigvals
+    mu1, mu2 = ops.H1_eigvals, ops.H2_eigvals      # ascending
     # singular values of T give an unambiguous zero count for both products
     r = ops.rank
     z1 = ops.n_nodes - r
     z2 = ops.n_cells - r
-    nz1 = np.sort(mu1)[::-1][:r]
-    nz2 = np.sort(mu2)[::-1][:r]
     scale = max(float(np.abs(mu1).max()), 1e-300)
-    dist = multiset_distance(nz1, nz2) / scale
+    dist = multiset_distance(mu1[::-1][:r], mu2[::-1][:r]) / scale
     return {"relative_distance": float(dist), "ker_T": z1, "ker_Tstar": z2,
             "rank": r}
 
 
-def diagonalizing_unitary(parts: PolarParts) -> np.ndarray:
-    """U = 2^{-1/2} [[I, V^H], [-V, I]] in the weighted frame.
-
-    Unitary on (ker D)^perp; for boundary families with trivial kernels it is
-    unitary on the whole space.
-    """
-    n, m = parts.V.shape
-    return np.sqrt(0.5) * np.block([
-        [np.eye(m), parts.V.conj().T],
-        [-parts.V, np.eye(n)],
-    ])
-
-
 def block_diagonalize(ops: DiscreteOperatorSet) -> dict:
-    """Conjugate the frame Dirac matrix by U and measure the defects.
+    """Defects of U = 2^{-1/2} [[I, V^H], [-V, I]] as the map of the frame
+    Dirac matrix Df = [[0, T^H], [T, 0]] (T = Tf) to diag(|T|, -|T*|) on
+    (ker D)^perp.
 
-    The target is diag(|T|, -|T*|) on (ker D)^perp; off-block norms and the
-    unitarity defect of U restricted to the co-kernel are reported.
+    Neither U nor Df is formed: the conjugation has the closed blocks
+    2 U Df U^H = [[V^H T + T^H V, T^H - V^H T V^H],
+    [T - V T^H V, -(T V^H + V T^H)]], and 2 U^H U = diag(I + P1, I + P2)
+    with the projectors P1 = V^H V, P2 = V V^H onto (ker D)^perp.  The off
+    blocks are adjoints of each other, so one gives the off-block norm; the
+    unitarity defect is ||diag(P1, P2) (U^H U - I) diag(P1, P2)||.
     """
-    parts = polar_decompose(ops)
-    U = diagonalizing_unitary(parts)
-    m, n = ops.n_nodes, ops.n_cells
-    Tf = ops.Tf
-    Df = np.block([[np.zeros((m, m)), Tf.conj().T], [Tf, np.zeros((n, n))]])
-    A = U @ Df @ U.conj().T
-    off = max(np.linalg.norm(A[:m, m:]), np.linalg.norm(A[m:, :m]))
-    diag_defect = max(np.linalg.norm(A[:m, :m] - parts.absT),
-                      np.linalg.norm(A[m:, m:] + parts.absTstar))
-    # restrict the unitarity check to (ker D)^perp: project out kernel dirs
-    P = scipy.linalg.block_diag(parts.V.conj().T @ parts.V,
-                                parts.V @ parts.V.conj().T)
-    G = U.conj().T @ U
-    unit_defect = np.linalg.norm(P @ (G - np.eye(m + n)) @ P)
+    V, absT, absTstar = ops.polar
+    T, Vh = ops.Tf, V.conj().T
+    VhT, TVh = Vh @ T, T @ Vh
+    diag_defect = max(np.linalg.norm(0.5 * (VhT + VhT.conj().T) - absT),
+                      np.linalg.norm(0.5 * (TVh + TVh.conj().T) - absTstar))
+    P1, P2 = Vh @ V, V @ Vh
+    unit_defect = 0.5 * np.hypot(
+        *(np.linalg.norm(P @ (P - np.eye(len(P))) @ P) for P in (P1, P2)))
     return {
-        "off_block_norm": float(off),
+        "off_block_norm": float(0.5 * np.linalg.norm(T - V @ VhT.conj().T)),
         "diagonal_defect": float(diag_defect),
         "unitarity_defect": float(unit_defect),
-        "parts": parts,
     }
 
 
 def check_intertwining(ops: DiscreteOperatorSet) -> dict:
-    """V f(T*T) = f(T T*) V in the frame for polynomial and exponential f."""
-    parts = polar_decompose(ops)
+    """V f(T*T) = f(T T*) V in the frame, relative to max(|f(||T*T||)|, 1).
+
+    f = x and x^2 come from the bands: E = V H1f - H2f V, and
+    V H1f^2 - H2f^2 V = E H1f + H2f E.  f = exp(-x) comes from the
+    eigenvectors of both bands.
+    """
+    V = ops.polar[0]
+    H1f, H2f = ops.H1f, ops.H2f
     mu1, U1 = ops.frame_eigh("node", vectors=True)
     mu2, U2 = ops.frame_eigh("cell", vectors=True)
-    table = {"x": lambda x: x, "x2": lambda x: x * x,
-             "exp": lambda x: np.exp(-x)}
-    out = {}
     scale = max(np.abs(mu1).max(), 1.0)
-    for name, f in table.items():
-        F1 = (U1 * f(mu1)[None, :]) @ U1.conj().T
-        F2 = (U2 * f(mu2)[None, :]) @ U2.conj().T
-        out[name] = float(np.linalg.norm(parts.V @ F1 - F2 @ parts.V)
-                          / max(abs(f(scale)), 1.0))
-    return out
+    E = V @ H1f - H2f @ V
+    F1 = (U1 * np.exp(-mu1)) @ U1.conj().T
+    F2 = (U2 * np.exp(-mu2)) @ U2.conj().T
+    return {"x": float(np.linalg.norm(E) / scale),
+            "x2": float(np.linalg.norm(E @ H1f + H2f @ E) / scale ** 2),
+            "exp": float(np.linalg.norm(V @ F1 - F2 @ V))}
 
 
 def first_resolvent_identity(z: complex, ops: DiscreteOperatorSet) -> float:
@@ -154,8 +133,8 @@ def first_resolvent_identity(z: complex, ops: DiscreteOperatorSet) -> float:
     lhs = np.eye(n) + z * solve_regular(H2f - z * np.eye(n))
     rhs = Tf @ solve_regular(H1f - z * np.eye(m), Tf.conj().T)
     # compare on ran T only: project both sides by V V^H
-    parts = polar_decompose(ops)
-    P = parts.V @ parts.V.conj().T
+    V = ops.polar[0]
+    P = V @ V.conj().T
     return float(np.linalg.norm(P @ (lhs - rhs) @ P) / max(np.linalg.norm(rhs), 1.0))
 
 
@@ -206,7 +185,7 @@ def trace_ideal_decay(ops: DiscreteOperatorSet) -> dict:
     A proxy for summability of the resolvent's singular values: the j-th
     eigenvalue should fall off like j^{-2}.
     """
-    lam = np.sort(1.0 / (ops.H1_eigvals + 1.0))[::-1]
+    lam = 1.0 / (ops.H1_eigvals + 1.0)    # descending
     j_hi = max(DECAY_FROM + 10, len(lam) // 2)
     j = np.arange(DECAY_FROM, j_hi + 1)
     slope, _ = np.polyfit(np.log(j), np.log(lam[j - 1]), 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dampedstring as ds
-from dampedstring import susy
+from dampedstring import cli, susy
 
 from conftest import frame
 
@@ -46,6 +46,63 @@ def test_block_diagonalization(ops):
     assert out["off_block_norm"] < 1e-9
     assert out["diagonal_defect"] < 1e-9
     assert out["unitarity_defect"] < 1e-10
+
+
+def _dense_susy_defects(ops):
+    """The oracle of `block_diagonalize` and of the band path of
+    `check_intertwining`: the (m+n)^2 conjugation U Df U^H of the frame
+    Dirac matrix by U = 2^{-1/2} [[I, V^H], [-V, I]], its Gram matrix
+    U^H U, and V f(T*T) - f(TT*) V for f = x, x^2 from eigenvectors."""
+    parts = susy.polar_decompose(ops)
+    V, m, n = parts.V, ops.n_nodes, ops.n_cells
+    U = np.sqrt(0.5) * np.block([[np.eye(m), V.conj().T], [-V, np.eye(n)]])
+    A = U @ frame(ops, ops.D) @ U.conj().T
+    P = np.block([[V.conj().T @ V, np.zeros((m, n))],
+                  [np.zeros((n, m)), V @ V.conj().T]])
+    out = {
+        "off_block_norm": max(np.linalg.norm(A[:m, m:]),
+                              np.linalg.norm(A[m:, :m])),
+        "diagonal_defect": max(np.linalg.norm(A[:m, :m] - parts.absT),
+                               np.linalg.norm(A[m:, m:] + parts.absTstar)),
+        "unitarity_defect": np.linalg.norm(
+            P @ (U.conj().T @ U - np.eye(m + n)) @ P),
+    }
+    mu1, U1 = np.linalg.eigh(frame(ops, ops.H1, "node"))
+    mu2, U2 = np.linalg.eigh(frame(ops, ops.H2, "cell"))
+    scale = max(np.abs(mu1).max(), 1.0)
+    for name, p in (("x", 1), ("x2", 2)):
+        F1 = (U1 * mu1 ** p) @ U1.conj().T
+        F2 = (U2 * mu2 ** p) @ U2.conj().T
+        out[name] = np.linalg.norm(V @ F1 - F2 @ V) / scale ** p
+    return out
+
+
+@pytest.mark.parametrize("bc", [MIN, ds.BoundaryCondition.maximal(),
+                                ds.BoundaryCondition.quasi(1.0),
+                                ds.BoundaryCondition.quasi(1j)],
+                         ids=str)
+def test_block_identities_match_dense_conjugation(bc):
+    rho, alpha = ds.random_coefficients(13)
+    opsb = ds.build_operator_set(16, rho, alpha, bc)
+    dense = _dense_susy_defects(opsb)
+    got = {**susy.block_diagonalize(opsb), **susy.check_intertwining(opsb)}
+    for key, want in dense.items():
+        assert abs(got[key] - want) < 1e-13, (key, got[key], want)
+    if bc.tag == "max":      # V is a partial isometry: ker T is nontrivial
+        assert susy.polar_decompose(opsb).rank < opsb.n_nodes
+
+
+def test_susy_check_forms_the_polar_factors_once(tmp_path, monkeypatch):
+    prop = vars(ds.DiscreteOperatorSet)["polar"]
+    form, calls = prop.func, []
+
+    def counted(ops):
+        calls.append(ops)
+        return form(ops)
+
+    monkeypatch.setattr(prop, "func", counted)
+    assert cli.main(["susy-check", "--n", "32", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_intertwining_functions(ops):
