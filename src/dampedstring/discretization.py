@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .coefficients import CoefficientSpec
 
@@ -29,7 +30,9 @@ __all__ = [
     "build_grid",
     "build_operator_set",
     "kernel_dimensions",
-    "solve_regular",
+    "band_norm",
+    "shifted",
+    "solve_band",
     "KernelAmbiguityError",
 ]
 
@@ -190,9 +193,9 @@ def _dense(shape: tuple, rows: np.ndarray, cols: np.ndarray,
 def _unframe(A, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, column, value) of the nonzeros of diag(s)^{-1} A diag(s), for
     the CSR frame form A of an operator: its entries back in the weighted
-    space, divided and multiplied in complex arithmetic."""
+    space, real when A is."""
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    return rows, A.indices, A.data.astype(complex) / s[rows] * s[A.indices]
+    return rows, A.indices, A.data / s[rows] * s[A.indices]
 
 
 def _chain_count(e: np.ndarray, t: float) -> int:
@@ -510,10 +513,25 @@ class DiscreteOperatorSet:
 
     @cached_property
     def K(self) -> np.ndarray:
-        """(T*T)^{-1}; LinAlgError when ker T is nontrivial for this bc."""
+        """(T*T)^{-1}, from the band of H1; LinAlgError when ker T is
+        nontrivial for this bc."""
         if self.rank < self.n_nodes:
             raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
-        return solve_regular(self.H1)
+        return solve_band(self.sparse("H1"))
+
+    def sparse(self, name: str):
+        """T, Tstar, H1 or H2 in the original coordinates, or the frame
+        factor Tf, as a sparse CSR matrix written from the same nonzeros as
+        the dense copy; H1 and H2 are real unless omega is complex."""
+        m, n = self.n_nodes, self.n_cells
+        shape, (rows, cols, vals) = {
+            "T": ((n, m), self._T_entries),
+            "Tstar": ((m, n), self._Tstar_entries),
+            "Tf": ((n, m), self._Tf_entries),
+            "H1": ((m, m), _unframe(self.H1f, np.sqrt(self.wu))),
+            "H2": ((n, n), _unframe(self.H2f, np.sqrt(self.wv))),
+        }[name]
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=shape)
 
     def weights(self, space: str = "dirac") -> np.ndarray:
         """Diagonal of the weighted inner product on the node, cell, dirac
@@ -580,27 +598,94 @@ def _rank(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s >= tol))
 
 
-def solve_regular(A: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """A^{-1} b, or A^{-1} when b is None, from one LU factorization.
+def _band_order(A) -> np.ndarray:
+    """The reverse Cuthill-McKee order of the sparse, structurally
+    symmetric A: it makes a chain a band of width 1 and a ring (quasi) one
+    of width 2, whatever order the unknowns of A come in."""
+    return reverse_cuthill_mckee(scipy.sparse.csr_array(A),
+                                 symmetric_mode=True)
 
-    np.linalg.LinAlgError when the LAPACK 1-norm reciprocal condition
-    estimate (gecon) of A is below 1e-12: the shift that made A sits too
-    close to the spectrum for the inverse to mean anything.  The LAPACK
-    prefix is chosen from A and b together, since a real A with a complex b
-    must be solved in complex arithmetic.  getrf is called directly rather
-    than through `scipy.linalg.lu_factor`, which warns on the exactly zero
-    pivot of a zero mode.
+
+def band_norm(A) -> float:
+    """||A||_2 of the sparse, structurally symmetric A by `_band_norm`,
+    with the unknowns in reverse Cuthill-McKee order."""
+    A = scipy.sparse.coo_array(A)
+    pos = np.empty(A.shape[0], dtype=np.intp)
+    pos[_band_order(A)] = np.arange(A.shape[0])
+    return _band_norm(scipy.sparse.coo_array(
+        (A.data, (pos[A.row], pos[A.col])), shape=A.shape), False)
+
+
+def shifted(A, d):
+    """The sparse A - diag(d), for a scalar or a vector d."""
+    return A - scipy.sparse.diags_array(np.broadcast_to(d, A.shape[0]))
+
+
+def solve_band(A, b: np.ndarray | None = None) -> np.ndarray:
+    """A^{-1} b, or A^{-1} when b is None, of the sparse square A from one
+    pivoted band LU (LAPACK ?gbtrf, ?gbtrs).
+
+    The unknowns are put in the reverse Cuthill-McKee order of A
+    (`_band_order`), and the LAPACK band storage is written from the CSR
+    entries of A, duplicates summed.  np.linalg.LinAlgError when a pivot is
+    exactly zero or the 1-norm reciprocal condition is below 1e-12: the
+    shift that made A sits too close to the spectrum for the inverse to
+    mean anything.  The condition is exact for A^{-1}; for A^{-1} b,
+    ||A^{-1}||_1 is estimated from below by the solved right-hand sides, to
+    which the start and the alternating vector of LAPACK's estimator are
+    added (one ?gbtrs call; ?gbcon's scaled triangular solves cost
+    O(size^2) on a long band).  Real A and b are solved in real arithmetic;
+    a real A with a complex b in complex arithmetic.
     """
-    if b is None:
-        b = np.eye(A.shape[0], dtype=A.dtype)
-    getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
-        ("getrf", "gecon", "getrs"), (A, b))
-    lu, piv, _ = getrf(A)
-    rcond, _ = gecon(lu, np.linalg.norm(A, 1))
-    if rcond < 1e-12:
-        raise np.linalg.LinAlgError(
-            f"too close to the spectrum: reciprocal condition {rcond:.3e}")
-    return getrs(lu, piv, b)[0]
+    A = scipy.sparse.csr_array(A)
+    A.sum_duplicates()
+    size = A.shape[0]
+    order = _band_order(A)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(size)
+    i = pos[np.repeat(np.arange(size), np.diff(A.indptr))]
+    j = pos[A.indices]
+    kl, ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+    dtype = np.result_type(A.dtype, np.float64,
+                           *(() if b is None else (np.asarray(b).dtype,)))
+    ab = np.zeros((2 * kl + ku + 1, size), dtype, order="F")
+    ab[kl + ku + i - j, j] = A.data
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    anorm = float(np.bincount(j, np.abs(A.data), size).max())
+    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
+    if info > 0:
+        _refuse(0.0)
+    if b is None:       # the identity in the band order: ||A^{-1}||_1 exactly
+        rhs = np.zeros((size, size), dtype, order="F")
+        rhs[pos, np.arange(size)] = 1.0
+        x = gbtrs(lu, kl, ku, rhs, piv, overwrite_b=True)[0]
+        inv_norm = float(np.abs(x).sum(axis=0).max())
+    else:
+        # ||A^{-1}||_1 >= ||A^{-1} v||_1 / ||v||_1 for every solved v: the
+        # columns of b and the two vectors of LAPACK's estimator ?lacn2
+        # (Higham, ACM Trans. Math. Softw. 14 (1988) 381-396), its start
+        # (1, ..., 1) and its alternating (-1)^i (1 + i/(size - 1))
+        b = np.asarray(b)
+        p = b.size // size
+        rhs = np.empty((p + 2, size), dtype)    # its transpose is F-ordered
+        rhs[:p] = b.reshape(size, p).T[:, order]
+        rhs[p] = 1.0
+        rhs[p + 1] = 1.0 + np.arange(size) / max(size - 1, 1)
+        rhs[p + 1, 1::2] *= -1.0
+        v = np.abs(rhs).sum(axis=1)
+        x = gbtrs(lu, kl, ku, rhs.T, piv, overwrite_b=True)[0]
+        used = v > 0
+        inv_norm = float((np.abs(x).sum(axis=0)[used] / v[used]).max())
+        x = x[:, :p]
+    rcond = 1.0 / (anorm * inv_norm)
+    if not rcond >= 1e-12:      # a NaN from an overflowing solve refuses
+        _refuse(rcond)
+    return x[pos] if b is None else x[pos].reshape(b.shape)
+
+
+def _refuse(rcond: float):
+    raise np.linalg.LinAlgError(
+        f"too close to the spectrum: reciprocal condition {rcond:.3e}")
 
 
 def kernel_dimensions(ops: DiscreteOperatorSet) -> tuple[int, int, int]:

@@ -4,9 +4,11 @@ Cluster projections come from the right and left eigenvectors of one
 `scipy.linalg.eig`: a cluster with right vectors X and left vectors Y
 projects by P = X (Y^H X)^{-1} Y^H.  Where Y^H X is nearly singular (a
 Jordan pair at critical damping) the cluster falls back to a reordered
-complex Schur form.  The contour integral of the resolvent
-(`riesz_projection`) is kept as the independent oracle; inside
-`verify_resolution_of_identity` it acts on a few Gaussian probe vectors.
+complex Schur form, the only Schur form built.  The contour integral of
+the resolvent (`riesz_projection`) is kept as the independent oracle: its
+shifted systems are solved on the band of the operator (`solve_band`), and
+inside `verify_resolution_of_identity` it acts on a few Gaussian probe
+vectors.
 
 Projections are computed on the frame matrix (weighted similarity transform),
 so operator norms reported here are weighted operator norms.
@@ -19,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from .coefficients import integrate_product
-from .discretization import DiscreteOperatorSet
+from .discretization import DiscreteOperatorSet, band_norm, solve_band
 from .reporting import to_csv
 from .spectral import Spectrum
 
@@ -34,6 +37,8 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 MAX_QUAD_NODES = 2 ** 14
+# solution entries (nodes x dim x right-hand sides) of one quadrature solve
+MAX_LEVEL_ENTRIES = 2 ** 20
 # eigenvalues closer than this times the asymptotic spacing share a cluster
 GAP_FRACTION = 0.5
 # a cluster whose unit-vector block Y^H X has its smallest singular value
@@ -111,7 +116,7 @@ class RieszCluster:
     s: float = float("nan")          # reciprocal condition 1/sqrt(1+||X||_F^2)
 
 
-def riesz_projection(op: np.ndarray, contour: Contour, schur=None,
+def riesz_projection(op, contour: Contour,
                      probes: np.ndarray | None = None) -> np.ndarray:
     """P = -(2 pi i)^{-1} contour-integral of (op - zeta)^{-1} d zeta.
 
@@ -119,44 +124,78 @@ def riesz_projection(op: np.ndarray, contour: Contour, schur=None,
     operator norm.  A circle's trapezoid nodes nest, so each doubling keeps
     the previous sum (halved) and adds only the new odd nodes; a
     rectangle's Gauss-Legendre panels do not nest, so its sum restarts.
-    Passing a precomputed ``scipy.linalg.schur`` factorization (T, Q) turns
-    every quadrature node into a triangular inversion, which is what
-    `verify_resolution_of_identity` does when it integrates many contours of
-    the same operator.
+    The shifted systems op - z_k of a level are the diagonal blocks of one
+    sparse system, solved by one pivoted band LU (`solve_band`), at most
+    MAX_LEVEL_ENTRIES solution entries at a time; op (dense or sparse) is
+    read only through its nonzeros.
 
     With ``probes`` (a dim x p array W) the result is P W instead of P:
-    each node is one triangular solve with p right-hand sides, and the
-    update is measured by the probe bound `_probe_bound`.
+    each node's block has p right-hand sides, and the update is measured by
+    the probe bound `_probe_bound`.
     """
-    if schur is None:
-        Tmat, Q = scipy.linalg.schur(np.asarray(op, dtype=complex),
-                                     output="complex")
-    else:
-        Tmat, Q = schur
-    if probes is None:
-        rhs, size = None, lambda M: np.linalg.norm(M, 2)
-    else:  # P W = Q S, with S the quadrature of (T - zeta)^{-1} Q^H W
-        rhs, size = Q.conj().T @ probes, _probe_bound
-    A, diag = Tmat.copy(), np.diag(Tmat)
+    return _quadratures(op, [contour], probes)[0]
+
+
+def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
+    """`riesz_projection` of every contour, the level's nodes of all the
+    contours whose quadrature has not settled solved together."""
+    # op with its whole diagonal stored: the pattern of every op - z
+    band = scipy.sparse.coo_array(op)
+    dim = band.shape[0]
+    k = np.arange(dim)
+    band = scipy.sparse.csr_array(
+        (np.concatenate([band.data, np.zeros(dim)]),
+         (np.concatenate([band.row, k]), np.concatenate([band.col, k]))),
+        shape=band.shape)
+    rhs = np.eye(dim) if probes is None else np.asarray(probes)
+    size = (lambda M: np.linalg.norm(M, 2)) if probes is None else _probe_bound
+    per_solve = max(MAX_LEVEL_ENTRIES // rhs.size, 1)
+    S, prev, out = {}, {}, [None] * len(contours)
     n = 32
-    prev = S = None
-    while n <= MAX_QUAD_NODES:
-        z, dz = contour.points(n)
-        if contour.kind == "circle" and S is not None:
-            S = S / 2
-            z, dz = z[1::2], dz[1::2]
-        else:
-            S = np.zeros_like(A if rhs is None else rhs)
-        for zk, dzk in zip(z, dz):
-            np.fill_diagonal(A, diag - zk)
-            S += dzk * (scipy.linalg.lapack.ztrtri(A)[0] if rhs is None
-                        else scipy.linalg.lapack.ztrtrs(A, rhs)[0])
-        P = Q @ (S if rhs is not None else S @ Q.conj().T) / (-2j * np.pi)
-        if prev is not None and size(P - prev) <= QUAD_TOL:
-            return P
-        prev = P
+    while any(P is None for P in out):
+        if n > MAX_QUAD_NODES:
+            raise ContourError(
+                "quadrature failed to converge within the node budget")
+        live = [c for c, P in enumerate(out) if P is None]
+        nodes = []
+        for c in live:
+            z, dz = contours[c].points(n)
+            if contours[c].kind == "circle" and c in S:
+                S[c] = S[c] / 2
+                z, dz = z[1::2], dz[1::2]
+            else:
+                S[c] = np.zeros(rhs.shape, dtype=complex)
+            nodes.append((z, dz, np.full(len(z), c)))
+        z, dz, owner = map(np.concatenate, zip(*nodes))
+        for k in range(0, len(z), per_solve):
+            part = slice(k, k + per_solve)
+            X = dz[part, None, None] * _shifted_solves(band, z[part], rhs)
+            for c in np.unique(owner[part]):
+                S[c] += X[owner[part] == c].sum(axis=0)
+        for c in live:
+            P = S[c] / (-2j * np.pi)
+            if c in prev and size(P - prev[c]) <= QUAD_TOL:
+                out[c] = P
+            prev[c] = P
         n *= 2
-    raise ContourError("quadrature failed to converge within the node budget")
+    return out
+
+
+def _shifted_solves(band, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(op - z_k)^{-1} rhs for every k, stacked (len(z) x dim x p), with
+    the systems op - z_k the diagonal blocks of one CSR matrix, written
+    from the CSR form ``band`` of op with its whole diagonal stored."""
+    dim, q, nnz = band.shape[0], len(z), band.nnz
+    at = np.flatnonzero(band.indices
+                        == np.repeat(np.arange(dim), np.diff(band.indptr)))
+    data = np.tile(band.data.astype(complex), (q, 1))
+    data[:, at] -= z[:, None]
+    step = np.arange(q)[:, None]
+    blocks = scipy.sparse.csr_array(
+        (data.ravel(), (band.indices + dim * step).ravel(),
+         np.append((band.indptr[:-1] + nnz * step).ravel(), q * nnz)),
+        shape=(q * dim, q * dim))
+    return solve_band(blocks, np.tile(rhs, (q, 1))).reshape(q, dim, -1)
 
 
 def _probe_bound(B: np.ndarray) -> float:
@@ -335,9 +374,11 @@ def _fill_factors(clusters: list, groups: list, owned: list,
     return schur_clusters
 
 
-def _stacked_records(clusters: list, groups: list, op: np.ndarray) -> dict:
+def _stacked_records(clusters: list, groups: list, op: np.ndarray,
+                     op_norm: float) -> dict:
     """Rank and idempotency defect of every cluster, and the records that
-    read the stacked factors, each stacked group by group."""
+    read the stacked factors, each stacked group by group; ``op_norm`` is
+    ||op||_2."""
     dim = len(op)
     order = np.concatenate([group for _, group in groups])
     Ls = np.hstack([clusters[j].L for j in order])
@@ -352,7 +393,6 @@ def _stacked_records(clusters: list, groups: list, op: np.ndarray) -> dict:
     bound = np.sqrt(middle * L_squares[:, None] * R_squares[None, :])
     np.fill_diagonal(bound, 0.0)
     OL, RO = op @ Ls, Rs @ op
-    op_norm = np.linalg.norm(op, 2)
     commutator = projection_norm = 0.0
     end = 0
     for k, group in groups:
@@ -411,10 +451,12 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     of the bound ||P_i P_j||_2 <= ||L_i||_F ||R_i L_j||_F ||R_j||_F.
 
     Two independent witnesses are reported: the commutator residual
-    ||op P - P op||_F / (||op||_2 ||P||_2) of every cluster, and an upper
-    bound of ||P_quad - P||_2, P_quad the contour integral
-    `riesz_projection`, on the sample of `_oracle_sample` (rectangles are
-    left out of the sample: their quadrature needs thousands of nodes).
+    ||op P - P op||_F / (||op||_2 ||P||_2) of every cluster, with ||op||_2
+    from the Gram band of op (`band_norm`), and an upper bound of
+    ||P_quad - P||_2, P_quad the contour integral `riesz_projection`, on the
+    sample of `_oracle_sample` (rectangles are left out of the sample: their
+    quadrature needs thousands of nodes), every sampled contour's level
+    solved in one band LU.
     The commutator is E R - L F, with the residual blocks
     E = op L - L (R op L) and F = R op - (R op L) R; splitting E along L
     gives its Frobenius norm from k x k products.  The quadrature acts on
@@ -426,6 +468,7 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     if covered != list(range(dim)):
         raise ContourError("clusters do not cover the whole spectrum")
     op = np.asarray(op, dtype=complex)
+    band = scipy.sparse.csr_array(op)
     lam, left, right = scipy.linalg.eig(op, left=True, right=True)
     owned = [np.flatnonzero(_enclosed(c, lam)) for c in clusters]
     sizes = np.array([len(m) for m in owned])
@@ -434,12 +477,12 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
         lambda: scipy.linalg.schur(op, output="complex"))
     schur_clusters = _fill_factors(clusters, groups, owned, left, right, schur)
     del left, right
-    records = _stacked_records(clusters, groups, op)
+    records = _stacked_records(clusters, groups, op, band_norm(band))
     probes = np.random.default_rng(PROBE_SEED).standard_normal((dim, N_PROBES))
-    deviation = max((_probe_bound(
-        riesz_projection(op, c.contour, schur=schur(), probes=probes)
-        - c.L @ (c.R @ probes)) for c in _oracle_sample(clusters)),
-        default=0.0)
+    sample = _oracle_sample(clusters)
+    quadratures = _quadratures(band, [c.contour for c in sample], probes)
+    deviation = max((_probe_bound(P - c.L @ (c.R @ probes))
+                     for c, P in zip(sample, quadratures)), default=0.0)
     return {
         "sum_defect": records["sum_defect"],
         "max_cross_product": records["max_cross_product"],

@@ -392,6 +392,27 @@ def map_dirac_to_generator(pair: EigenPair,
                      weighted_residual(1j * ops.G, pair.lam, out, ops, "generator"))
 
 
+def _near_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple:
+    """(rows, cols): candidate pairs (a[i], b[j]) that hold every pair
+    within r, from the cells of side r that the points fall in: the pairs
+    in neighbouring cells, and (i, i), the sorted partners, whatever the
+    rounding of the cell of a point at distance r."""
+    cell_a = np.floor(a.real / r) + 1j * np.floor(a.imag / r)
+    cell_b = np.floor(b.real / r) + 1j * np.floor(b.imag / r)
+    order = np.argsort(cell_b)      # complex sort: by column, then by row
+    keys = cell_b[order]
+    rows, cols = [np.arange(len(a))], [np.arange(len(a))]
+    for dx in (-1, 0, 1):
+        # in one column of cells, the three cells around a's row are one
+        # run of the sorted keys
+        lo = np.searchsorted(keys, cell_a + (dx - 1j), "left")
+        count = np.searchsorted(keys, cell_a + (dx + 1j), "right") - lo
+        rows.append(np.repeat(np.arange(len(a)), count))
+        cols.append(order[np.arange(count.sum())
+                          + np.repeat(lo - np.cumsum(count) + count, count)])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Bottleneck distance between two multisets of complex numbers.
 
@@ -406,8 +427,12 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     largest distance from any point to its nearest partner within r a lower
     bound; when they meet, r is returned.  Otherwise the gaps of the pairs
     within r are bisected, each step testing the graph of the pairs within
-    the step's gap for a perfect matching (Hopcroft and Karp).  No
-    len(a) x len(b) array is formed.
+    the step's gap for a perfect matching (Hopcroft and Karp).  The pairs
+    within r are found on a grid of square cells of side r in the plane,
+    each point of a against the three-by-three cells around its own, so
+    the work stays linear where many points share a real part (the
+    overdamped modes on the imaginary axis).  No len(a) x len(b) array is
+    formed.
     """
     a, b = np.asarray(a), np.asarray(b)
     for name, x in (("a", a), ("b", b)):
@@ -422,15 +447,9 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     n = len(a)
     a, b = np.sort_complex(a), np.sort_complex(b)
     r = np.abs(a - b).max()
-    # the pairs within r lie in a window of the sorted real parts; the
-    # window holds the sorted partner whatever the rounding of a.real +- r
-    idx = np.arange(n)
-    lo = np.minimum(np.searchsorted(b.real, a.real - r, "left"), idx)
-    count = np.maximum(np.searchsorted(b.real, a.real + r, "right"),
-                       idx + 1) - lo
-    rows = np.repeat(idx, count)
-    cols = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
-                                              count)
+    if r == 0:
+        return 0.0
+    rows, cols = _near_pairs(a, b, r)
     gap = np.abs(a[rows] - b[cols])
     keep = gap <= r
     rows, cols, gap = rows[keep], cols[keep], gap[keep]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import DiscreteOperatorSet, solve_regular
+from .discretization import DiscreteOperatorSet, shifted, solve_band
 from .spectral import multiset_distance
 
 __all__ = [
@@ -125,57 +125,60 @@ def check_intertwining(ops: DiscreteOperatorSet) -> dict:
 def first_resolvent_identity(z: complex, ops: DiscreteOperatorSet) -> float:
     """Residual of I + z (TT* - z)^{-1} = T (T*T - z)^{-1} T* on ran T.
 
-    Measured in the weighted frame; z must avoid both spectra (LinAlgError).
+    Measured in the weighted frame, from band LUs of H1f - z and H2f - z;
+    z must avoid both spectra (LinAlgError).  The two sides are compared on
+    ran T as ||V^H (lhs - rhs) V||_F, which is ||P (lhs - rhs) P||_F for the
+    projector P = V V^H, V being a partial isometry.
     """
-    Tf = ops.Tf
-    H1f, H2f = ops.H1f.toarray(), ops.H2f.toarray()
-    m, n = ops.n_nodes, ops.n_cells
-    lhs = np.eye(n) + z * solve_regular(H2f - z * np.eye(n))
-    rhs = Tf @ solve_regular(H1f - z * np.eye(m), Tf.conj().T)
-    # compare on ran T only: project both sides by V V^H
+    n = ops.n_cells
+    lhs = np.eye(n) + z * solve_band(shifted(ops.H2f, z))
+    rhs = ops.sparse("Tf") @ solve_band(shifted(ops.H1f, z), ops.Tf.conj().T)
     V = ops.polar[0]
-    P = V @ V.conj().T
-    return float(np.linalg.norm(P @ (lhs - rhs) @ P) / max(np.linalg.norm(rhs), 1.0))
+    return float(np.linalg.norm(V.conj().T @ (lhs - rhs) @ V)
+                 / max(np.linalg.norm(rhs), 1.0))
 
 
-def _scalar_resolvents(zeta: complex, ops: DiscreteOperatorSet
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(T*T - zeta^2)^{-1} and (TT* - zeta^2)^{-1}; ValueError when zeta^2
-    lies within 1e-8 of either spectrum."""
-    m, n = ops.n_nodes, ops.n_cells
+def _squared_shift(zeta: complex, ops: DiscreteOperatorSet) -> complex:
+    """zeta^2; ValueError when it lies within 1e-8 of the spectrum of T*T
+    or of TT*."""
     z2 = zeta * zeta
     d = min(np.abs(ops.H1_eigvals - z2).min(), np.abs(ops.H2_eigvals - z2).min())
     if d <= 1e-8:
         raise ValueError(f"zeta^2 within {d:.3e} of the squared spectrum")
-    K1 = solve_regular(ops.H1 - z2 * np.eye(m))
-    K2 = solve_regular(ops.H2 - z2 * np.eye(n))
-    return K1, K2
+    return z2
 
 
 def resolvent_dirac(zeta: complex, ops: DiscreteOperatorSet) -> BlockResolvent:
-    """(D - zeta)^{-1} assembled from the two scalar-block resolvents."""
-    K1, K2 = _scalar_resolvents(zeta, ops)
-    blocks = ((zeta * K1, ops.Tstar @ K2), (ops.T @ K1, zeta * K2))
+    """(D - zeta)^{-1} assembled from the two scalar-block resolvents
+    K1 = (T*T - zeta^2)^{-1} and K2 = (TT* - zeta^2)^{-1}, each from a band
+    LU."""
+    z2 = _squared_shift(zeta, ops)
+    K1 = solve_band(shifted(ops.sparse("H1"), z2))
+    K2 = solve_band(shifted(ops.sparse("H2"), z2))
+    blocks = ((zeta * K1, ops.sparse("Tstar") @ K2),
+              (ops.sparse("T") @ K1, zeta * K2))
     return BlockResolvent(zeta, blocks)
 
 
 def resolvent_perturbed(zeta: complex, ops: DiscreteOperatorSet) -> BlockResolvent:
-    """(D + B - zeta)^{-1} from the unperturbed blocks and one node-space inverse.
+    """(D + B - zeta)^{-1} from K2 = (TT* - zeta^2)^{-1} and one band LU of
+    the damped pencil Q = T*T - zeta^2 - i zeta C.
 
-    The node-space correction is M = [I - i zeta C (T*T - zeta^2)^{-1}]^{-1};
-    `solve_regular` gates its conditioning.
+    With K1 = (T*T - zeta^2)^{-1} and the node-space correction
+    M = [I - i zeta C K1]^{-1}, the blocks need only K1 M = Q^{-1} and
+    K1 M (i C T* K2) = Q^{-1} (i C T* K2), two right-hand sides of the one
+    LU; `solve_band` gates the conditioning of Q.
     """
-    K1, K2 = _scalar_resolvents(zeta, ops)
-    m = ops.n_nodes
-    C = ops.C
-    M = solve_regular(np.eye(m) - 1j * zeta * (C[:, None] * K1))
-    TsK2 = ops.Tstar @ K2
-    corr = M @ (1j * (C[:, None] * TsK2))
-    b11 = zeta * (K1 @ M)
-    b12 = zeta * (K1 @ corr) + TsK2
-    b21 = ops.T @ (K1 @ M)
-    b22 = ops.T @ (K1 @ corr) + zeta * K2
-    return BlockResolvent(zeta, ((b11, b12), (b21, b22)))
+    z2 = _squared_shift(zeta, ops)
+    m, C = ops.n_nodes, ops.C
+    K2 = solve_band(shifted(ops.sparse("H2"), z2))
+    TsK2 = ops.sparse("Tstar") @ K2
+    X = solve_band(shifted(ops.sparse("H1"), z2 + 1j * zeta * C),
+                   np.hstack([np.eye(m), 1j * (C[:, None] * TsK2)]))
+    QI, QC = X[:, :m], X[:, m:]
+    T = ops.sparse("T")
+    blocks = ((zeta * QI, zeta * QC + TsK2), (T @ QI, T @ QC + zeta * K2))
+    return BlockResolvent(zeta, blocks)
 
 
 def trace_ideal_decay(ops: DiscreteOperatorSet) -> dict:

@@ -133,6 +133,22 @@ def test_resolvent_check_command(tmp_path):
                    "--out", str(tmp_path)) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("resolvent-check", "--n", "32"),
+    ("resolvent-check", "--n", "32", "--bc", "omega:0,1"),
+    ("verify-all",)])
+def test_checks_form_no_dense_dirac_operator(tmp_path, monkeypatch, argv):
+    """The block-resolvent witnesses and the Livsic trace solve on the band:
+    the checks pass with the dense D, B and Dirac frame forbidden."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Dirac operator formed")
+
+    monkeypatch.setattr(ds.DiscreteOperatorSet, "dirac_frame", forbidden)
+    for name in ("D", "B"):
+        monkeypatch.setattr(ds.DiscreteOperatorSet, name, property(forbidden))
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+
+
 def test_susy_check_command(tmp_path):
     assert run_cli("susy-check", "--n", "16", "--bc", "min",
                    "--out", str(tmp_path)) == 0

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import dampedstring as ds
 from dampedstring.discretization import (KernelAmbiguityError, build_grid,
-                                         build_operator_set, solve_regular)
+                                         build_operator_set, shifted,
+                                         solve_band)
 
 from conftest import frame
 
@@ -249,19 +250,70 @@ def test_K_exists_exactly_when_ker_T_is_trivial(random_coeffs, tag):
         assert np.linalg.norm(ops.K @ (ops.Tstar @ ops.T) - np.eye(m)) < 1e-10
 
 
-def test_solve_regular_real_matrix_complex_rhs():
+def test_solve_band_real_matrix_complex_rhs():
     """The LAPACK prefix follows b as well as A: a real-arithmetic solve
     would drop the imaginary part of b without a warning."""
     rng = np.random.default_rng(0)
     A = rng.standard_normal((12, 12)) + 6.0 * np.eye(12)
     b = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
     ref = np.linalg.solve(A, b)
-    assert np.abs(solve_regular(A, b) - ref).max() <= 1e-14 * np.abs(ref).max()
+    got = solve_band(scipy.sparse.csr_array(A), b)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_solve_regular_refuses_singular_matrix():
+def test_solve_band_refuses_singular_matrix():
     with pytest.raises(np.linalg.LinAlgError, match="too close to the spectrum"):
-        solve_regular(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        solve_band(scipy.sparse.csr_array(np.array([[1.0, 2.0], [2.0, 4.0]])))
+
+
+SOLVE_FAMILIES = ["min", "zero0", "zero1", "max", "omega:1,0", "omega:-1,0",
+                  "omega:0,1", "omega:0.5,0.3"]
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("tag", SOLVE_FAMILIES)
+def test_solve_band_matches_dense_solve(tag, n):
+    """solve_band of the frame band D + B - zeta, of H1 - zeta^2 and of the
+    damped pencil Q(zeta) = H1 - zeta^2 - i zeta C against np.linalg.solve
+    of the dense matrices, within n eps cond_1(A) of the largest entry, on
+    random and on constant coefficients (where the omega = +-1 rings have
+    exactly double eigenvalues); a real A and b are solved in real
+    arithmetic."""
+    zeta = 0.3 + 0.1j
+    rng = np.random.default_rng(n)
+    for rho, alpha in (ds.random_coefficients(5), (RHO1, ALPHA1)):
+        ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(tag))
+        m, H1 = ops.n_nodes, ops.sparse("H1")
+        cases = [(shifted(ops.dirac_band(), zeta), None),
+                 (shifted(H1, zeta ** 2), rng.standard_normal(m)),
+                 (shifted(H1, zeta ** 2 + 1j * zeta * ops.C),
+                  rng.standard_normal((m, 3))),
+                 (shifted(H1, -0.5), rng.standard_normal((m, 2)))]
+        for A, b in cases:
+            dense = A.toarray()
+            ref = np.linalg.solve(dense, np.eye(len(dense)) if b is None else b)
+            got = solve_band(A, b)
+            assert got.shape == ref.shape
+            tol = n * np.finfo(float).eps * np.linalg.cond(dense, 1)
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+        real = ops.bc.omega is None or ops.bc.omega.imag == 0
+        assert (got.dtype == float) == real
+
+
+@pytest.mark.parametrize("tag", ["min", "max", "omega:1,0", "omega:-1,0",
+                                 "omega:0,1"])
+def test_solve_band_refuses_an_eigenvalue_of_TstarT(tag):
+    """zeta^2 at a simple eigenvalue of T*T, at its zero mode (max,
+    omega:1,0) and at the exactly double eigenvalues of the constant
+    coefficient omega = +-1 rings: LinAlgError."""
+    ops = ds.build_operator_set(16, RHO1, ALPHA1, ds.parse_bc(tag))
+    mu = ops.H1_eigvals
+    if tag in ("omega:1,0", "omega:-1,0"):
+        assert np.diff(mu[:3]).min() <= 1e-12 * mu[-1]
+    for z2 in mu[:3]:
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="too close to the spectrum"):
+            solve_band(shifted(ops.sparse("H1"), z2))
 
 
 @pytest.mark.parametrize("tag", ["min", "zero0", "zero1", "max", "omega:0,1"])

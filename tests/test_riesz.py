@@ -59,21 +59,22 @@ def test_full_contour_gives_identity(small_ops):
 
 def test_circle_quadrature_reuses_nested_nodes(small_ops, monkeypatch):
     """The 64 trapezoid nodes of a circle contain the 32 of the first pass,
-    so a circle that settles at 64 nodes takes 64 inversions, not 96."""
+    so a circle that settles at 64 nodes solves 64 shifted systems, not 96,
+    one band LU per level."""
     op = small_ops.dirac_frame()
     lam = np.linalg.eigvals(op)
     lam0 = lam[np.argmin(np.abs(lam - np.pi))]
     gap = np.sort(np.abs(lam - lam0))[1]
-    calls = []
-    ztrtri = scipy.linalg.lapack.ztrtri
+    nodes = []
+    solve_band = riesz.solve_band
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return ztrtri(*args, **kwargs)
+    def counting(A, b=None):
+        nodes.append(A.shape[0] // op.shape[0])
+        return solve_band(A, b)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "ztrtri", counting)
+    monkeypatch.setattr(riesz, "solve_band", counting)
     P = riesz.riesz_projection(op, riesz.Contour("circle", lam0, gap / 4))
-    assert len(calls) == 64
+    assert nodes == [32, 32]
     assert abs(np.trace(P) - 1.0) < 1e-9
 
 
@@ -254,6 +255,8 @@ def test_vector_projections_match_quadrature(n, tag):
 @pytest.mark.parametrize("damping", ["variable", "constant"])
 def test_well_separated_clusters_never_reorder_schur(monkeypatch, n, tag,
                                                      damping):
+    """No cluster needs the Schur fallback, so no Schur form is built: the
+    probe oracle solves on the band."""
     calls = []
     ztrsen = scipy.linalg.lapack.ztrsen
 
@@ -261,7 +264,11 @@ def test_well_separated_clusters_never_reorder_schur(monkeypatch, n, tag,
         calls.append(1)
         return ztrsen(*args, **kwargs)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Schur form built")
+
     monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", counting)
+    monkeypatch.setattr(scipy.linalg, "schur", forbidden)
     rho, alpha = ds.random_coefficients(n)
     if damping == "constant":
         rho, alpha = RHO1, ds.constant(0.7, "damping")

@@ -540,6 +540,30 @@ def test_multiset_distance_forms_no_n_by_n_array():
     assert peak < 8 * 2**20
 
 
+def test_multiset_distance_stays_linear_on_overdamped_spectra():
+    """rho = 1, alpha = 2000 on min at n = 1024: 664 of the 2047
+    eigenvalues lie on the imaginary axis, where a window on the real parts
+    makes every pair a candidate (a 20 MB peak).  Against the mirror image,
+    exact, scaled and shifted, the distance equals the assignment's to the
+    last bit, and the near pairs found on the cells of the plane stay
+    few."""
+    ops = ds.build_operator_set(1024, RHO1, ds.constant(2000.0, "damping"),
+                                ds.BoundaryCondition.minimal())
+    spec = ds.constant_damping_dirac(ops)
+    assert np.sum(spec.branches() == "overdamped") == 664
+    lam = spec.eigenvalues
+    mirror = -np.conj(lam)
+    for other in (mirror, mirror * (1 + 1e-12), mirror[::-1] + 1e-9):
+        tracemalloc.start()
+        try:
+            d = ds.multiset_distance(lam, other)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d == _hungarian(lam, other)
+        assert peak < 2 * 2**20
+
+
 _POINTS = st.one_of(
     st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                        allow_infinity=False),

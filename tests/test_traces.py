@@ -222,8 +222,8 @@ def test_resolvent_trace_forms_no_dense_matrix(monkeypatch, bc):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense matrix formed")
 
-    monkeypatch.setattr(traces, "solve_regular", forbidden)
-    monkeypatch.setattr(ds.discretization, "solve_regular", forbidden)
+    monkeypatch.setattr(traces, "solve_band", forbidden)
+    monkeypatch.setattr(ds.discretization, "solve_band", forbidden)
     monkeypatch.setattr(ds.DiscreteOperatorSet, "dirac_frame", forbidden)
     for name in ("T", "Tstar", "Tf", "D", "B", "G", "H1", "H2", "K"):
         monkeypatch.setattr(ds.DiscreteOperatorSet, name, property(forbidden))
