@@ -643,13 +643,14 @@ def solve_band(A, b: np.ndarray | None = None) -> np.ndarray:
     order = _band_order(A)
     pos = np.empty_like(order)
     pos[order] = np.arange(size)
-    i = pos[np.repeat(np.arange(size), np.diff(A.indptr))]
     j = pos[A.indices]
-    kl, ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+    d = pos[np.repeat(np.arange(size), np.diff(A.indptr))] - j
+    kl, ku = int(np.max(d, initial=0)), int(np.max(-d, initial=0))
     dtype = np.result_type(A.dtype, np.float64,
                            *(() if b is None else (np.asarray(b).dtype,)))
-    ab = np.zeros((2 * kl + ku + 1, size), dtype, order="F")
-    ab[kl + ku + i - j, j] = A.data
+    ldab = 2 * kl + ku + 1
+    ab = np.zeros((ldab, size), dtype, order="F")
+    ab.T.reshape(-1)[ldab * j + kl + ku + d] = A.data     # ab[kl+ku+d, j]
     gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     anorm = float(np.bincount(j, np.abs(A.data), size).max())
     lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
@@ -672,7 +673,8 @@ def solve_band(A, b: np.ndarray | None = None) -> np.ndarray:
         rhs[p] = 1.0
         rhs[p + 1] = 1.0 + np.arange(size) / max(size - 1, 1)
         rhs[p + 1, 1::2] *= -1.0
-        v = np.abs(rhs).sum(axis=1)
+        v = np.append(np.abs(b.reshape(size, p)).sum(axis=0),
+                      [size, np.abs(rhs[p + 1].real).sum()])
         x = gbtrs(lu, kl, ku, rhs.T, piv, overwrite_b=True)[0]
         used = v > 0
         inv_norm = float((np.abs(x).sum(axis=0)[used] / v[used]).max())

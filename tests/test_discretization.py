@@ -310,10 +310,24 @@ def test_solve_band_refuses_an_eigenvalue_of_TstarT(tag):
     mu = ops.H1_eigvals
     if tag in ("omega:1,0", "omega:-1,0"):
         assert np.diff(mu[:3]).min() <= 1e-12 * mu[-1]
+    rng = np.random.default_rng(0)
     for z2 in mu[:3]:
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="too close to the spectrum"):
-            solve_band(shifted(ops.sparse("H1"), z2))
+        # the inverse, and a solve whose condition is estimated
+        for b in (None, rng.standard_normal(ops.n_nodes)):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="too close to the spectrum"):
+                solve_band(shifted(ops.sparse("H1"), z2), b)
+
+
+@pytest.mark.parametrize("tag", SOLVE_FAMILIES)
+def test_band_norm_matches_dense_norm(random_coeffs, tag):
+    """||D + B||_2 from the Gram band of the Dirac frame in block order,
+    where the unknowns are not banded until reordered."""
+    rho, alpha = random_coeffs
+    ops = ds.build_operator_set(32, rho, alpha, ds.parse_bc(tag))
+    frame_ = ops.dirac_frame()
+    assert ds.discretization.band_norm(scipy.sparse.csr_array(frame_)) \
+        == pytest.approx(np.linalg.norm(frame_, 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("tag", ["min", "zero0", "zero1", "max", "omega:0,1"])
