@@ -413,6 +413,13 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple:
     return np.concatenate(rows), np.concatenate(cols)
 
 
+def _snapped_sort(x: np.ndarray, snap: float) -> np.ndarray:
+    """x sorted by real part, then imaginary part, with real parts of at
+    most ``snap`` in modulus taken as 0."""
+    real = np.where(np.abs(x.real) <= snap, 0.0, x.real)
+    return x[np.lexsort((x.imag, real))]
+
+
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Bottleneck distance between two multisets of complex numbers.
 
@@ -423,9 +430,10 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     far below the spacing of the points.  ValueError names the first entry
     that is not finite.
 
-    The pairing of the two sorted lists gives an upper bound r, and the
-    largest distance from any point to its nearest partner within r a lower
-    bound; when they meet, r is returned.  Otherwise the gaps of the pairs
+    The pairing of the two sorted lists, by real part and then imaginary
+    part with real parts of rounding size taken as 0, gives an upper bound
+    r, and the largest distance from any point to its nearest partner
+    within r a lower bound; when they meet, r is returned.  Otherwise the gaps of the pairs
     within r are bisected, each step testing the graph of the pairs within
     the step's gap for a perfect matching (Hopcroft and Karp).  The pairs
     within r are found on a grid of square cells of side r in the plane,
@@ -445,7 +453,12 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     if len(a) == 0:
         return 0.0
     n = len(a)
-    a, b = np.sort_complex(a), np.sort_complex(b)
+    # real parts below sqrt(eps) of the largest modulus count as 0 in the
+    # sorted pairing, so that points on the imaginary axis whose real parts
+    # are rounding noise of either sign pair in the order of their
+    # imaginary parts
+    snap = np.sqrt(_EPS) * max(np.abs(a).max(), np.abs(b).max())
+    a, b = _snapped_sort(a, snap), _snapped_sort(b, snap)
     r = np.abs(a - b).max()
     if r == 0:
         return 0.0

@@ -90,57 +90,48 @@ def _buffer(work: dict, name: str, shape: tuple) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _pivots(a: np.ndarray, e, z: np.ndarray, q: np.ndarray, tiny: float,
-            slow: int, work: dict):
+def _pivots(diag: np.ndarray, slope, q: np.ndarray, tiny: float, slow: int,
+            work: dict):
     """LU pivots from the top and UL pivots from the bottom of the
-    tridiagonal P(z), a[k] the diagonal of A at position k and e[k] that of
-    the damping (None for degree 1; each a row, or one value per column),
-    and q[k] = (p_k, p_(N-2-k)), p_k = b_k c_k, by
-    r_k = P_kk(z) - p / r_(k-1 or k+1), in one loop for both.  Returns the
-    top and the bottom pivots, gamma_k = top_k - p_k / bottom_(k+1), and for
-    the first ``slow`` iterates (log det P(z))' = sum_k r_k' / r_k from the
-    top, by r_k' = P_kk'(z) + (p_(k-1) / r_(k-1)) r_(k-1)' / r_(k-1): near a
-    defective eigenvalue this stays accurate to within about sqrt(eps) of
-    it, where the sum of the diagonal of P(z)^{-1} already cancels to
-    noise.
+    tridiagonal P(z), diag[k] = P_kk(z) at position k, slope[k] = -P_kk'(z)
+    (None for degree 1, where it is 1) and q[k] = (p_k, p_(N-2-k)),
+    p_k = b_k c_k, by r_k = P_kk(z) - p / r_(k-1 or k+1), in one loop for
+    both.  Returns gamma_k = top_k - p_k / bottom_(k+1), written over
+    diag; the quotients of the loop, (p_k / top_k, p_(N-2-k) /
+    bottom_(N-1-k)), from which the ratios of the twisted vectors follow;
+    and for the first ``slow`` iterates (log det P(z))' = sum_k r_k' / r_k
+    from the top, by r_k' = P_kk'(z) + (p_(k-1) / r_(k-1)) r_(k-1)' /
+    r_(k-1): near a defective eigenvalue this stays accurate to within
+    about sqrt(eps) of it, where the sum of the diagonal of P(z)^{-1}
+    already cancels to noise.
 
     An exactly zero pivot is rare: the loop runs with a division by zero
     raised, and only then again with such pivots moved to tiny."""
     try:
         with np.errstate(divide="raise", invalid="raise"):
-            return _pivot_loop(a, e, z, q, tiny, slow, work, guarded=False)
+            return _pivot_loop(diag, slope, q, tiny, slow, work,
+                               guarded=False)
     except FloatingPointError:
-        return _pivot_loop(a, e, z, q, tiny, slow, work, guarded=True)
+        return _pivot_loop(diag, slope, q, tiny, slow, work, guarded=True)
 
 
-def _pivot_loop(a, e, z, q, tiny, slow, work, guarded):
-    N = len(a)
-    both = _buffer(work, "both", (N, 2, len(z)))
-    gamma = _buffer(work, "gamma", (N, len(z)))
-    diag = gamma                                # P_kk(z), until the loop
-    if e is None:
-        np.subtract(a, z, out=diag)
-    else:
-        np.add(e, z, out=diag)
-        diag *= z
-        np.subtract(a, diag, out=diag)
+def _pivot_loop(diag, slope, q, tiny, slow, work, guarded):
+    N, K = diag.shape
+    both = _buffer(work, "both", (N, 2, K))
     both[:, 0] = diag
     both[:, 1] = diag[::-1]
-    top = both[:, 0]
-    gamma[-1] = 0.0                             # p_k / bottom_(k+1) first
-    quot = _buffer(work, "quot", (2, len(z)))
     rows, couplings = list(both), list(q)
     cols = slice(0, slow)
     # P_kk'(z) of the slow iterates: -1, or -(e_k + 2z)
-    dp = None if e is None else -(e[:, cols] + 2 * z[cols])
+    dp = None if slope is None else -slope[:, cols]
     if guarded:
         _guard(rows[0], tiny)
     d = (-1.0 if dp is None else dp[0]) / rows[0][0][cols]   # r_0' / r_0
     g = d.copy()
     for k in range(1, N):
-        np.divide(couplings[k - 1], rows[k - 1], out=quot)
+        # the pivots of step k - 1 give way to their quotients
+        quot = np.divide(couplings[k - 1], rows[k - 1], out=rows[k - 1])
         rows[k] -= quot
-        gamma[N - 1 - k] = quot[1]
         if guarded:
             _guard(rows[k], tiny)
         if slow:
@@ -151,8 +142,12 @@ def _pivot_loop(a, e, z, q, tiny, slow, work, guarded):
                 d += dp[k]
             d /= rows[k][0][cols]
             g += d
-    np.subtract(top, gamma, out=gamma)
-    return top, both[::-1, 1], gamma, g
+    # top_k = P_kk(z) - p_(k-1) / top_(k-1), less p_k / bottom_(k+1)
+    quot = both[:-1]
+    gamma = diag
+    gamma[1:] -= quot[:, 0]
+    gamma[:-1] -= quot[::-1, 1]
+    return gamma, quot, g
 
 
 def _chain(ratio: np.ndarray, up: bool) -> np.ndarray:
@@ -168,12 +163,28 @@ def _chain(ratio: np.ndarray, up: bool) -> np.ndarray:
     return x
 
 
-def _factor(bands, e, z: np.ndarray, cut: np.ndarray, slow: int,
-            tiny: float, work: dict):
+def _ring(bands, e):
+    """(a, e, b, c, ahead): the diagonals of A and of the damping e (or
+    None), and the couplings b_k = A[k, k+1] and c_k = A[k+1, k], as
+    `_factor` reads them.  A cyclic A is stored as its ring twice over,
+    with k+1 taken mod N, so that the chain from any cut is a run of
+    consecutive positions, and ahead_k is the product of b_j / c_j over the
+    positions before k; ahead is None for a chain."""
+    a, b, c, upper, lower = bands
+    if not (upper or lower):
+        return a, e, b, c, None
+    b, c = np.append(b, lower), np.append(c, upper)
+    ahead = np.concatenate([[1.0], np.cumprod(np.tile(b / c, 2))])
+    return (np.tile(a, 2), None if e is None else np.tile(e, 2),
+            np.tile(b, 2), np.tile(c, 2), ahead)
+
+
+def _factor(ring, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float,
+            work: dict):
     """Twisted factorization of P(z) = A - z (A - z diag(e) - z^2 unless e
-    is None) at each iterate z: the log-derivative of det P(z), a function
-    giving the diagonal of P(z)^{-1} (and, for a ring, the parts of its
-    correction) of the iterates an index array picks, and one giving the
+    is None), A and e as `_ring` gives them, at each iterate z: the
+    log-derivative of det P(z), a function giving the diagonal of
+    P(z)^{-1} of the iterates an index array picks, and one giving the
     twisted vectors (columns, in the order of A) of the iterates a boolean
     mask picks.  The first ``slow`` iterates converge only linearly and
     take the log-derivative from the derivative of the pivots (`_pivots`).
@@ -184,63 +195,69 @@ def _factor(bands, e, z: np.ndarray, cut: np.ndarray, slow: int,
     the chain's inverse and of its transpose then gives the diagonal and
     the columns of P(z)^{-1}.  The chain is near-singular where an
     eigenvector is small at the cut, so the cut follows each iterate's
-    largest component."""
-    a, b, c, upper, lower = bands
-    N = len(a)
-    cyclic = bool(upper or lower)
-
-    def along(rows: int, sel=slice(None)):
-        # the ring positions along the chains of the iterates sel picks
-        return (cut[None, sel] + np.arange(rows)[:, None]) % N
-
-    def chain(v, sel=slice(None)):
-        # v along each picked iterate's chain, one row per coupling
-        return v[along(N - 1, sel)] if cyclic else v[:, None]
-
-    def turn(sel=slice(None)):
-        # w_k: the product of b_j / c_j along the chain before position k
-        ahead = np.concatenate([[1.0], np.cumprod(np.tile(b / c, 2))])
-        return ahead[cut[None, sel] + np.arange(N)[:, None]] / ahead[cut[sel]]
-
-    # x_k / x_(k+1) = -b_k / top_k and x_(k+1) / x_k = -c_k / bottom_(k+1)
-    # for a vector of T - z, above and below its twist
-    def ratio_up(sel=slice(None)):
-        return np.divide(chain(-b, sel), top[:-1, sel])
-
-    def ratio_down(sel=slice(None)):
-        return np.divide(chain(-c, sel), bottom[1:, sel])
-    if cyclic:
-        # couplings around the ring, A[i, i+1] and A[i+1, i] with i+1 mod N
-        b, c = np.append(b, lower), np.append(c, upper)
-        hi, lo = c[cut - 1], b[cut - 1]         # A[cut, cut-1], A[cut-1, cut]
-        pos, ring = along(N - 1), along(N)
-        a = a[ring]
-        e = None if e is None else e[ring]
-        top, bottom, gamma, g_slow = _pivots(
-            a, e, z, np.stack([(b * c)[pos], (b * c)[pos[::-1]]], 1),
-            tiny, slow, work)
-        del pos, ring
+    largest component.  Iterates that all share one cut read the ring
+    rotated once, as one column broadcast over them, as a chain is read;
+    otherwise each iterate reads a column of its own."""
+    a, e, b, c, ahead = ring
+    K = len(z)
+    cyclic = ahead is not None
+    if not cyclic:
+        N, cut = len(a), np.zeros(1, dtype=int)
     else:
-        p = b * c
-        e = None if e is None else e[:, None]
-        top, bottom, gamma, g_slow = _pivots(
-            a[:, None], e, z, np.stack([p, p[::-1]], 1)[..., None], tiny,
-            slow, work)
+        N = len(a) // 2
+        if np.all(cut == cut[:1]):
+            cut = cut[:1]
+
+    def pick(v, cols):
+        # the columns cols of v, one per iterate or one shared by all
+        return v if v.shape[-1] == 1 else v[..., cols]
+
+    at = cut + np.arange(N)[:, None]            # the positions of each chain
+    p = (b * c)[at[:-1]]
+    diag = _buffer(work, "gamma", (N, K))       # P_kk(z) along each chain
+    slope = None                                # -P_kk'(z), if not 1
+    if e is None:
+        np.subtract(a[at], z, out=diag)
+    else:
+        e = e[at]
+        np.add(e, z, out=diag)
+        diag *= z
+        np.subtract(a[at], diag, out=diag)
+        slope = e + 2 * z
+    gamma, quot, g_slow = _pivots(diag, slope, np.stack([p, p[::-1]], 1),
+                                  tiny, slow, work)
     _guard(gamma, tiny)
-    # -P_kk'(z) along each chain
-    slope = 1.0 if e is None else e + 2 * z
-    g = -np.sum(np.divide(slope, gamma, out=_buffer(work, "inv", gamma.shape)),
-                axis=0)                         # (log det P(z))'
+    # the terms of each sum below, one sum at a time
+    scratch = _buffer(work, "scratch", (N, K))
+    g = -np.sum(np.divide(1.0 if slope is None else slope, gamma,
+                          out=scratch), axis=0)  # (log det P(z))'
     g[:slow] = g_slow
+    into_up, into_down = (-1.0 / c)[at[:-1]], (-1.0 / b)[at[:-1]]
+
+    def ratio(cols, up, out=None):
+        # of the iterates cols: x_k / x_(k+1) = -b_k / top_k above the
+        # twist, or x_(k+1) / x_k = -c_k / bottom_(k+1) below it, for a
+        # vector of T - z; the loop's quotients times -1 / c_k or -1 / b_k
+        if up:
+            return np.multiply(quot[:, 0, cols], pick(into_up, cols), out=out)
+        return np.multiply(quot[::-1, 1, cols], pick(into_down, cols),
+                           out=out)
     if cyclic:
         # end columns of the chain's inverse, each scaled to 1 at its own
-        # end: x0 = gamma_0 T(z)^{-1} e_0, xn = gamma_(N-1) T(z)^{-1} e_(N-1).
-        # Those of the transpose are y0 = w x0 and yn = w xn / w_(N-1), with
-        # w_k the product of b_j / c_j over the chain before k, of modulus 1
-        x0 = _chain(ratio_down(), up=False)
-        xn = _chain(ratio_up(), up=True)
-        w = turn()
-        wn = w[-1].copy()
+        # end: x0 = gamma_0 T(z)^{-1} e_0, xn = gamma_(N-1) T(z)^{-1} e_(N-1),
+        # the ratios below and above a twist multiplied up from either end
+        # in place (xn stored from its end).  Those of the transpose are
+        # y0 = w x0 and yn = w xn / w_(N-1), with w_k = turn_k / lead the
+        # product of b_j / c_j over the chain before k, of modulus 1
+        x0, xn = _buffer(work, "ends", (2, N, K))
+        x0[0] = xn[0] = 1.0
+        np.cumprod(ratio(slice(None), False, x0[1:]), axis=0, out=x0[1:])
+        np.multiply(quot[::-1, 0], into_up[::-1], out=xn[1:])
+        np.cumprod(xn[1:], axis=0, out=xn[1:])
+        xn = xn[::-1]
+        turn, lead = ahead[at], ahead[cut]
+        wn = turn[-1] / lead
+        hi, lo = c[at[-1]], b[at[-1]]           # A[cut, cut-1], A[cut-1, cut]
         g0, gn = gamma[0], gamma[-1]
         # P(z)^{-1} = T(z)^{-1} - [x0 xn] J^{-1} [yn y0]^T, whose diagonal
         # enters the log-derivative with the weight -P_kk'(z)
@@ -249,82 +266,81 @@ def _factor(bands, e, z: np.ndarray, cut: np.ndarray, slow: int,
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
         _guard(det, tiny * tiny)
         Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
-        if e is not None:
-            w *= slope
-        cross = np.einsum("kn,kn,kn->n", x0, xn, w)
-        g += ((Jinv[0, 0] / wn + Jinv[1, 1]) * cross
-              + Jinv[0, 1] * np.einsum("kn,kn,kn->n", x0, x0, w)
-              + Jinv[1, 0] / wn * np.einsum("kn,kn,kn->n", xn, xn, w))
-        del w
+        # so the diagonal of P(z)^{-1} is 1 / gamma_k less
+        # smw_k = turn_k (c01 x0_k^2 + cx x0_k xn_k + cn xn_k^2), the
+        # weights of each iterate divided by its lead once
+        c01 = Jinv[0, 1] / lead
+        cx = (Jinv[0, 0] / wn + Jinv[1, 1]) / lead
+        cn = Jinv[1, 0] / wn / lead
+        smw, term = _buffer(work, "smw", (N, K)), scratch
+        np.multiply(x0, c01, out=smw)
+        np.multiply(xn, cx, out=term)
+        smw += term
+        smw *= x0
+        np.multiply(xn, cn, out=term)
+        term *= xn
+        smw += term
+        smw *= turn
+        if slope is not None:
+            np.multiply(smw, slope, out=term)
+        g += np.sum(smw if slope is None else term, axis=0)
 
     def diagonal(cols):
-        # of the iterates cols: the diagonal of P(z)^{-1} along each chain,
-        # and for a ring the parts of its Sherman-Morrison-Woodbury term
-        # that its vectors read again
+        # the diagonal of P(z)^{-1} along the chains of the iterates cols
         d = gamma[:, cols]
         np.reciprocal(d, out=d)
-        if not cyclic:
-            return d, None
-        Ji, X0, Xn = Jinv[..., cols], x0[:, cols], xn[:, cols]
-        W, Wn = turn(cols), wn[cols]
-        # the Sherman-Morrison-Woodbury part of the diagonal,
-        # W (Ji01 X0^2 + (Ji00 / Wn + Ji11) X0 Xn + Ji10 / Wn Xn^2)
-        smw = X0 * X0
-        smw *= Ji[0, 1]
-        term = X0 * Xn
-        term *= Ji[0, 0] / Wn + Ji[1, 1]
-        smw += term
-        np.multiply(Xn, Xn, out=term)
-        term *= Ji[1, 0] / Wn
-        smw += term
-        del term
-        smw *= W
-        d -= smw
-        del smw
-        return d, (Ji, X0, Xn, W, Wn)
+        if cyclic:
+            d -= smw[:, cols]
+        return d
 
     def vectors(sel):
         # of the iterates sel picks: the column of P(z)^{-1} with the
         # largest diagonal entry, scaled
         cols = np.flatnonzero(sel)
-        d, ring = diagonal(cols)
-        twist = np.argmax(np.abs(d), axis=0)
-        del d
-        if cyclic:
-            Ji, X0, Xn, W, Wn = ring
-            del ring
-            # gamma_twist times row twist of [yn y0]^T, for the correction
-            t = twist, np.arange(len(cols))
-            left = [gamma[twist, cols] * W[t]
-                    * (Ji[i, 0] / Wn * Xn[t] + Ji[i, 1] * X0[t])
-                    for i in (0, 1)]
-            del W
+        twist = np.argmax(np.abs(diagonal(cols)), axis=0)
         k = np.arange(N - 1)[:, None]
-        ratio = ratio_up(cols)
-        np.copyto(ratio, 1.0, where=k >= twist)
-        x = _chain(ratio, up=True)
-        ratio = ratio_down(cols)
-        np.copyto(ratio, 1.0, where=k < twist)
-        x *= _chain(ratio, up=False)
-        del ratio
-        if cyclic:
-            corr = X0 * left[0]
-            corr += Xn * left[1]
+        above = ratio(cols, up=True)
+        np.copyto(above, 1.0, where=k >= twist)
+        x = _chain(above, up=True)
+        below = ratio(cols, up=False)
+        np.copyto(below, 1.0, where=k < twist)
+        x *= _chain(below, up=False)
+        del above, below
+        if not cyclic:
+            return x
+        # less [x0 xn] J^{-1} times gamma_twist and row twist of [yn y0]^T
+        start = pick(cut, cols)
+        t = twist, cols
+        w = gamma[t] * (ahead[start + twist] / pick(lead, cols))
+        Wn = pick(wn, cols)
+        for i, end in enumerate((x0, xn)):
+            corr = end[:, cols]
+            corr *= w * (Jinv[i, 0, cols] / Wn * xn[t]
+                         + Jinv[i, 1, cols] * x0[t])
             x -= corr
-            del corr, X0, Xn
-            out = np.empty_like(x)
-            out[along(N, cols), t[1]] = x
-            x = out
-        return x
+        del corr
+        # ring position p is position p - cut (mod N) of the chain
+        back = (N - start) + np.arange(N)[:, None]
+        return np.concatenate([x, x])[back, np.arange(len(cols))]
     return g, diagonal, vectors
 
 
-def _pull(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1 / (z_i - z_j) for the iterates idx."""
-    d = z[idx, None] - z[None, :]
+def _pull(z: np.ndarray, idx: np.ndarray, work: dict) -> np.ndarray:
+    """sum_{j != i} 1 / (z_i - z_j) for the iterates idx.  Called before
+    the part's `_factor`, it borrows the pivot loop's work array, which
+    holds the 2 N values of each iterate, at least len(z)."""
+    d = np.subtract(z[idx, None], z[None, :],
+                    out=_buffer(work, "both", (len(idx), len(z))))
     d[np.arange(len(idx)), idx] = np.inf
     _guard(d, np.inf)
     return np.sum(np.divide(1.0, d, out=d), axis=1)
+
+
+def _cuts(X: np.ndarray) -> np.ndarray:
+    """Where the ring is cut for each vector's next evaluation: at its
+    largest component, where the chain that remains is far from
+    singular."""
+    return np.argmax(np.abs(X), axis=0)
 
 
 def resolvent_trace(A, z, scale: float, damping=None) -> np.ndarray:
@@ -343,9 +359,9 @@ def resolvent_trace(A, z, scale: float, damping=None) -> np.ndarray:
     """
     e = None if damping is None else np.asarray(damping, dtype=complex)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g, diagonal, _ = _factor(_bands(A.tocsr()), e, z,
+    g, diagonal, _ = _factor(_ring(_bands(A.tocsr()), e), z,
                              np.zeros(len(z), dtype=int), 0, _EPS * scale, {})
-    inverse = np.abs(diagonal(np.arange(len(z)))[0]).max(axis=0)
+    inverse = np.abs(diagonal(np.arange(len(z)))).max(axis=0)
     size = scale + np.abs(z) * (1.0 if e is None
                                 else np.abs(e).max() + np.abs(z))
     near = ~(inverse * size * _SINGULAR <= 1.0)      # nan fails too
@@ -389,6 +405,7 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors=False,
         raise ValueError(f"need {count} start values, got {len(start)}")
     A = A.tocsr()
     bands = _bands(A)
+    ring = _ring(bands, e)
     tol, stall = _TOL * scale, _STALL * scale
     near, tiny = _NEAR * scale, _EPS * scale
     z = np.array(start, dtype=complex)
@@ -412,11 +429,12 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors=False,
         for lo in range(0, len(active), chunk):
             part = slice(lo, lo + chunk)
             idx = active[part]
+            pull = _pull(z, idx, work)
             g, diagonal, vecs = _factor(
-                bands, e, z[idx], cut[idx], int(np.count_nonzero(slow[idx])),
+                ring, z[idx], cut[idx], int(np.count_nonzero(slow[idx])),
                 tiny, work)
             # Aberth: the Newton step of det P(z) / prod_{j != i} (z - z_j)
-            denom = g - _pull(z, idx)
+            denom = g - pull
             safe = denom != 0
             step[part] = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
             # the vector is formed where the step is as small as the
@@ -462,7 +480,7 @@ def eigensolve(A, start: np.ndarray, scale: float, vectors=False,
                 stop |= stuck
                 done[lo + np.flatnonzero(sel)] = stop
                 res[got] = r
-                cut[got] = np.argmax(np.abs(X), axis=0)
+                cut[got] = _cuts(X)
                 if vectors:
                     V[:, got] = X
                 del X

@@ -564,6 +564,32 @@ def test_multiset_distance_stays_linear_on_overdamped_spectra():
         assert peak < 2 * 2**20
 
 
+def test_multiset_distance_pairs_axis_points_with_noisy_real_parts(
+        monkeypatch):
+    """850 points on the imaginary axis whose real parts are rounding noise
+    of either sign, against a copy 1e-12 off with the signs flipped.  Sorted
+    by real part first, the two lists pair the axis in two scrambled halves,
+    r spans the whole axis and every pair becomes a candidate (723,350 on
+    the same inputs before the snapped pairing); the candidates now stay a
+    few per point, and the value is the assignment's."""
+    rng = np.random.default_rng(1)
+    n = 850
+    y = -np.linspace(1, 1000, n)
+    a = 1e-16 * rng.choice([-1, 1], n) + 1j * y
+    b = -1e-16 * np.sign(a.real) + 1j * (y + 1e-12 * rng.normal(size=n))
+    real, counts = spectral._near_pairs, []
+
+    def counted(a, b, r):
+        rows, cols = real(a, b, r)
+        counts.append(len(rows))
+        return rows, cols
+    monkeypatch.setattr(spectral, "_near_pairs", counted)
+    d = ds.multiset_distance(a, b)
+    assert d == _hungarian(a, b)
+    assert 0 < d < 1e-11
+    assert counts and max(counts) <= 4 * n
+
+
 _POINTS = st.one_of(
     st.complex_numbers(max_magnitude=1e3, allow_nan=False,
                        allow_infinity=False),

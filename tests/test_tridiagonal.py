@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse
 
 import dampedstring as ds
-from dampedstring import tridiagonal
+from dampedstring import spectral, tridiagonal
 
 from conftest import frame
 
@@ -227,3 +227,116 @@ def test_resolvent_trace_refuses_a_singular_polynomial(tag, damping):
                        match="too close to the spectrum"):
         trace([0.0])
     assert np.isfinite(trace([1e-3])).all()
+
+
+RINGS = ["omega:1,0", "omega:-1,0", "omega:0,1"]
+
+
+def _rolled(A, s):
+    """P A P^T for the cyclic shift P e_k = e_(k+s mod N): the same ring
+    with every position relabelled, so that its corners move inside."""
+    N, coo = A.shape[0], A.tocoo()
+    return scipy.sparse.csr_array(
+        (coo.data, ((coo.row + s) % N, (coo.col + s) % N)), shape=A.shape)
+
+
+def _ring_problem(tag, degree):
+    """(A, damping, scale, start) of eigen_dirac (degree 1) or of
+    eigen_generator (degree 2) on a ring family, or for "phases" a random
+    ring whose couplings b_k, c_k of equal modulus differ in phase at every
+    position, started near the dense eigenvalues."""
+    if tag != "phases":
+        rho, alpha = COEFFICIENTS["variable"]
+        ops = ds.build_operator_set(24, rho, alpha, ds.parse_bc(tag))
+        if degree == 1:
+            return (ops.dirac_band(), None, ops.dirac_norm,
+                    spectral._dirac_start(ops))
+        radius = np.sqrt(ops.H1_eigvals[-1]) + np.abs(ops.C).max()
+        return (ops.H1f, 1j * ops.C, ops.generator_norm,
+                spectral._damped_start(ops, 0, 0, radius))
+    rng = np.random.default_rng(7)
+    N = 20
+    size = rng.uniform(0.5, 2.0, N)
+    b = size * np.exp(2j * np.pi * rng.random(N))
+    c = size * np.exp(2j * np.pi * rng.random(N))
+    A = np.diag(rng.normal(size=N) + 0.3j * rng.normal(size=N))
+    A += np.diag(b[:-1], 1) + np.diag(c[:-1], -1)
+    A[N - 1, 0], A[0, N - 1] = b[-1], c[-1]
+    e = None
+    if degree == 1:
+        lam, scale = np.linalg.eigvals(A), np.linalg.norm(A, 2)
+    else:
+        e = rng.normal(size=N) + 1j * rng.normal(size=N)
+        L = np.block([[np.zeros((N, N)), np.eye(N)], [A, -np.diag(e)]])
+        lam, scale = np.linalg.eigvals(L), np.linalg.norm(L, 2)
+    start = lam + 1e-2 * scale * np.exp(2j * np.pi * rng.random(len(lam)))
+    return scipy.sparse.csr_array(A), e, scale, start
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("tag", RINGS + ["phases"])
+def test_relabelled_ring_keeps_spectrum_vectors_and_trace(tag, degree):
+    """Rolling a ring by s only relabels its positions, so the cut of every
+    chain falls elsewhere along the same ring: the eigenvalues agree within
+    1e-13 of the scale, each well separated eigenvalue's vector is the
+    rolled one, and tr[-P'(z) P(z)^{-1}] agrees within 1e-12 relative."""
+    A, e, scale, start = _ring_problem(tag, degree)
+    N = A.shape[0]
+    z, _, V = tridiagonal.eigensolve(A, start, scale, True, e)
+    probes = np.array([0.37, 0.3 + 1.5j, -2.0 + 0.4j])
+    trace = tridiagonal.resolvent_trace(A, probes, scale, damping=e)
+    gaps = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(len(z), np.inf))
+    apart = np.flatnonzero(gaps.min(axis=1) > 1e-6 * scale)
+    assert len(apart) >= len(z) // 4
+    for s in (1, N // 2, N - 1):
+        rolled = None if e is None else np.roll(e, s)
+        zr, _, Vr = tridiagonal.eigensolve(_rolled(A, s), start, scale, True,
+                                           rolled)
+        assert ds.multiset_distance(z, zr) <= 1e-13 * scale, s
+        match = np.argmin(np.abs(zr[None, :] - z[apart, None]), axis=1)
+        overlap = np.abs(np.sum(np.conj(np.roll(V[:, apart], s, axis=0))
+                                * Vr[:, match], axis=0))
+        assert np.abs(overlap - 1).max() <= 1e-8, s
+        again = tridiagonal.resolvent_trace(_rolled(A, s), probes, scale,
+                                            damping=rolled)
+        assert np.abs(again - trace).max() <= 1e-12 * np.abs(trace).max(), s
+
+
+def test_ring_parts_mix_shared_and_own_cuts(monkeypatch):
+    """Every other vector's cut moved to its second largest component: the
+    parts of later sweeps mix iterates still at the cut they share with
+    iterates at cuts of their own, so one eigensolve runs both layouts,
+    and both spectra still match the dense oracles."""
+    largest = tridiagonal._cuts
+
+    def spread(X):
+        cut = largest(X)
+        cut[1::2] = np.argsort(np.abs(X), axis=0)[-2, 1::2]
+        return cut
+    monkeypatch.setattr(tridiagonal, "_cuts", spread)
+    factor, cuts = tridiagonal._factor, []
+
+    def recorded(ring, z, cut, *rest):
+        cuts.append(cut.copy())
+        return factor(ring, z, cut, *rest)
+    monkeypatch.setattr(tridiagonal, "_factor", recorded)
+    rho, alpha = COEFFICIENTS["variable"]
+    for tag in RINGS:
+        ops = ds.build_operator_set(32, rho, alpha, ds.parse_bc(tag))
+        Mf = ops.dirac_frame()
+        cuts.clear()
+        spec = ds.eigen_dirac(ops)
+        scale = np.linalg.norm(Mf, 2)
+        assert (ds.multiset_distance(spec.eigenvalues,
+                                     scipy.linalg.eigvals(Mf))
+                <= 1e-12 * scale), tag
+        gen = ds.eigen_generator(ops)
+        m = ops.H1f.shape[0]
+        L = np.block([[np.zeros((m, m)), np.eye(m)],
+                      [ops.H1f.toarray(), -np.diag(1j * ops.C)]])
+        assert (ds.multiset_distance(gen.eigenvalues, scipy.linalg.eigvals(L))
+                <= 1e-12 * ops.generator_norm), tag
+        shared = [len(np.unique(c)) == 1 for c in cuts]
+        mixed = [np.bincount(c).max() > 1 and len(np.unique(c)) > 1
+                 for c in cuts]
+        assert any(shared) and any(mixed), tag
