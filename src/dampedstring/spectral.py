@@ -433,14 +433,14 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     The pairing of the two sorted lists, by real part and then imaginary
     part with real parts of rounding size taken as 0, gives an upper bound
     r, and the largest distance from any point to its nearest partner
-    within r a lower bound; when they meet, r is returned.  Otherwise the gaps of the pairs
-    within r are bisected, each step testing the graph of the pairs within
-    the step's gap for a perfect matching (Hopcroft and Karp).  The pairs
-    within r are found on a grid of square cells of side r in the plane,
-    each point of a against the three-by-three cells around its own, so
-    the work stays linear where many points share a real part (the
-    overdamped modes on the imaginary axis).  No len(a) x len(b) array is
-    formed.
+    within r a lower bound; when they meet, r is returned.  Otherwise the
+    gaps of the pairs within r are bisected, each step testing the graph of
+    the pairs within the step's gap for a perfect matching (Hopcroft and
+    Karp).  The pairs within r are found on a grid of square cells of side
+    r in the plane, each point of a against the three-by-three cells around
+    its own, so the work stays linear where many points share a real part
+    (the overdamped modes on the imaginary axis).  No len(a) x len(b) array
+    is formed.
     """
     a, b = np.asarray(a), np.asarray(b)
     for name, x in (("a", a), ("b", b)):
