@@ -25,12 +25,10 @@ from .spectral import (EigenPair, Spectrum, check_strip, check_symmetry,
                        eigen_dirac, eigen_generator, fit_asymptotics,
                        map_dirac_to_generator, map_generator_to_dirac,
                        multiset_distance, verify_factorization_identity)
-from .susy import (BlockResolvent, PolarParts, block_diagonalize,
-                   check_intertwining, check_isospectral, polar_decompose,
-                   resolvent_dirac, resolvent_perturbed)
+from .susy import (BlockResolvent, block_diagonalize, check_intertwining,
+                   check_isospectral, resolvent_dirac, resolvent_perturbed)
 from .traces import (TraceLedger, build_ledger, eigen_sum, livsic_check,
-                     resolvent_trace_expansion, trace_coefficient,
-                     verify_trace_identity)
+                     resolvent_trace_expansion, trace_coefficient)
 
 __version__ = "0.1.0"
 

@@ -109,8 +109,7 @@ def cmd_greens(cfg: RunConfig, report: VerificationReport) -> None:
         K = greens.greens_kernel(cfg.bc, xs[:, None], xs[None, :])
     except greens.KernelUnavailableError:
         # zero-mode families have no kernel at z=0; report and move on
-        report.add("greens.kernel_available", "greens.kernel", 0.0, None,
-                   hard=False)
+        report.add("greens.kernel_available", "greens.kernel", 0.0, None)
         return
     (out / "greens_kernel.csv").write_text(to_csv(
         ("x", "xp", "re_k", "im_k"),
@@ -120,7 +119,7 @@ def cmd_greens(cfg: RunConfig, report: VerificationReport) -> None:
     ops = _ops_from(cfg)
     t0_disc = traces.trace_coefficient(0, ops)
     report.add("greens.t0_discretization_gap", "greens.t0",
-               abs(t0_disc - t0), None, hard=False)
+               abs(t0_disc - t0), None)
     # the kernel must reproduce the discrete solve up to discretization error
     f = lambda x: np.sin(3 * np.pi * x) + np.cos(2.0 * x)
     u = greens.apply_inverse_via_kernel(cfg.bc, f, ops.grid)
@@ -231,7 +230,7 @@ def cmd_verify_all(cfg: RunConfig, report: VerificationReport) -> None:
         ops = build_operator_set(VERIFY_ALL_N, rho, alpha, bc)
         spec = spectral.eigen_dirac(ops)
         scale = float(np.abs(spec.nonzero()).min()) ** -2 * len(spec)
-        d_even, d_odd = traces.verify_trace_identity(0, ops, spec)
+        d_even, d_odd = traces.build_ledger(ops, spec, n_max=0).discrepancies
         report.add(f"trace.m0.{bc.tag}", "trace.even", d_even, 1e-8 * scale)
         report.add(f"trace.m1.{bc.tag}", "trace.odd", d_odd, 1e-8 * scale)
         gen = spectral.eigen_generator(ops)

@@ -8,7 +8,7 @@ quadrature error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 _PARTITION_TOL = 1e-12
+_DENSITY_PROBE = 1000    # points of the density positivity probe
 
 
 class CoefficientError(ValueError):
@@ -60,7 +61,6 @@ class CoefficientSpec:
 
     pieces: tuple[Piece, ...]
     kind: str = "damping"
-    _probe: int = field(default=1000, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("density", "damping"):
@@ -82,7 +82,7 @@ class CoefficientSpec:
             if not np.all(np.isreal(coeffs)) or not np.all(np.isfinite(coeffs)):
                 raise CoefficientError("coefficients must be finite reals")
         if self.kind == "density":
-            xs = np.linspace(0.0, 1.0, self._probe)
+            xs = np.linspace(0.0, 1.0, _DENSITY_PROBE)
             if np.min(self.sample(xs)) <= 0.0:
                 raise CoefficientError("density must be strictly positive on [0,1]")
 
@@ -185,24 +185,20 @@ def _as_pieces(factor) -> tuple[Piece, ...]:
     return (Piece(0.0, 1.0, coeffs),)
 
 
-def integrate_product(factors, a: float = 0.0, b: float = 1.0) -> float:
-    """Exact integral of a product of piecewise polynomials over [a,b] in [0,1].
+def integrate_product(factors) -> float:
+    """Exact integral of a product of piecewise polynomials over [0,1].
 
     Each factor is a CoefficientSpec or a plain ascending coefficient list
     (interpreted on all of [0,1]).
     """
-    if not 0.0 <= a <= b <= 1.0:
-        raise CoefficientError(f"integration interval [{a}, {b}] not inside [0,1]")
-    if a == b:
-        return 0.0
     factor_pieces = [_as_pieces(f) for f in factors]
     if not factor_pieces:
         raise CoefficientError("no factors to integrate")
-    cuts = {a, b}
+    cuts = {0.0, 1.0}
     for pieces in factor_pieces:
         cuts.update(p.a for p in pieces)
         cuts.update(p.b for p in pieces)
-    cuts = sorted(c for c in cuts if a <= c <= b)
+    cuts = sorted(c for c in cuts if 0.0 <= c <= 1.0)
     total = 0.0
     P = np.polynomial.polynomial
     for lo, hi in zip(cuts[:-1], cuts[1:]):

@@ -89,6 +89,11 @@ class RunConfig:
             raise ConfigError("n_max must be nonnegative")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"'seeds' must be nonnegative (config key or "
+                              f"--seed), got {min(self.seeds)}")
+        if not np.isfinite(self.zeta):
+            raise ConfigError(f"'zeta' must be finite, got {self.zeta}")
         if len(self.fit_window) != 2 or not (
                 0 < self.fit_window[0] < self.fit_window[1] <= 1):
             raise ConfigError("fit window must be two fractions 0 < lo < hi <= 1")
@@ -168,8 +173,8 @@ class VerificationReport:
     records: list = field(default_factory=list)
 
     def add(self, name: str, anchor: str, measured: float,
-            tolerance: float | None, hard: bool = True) -> CheckRecord:
-        if tolerance is None or not hard:
+            tolerance: float | None) -> CheckRecord:
+        if tolerance is None:
             status = "report-only"
         else:
             status = "pass" if measured <= tolerance else "fail"
@@ -181,7 +186,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.status != "fail" for r in self.records)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps({
             "environment": {
                 "n_grid": self.config.n_grid,
@@ -191,7 +196,7 @@ class VerificationReport:
             },
             "passed": self.passed,
             "records": [r.as_dict() for r in self.records],
-        }, indent=indent)
+        }, indent=2)
 
     def summary_lines(self):
         for r in self.records:

@@ -23,7 +23,6 @@ from .reporting import to_csv
 _MODE_CHUNK = 2**15      # modes x positions per batched inverse iteration
 _EPS = np.finfo(float).eps
 RANGE_TOL = 1e-8         # least-squares residual of a vector in ran(T)
-STRIP_SLACK = 1e-10      # rounding allowed past the damping strip
 
 __all__ = [
     "Spectrum", "EigenPair",
@@ -43,7 +42,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     residuals: np.ndarray
     zero_modes: int
-    source: str                      # dirac | generator | selfadjoint
     tol_zero: float
     vectors: np.ndarray | None = None  # columns, weighted frame
 
@@ -69,7 +67,6 @@ class Spectrum:
 class EigenPair:
     lam: complex
     vector: np.ndarray
-    space_tag: str                   # node+cell | node+node | node
     residual: float
 
 
@@ -78,7 +75,7 @@ def _sort_order(lam: np.ndarray) -> np.ndarray:
 
 
 def _spectrum(lam: np.ndarray, res: np.ndarray, V: np.ndarray | None,
-              scale: float, tol_zero: float, source: str) -> Spectrum:
+              scale: float, tol_zero: float) -> Spectrum:
     """Sort the eigenvalues lam with their residuals res (and vectors V),
     gate the residuals at 1e-8 x scale = ||M||_2 and count the zero modes."""
     order = _sort_order(lam)
@@ -89,7 +86,7 @@ def _spectrum(lam: np.ndarray, res: np.ndarray, V: np.ndarray | None,
             f"eigensolver residual {res[bad].max():.3e} exceeds 1e-8 x norm "
             f"at index {int(np.nonzero(bad)[0][0])}")
     zm = int(np.sum(np.abs(lam) < tol_zero))
-    return Spectrum(lam, res, zm, source, tol_zero,
+    return Spectrum(lam, res, zm, tol_zero,
                     None if V is None else V[:, order])
 
 
@@ -144,7 +141,7 @@ def eigen_dirac(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectru
     lam, res, V = tridiagonal.eigensolve(ops.dirac_band(), _dirac_start(ops),
                                          ops.dirac_norm, keep_vectors)
     return _spectrum(lam, res, None if V is None else V[ops.interleave],
-                     ops.dirac_norm, ops.tol_zero, "dirac")
+                     ops.dirac_norm, ops.tol_zero)
 
 
 def eigen_generator(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spectrum:
@@ -173,8 +170,7 @@ def eigen_generator(ops: DiscreteOperatorSet, keep_vectors: bool = False) -> Spe
     if U is not None:
         V = np.concatenate([U, U * (-1j * lam)])
         V /= np.linalg.norm(V, axis=0)
-    return _spectrum(lam, res, V, ops.generator_norm, ops.tol_zero,
-                     "generator")
+    return _spectrum(lam, res, V, ops.generator_norm, ops.tol_zero)
 
 
 def selfadjoint_modes(ops: DiscreteOperatorSet, weights=()
@@ -351,7 +347,7 @@ def constant_damping_dirac(ops: DiscreteOperatorSet) -> Spectrum:
     order = _sort_order(lam)
     lam, res = lam[order], res[order]
     zm = int(np.sum(np.abs(lam) < ops.tol_zero))
-    return Spectrum(lam, res, zm, "dirac", ops.tol_zero)
+    return Spectrum(lam, res, zm, ops.tol_zero)
 
 
 def weighted_residual(M: np.ndarray, lam: complex, v: np.ndarray,
@@ -369,8 +365,8 @@ def map_generator_to_dirac(pair: EigenPair, ops: DiscreteOperatorSet) -> EigenPa
     u, v = pair.vector[:m], pair.vector[m:]
     out = np.concatenate([v, -1j * (ops.T @ u)])
     out = out / ops.weighted_norm(out)
-    return EigenPair(pair.lam, out, "node+cell",
-                     weighted_residual(ops.D + ops.B, pair.lam, out, ops, "dirac"))
+    return EigenPair(pair.lam, out, weighted_residual(ops.D + ops.B, pair.lam,
+                                                      out, ops, "dirac"))
 
 
 def map_dirac_to_generator(pair: EigenPair,
@@ -388,8 +384,8 @@ def map_dirac_to_generator(pair: EigenPair,
     w = wf / np.sqrt(ops.wu)
     out = np.concatenate([1j * w, psi1])
     out = out / ops.weighted_norm(out, "generator")
-    return EigenPair(pair.lam, out, "node+node",
-                     weighted_residual(1j * ops.G, pair.lam, out, ops, "generator"))
+    return EigenPair(pair.lam, out, weighted_residual(1j * ops.G, pair.lam,
+                                                      out, ops, "generator"))
 
 
 def _near_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple:
@@ -495,25 +491,16 @@ def check_symmetry(spec: Spectrum, companion: Spectrum | None = None) -> dict:
     """
     other = spec if companion is None else companion
     d = multiset_distance(spec.eigenvalues, -np.conj(other.eigenvalues))
-    return {"distance": d, "paired_with": "self" if companion is None else "companion"}
+    return {"distance": d}
 
 
 def check_strip(spec: Spectrum, ops: DiscreteOperatorSet) -> dict:
-    """Containment in the strip |Im| <= sup alpha/rho^2, up to STRIP_SLACK."""
+    """The largest |Im lambda| against the strip bound sup |alpha/rho^2|."""
     xs = np.linspace(0.0, 1.0, 2001)
     bound = float(np.max(np.abs(np.asarray(ops.alpha.sample(xs))
                                 / np.asarray(ops.rho.sample(xs)) ** 2)))
     max_im = float(np.max(np.abs(spec.eigenvalues.imag))) if len(spec) else 0.0
-    dissipative = bool(np.all(np.asarray(ops.alpha.sample(xs)) >= 0))
-    return {
-        "max_abs_im": max_im,
-        "norm_bound": bound,
-        "inside_strip": max_im <= bound + STRIP_SLACK,
-        "dissipative_case": dissipative,
-        "upper_half_empty": bool(np.max(spec.eigenvalues.imag, initial=0.0)
-                                 <= STRIP_SLACK)
-        if dissipative else None,
-    }
+    return {"max_abs_im": max_im, "norm_bound": bound}
 
 
 def fit_asymptotics(spec: Spectrum, rho: CoefficientSpec,
@@ -540,7 +527,6 @@ def fit_asymptotics(spec: Spectrum, rho: CoefficientSpec,
         "target": float(target),
         "relative_deviation": float(abs(slope - target) / target),
         "window": (lo, hi),
-        "branch_size": J,
     }
 
 

@@ -18,27 +18,12 @@ from .discretization import DiscreteOperatorSet, shifted, solve_band
 from .spectral import multiset_distance
 
 __all__ = [
-    "PolarParts", "BlockResolvent",
-    "polar_decompose", "check_isospectral",
+    "BlockResolvent", "check_isospectral",
     "block_diagonalize", "check_intertwining", "first_resolvent_identity",
     "resolvent_dirac", "resolvent_perturbed", "trace_ideal_decay",
 ]
 
 DECAY_FROM = 5           # first index of the trace-ideal decay fit
-
-
-@dataclass(frozen=True)
-class PolarParts:
-    """T = V |T| with V a partial isometry vanishing on ker T.
-
-    All three matrices live in the weighted frame; `rank` counts singular
-    values above the zero threshold.
-    """
-
-    V: np.ndarray
-    absT: np.ndarray
-    absTstar: np.ndarray
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -51,17 +36,6 @@ class BlockResolvent:
         return np.block([[a, b], [c, d]])
 
 
-def polar_decompose(ops: DiscreteOperatorSet) -> PolarParts:
-    """SVD-based polar factors in the weighted frame, as formed once per
-    operator set by `DiscreteOperatorSet.polar`.
-
-    Singular values below ``tol_zero`` are treated as exact kernel
-    directions, so V is the zero map there and a weighted isometry on the
-    orthogonal complement.
-    """
-    return PolarParts(*ops.polar, ops.rank)
-
-
 def check_isospectral(ops: DiscreteOperatorSet) -> dict:
     """Nonzero spectra of T*T and TT* agree; zero counts match the kernels."""
     mu1, mu2 = ops.H1_eigvals, ops.H2_eigvals      # ascending
@@ -71,8 +45,7 @@ def check_isospectral(ops: DiscreteOperatorSet) -> dict:
     z2 = ops.n_cells - r
     scale = max(float(np.abs(mu1).max()), 1e-300)
     dist = multiset_distance(mu1[::-1][:r], mu2[::-1][:r]) / scale
-    return {"relative_distance": float(dist), "ker_T": z1, "ker_Tstar": z2,
-            "rank": r}
+    return {"relative_distance": float(dist), "ker_T": z1, "ker_Tstar": z2}
 
 
 def block_diagonalize(ops: DiscreteOperatorSet) -> dict:

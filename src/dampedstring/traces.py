@@ -14,7 +14,7 @@ the checks are eigensolver-accuracy, not discretization-accuracy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .reporting import fmt_float
 from .spectral import Spectrum, eigen_dirac
 
 __all__ = [
-    "TraceLedger", "trace_coefficient", "eigen_sum", "verify_trace_identity",
-    "build_ledger", "resolvent_trace_expansion", "regularized_sum_check",
+    "TraceLedger", "trace_coefficient", "eigen_sum", "build_ledger",
+    "resolvent_trace_expansion", "regularized_sum_check",
     "livsic_check",
 ]
 
@@ -40,16 +40,14 @@ class TraceLedger:
 
     bc: str
     n_grid: int
-    n_max: int
     t: list                      # t_{2n}, n = 0..n_max
     lhs: list                    # S_m, m = 0..2*n_max+1
     discrepancies: list          # |S_{2n} + t_{2n}| and |S_{2n+1}| interleaved
     excluded_zero_modes: int
     t0_continuum: float | None = None
-    extras: dict = field(default_factory=dict)
 
-    def to_json(self, indent: int = 2) -> str:
-        payload = {
+    def to_json(self) -> str:
+        return json.dumps({
             "bc": self.bc,
             "n_grid": self.n_grid,
             "t": [fmt_float(v) for v in self.t],
@@ -58,9 +56,7 @@ class TraceLedger:
             "zero_modes": self.excluded_zero_modes,
             "continuum": {"t0_analytic": None if self.t0_continuum is None
                           else fmt_float(self.t0_continuum)},
-        }
-        payload.update(self.extras)
-        return json.dumps(payload, indent=indent)
+        }, indent=2)
 
 
 def trace_coefficient(n: int, ops: DiscreteOperatorSet,
@@ -116,14 +112,6 @@ def eigen_sum(m: int, spec: Spectrum) -> float:
     return float(np.sum(p.imag / np.abs(p) ** 2))
 
 
-def verify_trace_identity(n: int, ops: DiscreteOperatorSet,
-                          spec: Spectrum) -> tuple[float, float]:
-    """(|S_{2n} + t_{2n}|, |S_{2n+1}|) for the given order."""
-    method = "closed" if n <= 1 else "neumann"
-    t = trace_coefficient(n, ops, method=method)
-    return (abs(eigen_sum(2 * n, spec) + t), abs(eigen_sum(2 * n + 1, spec)))
-
-
 def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
                  n_max: int = N_MAX_DEFAULT) -> TraceLedger:
     lhs, disc = [], []
@@ -139,9 +127,9 @@ def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
         t0c = t0_analytic(ops.bc, ops.alpha)
     except KernelUnavailableError:
         t0c = None
-    return TraceLedger(bc=str(ops.bc), n_grid=ops.grid.n, n_max=n_max,
-                       t=t_vals, lhs=lhs, discrepancies=disc,
-                       excluded_zero_modes=spec.zero_modes, t0_continuum=t0c)
+    return TraceLedger(bc=str(ops.bc), n_grid=ops.grid.n, t=t_vals, lhs=lhs,
+                       discrepancies=disc, excluded_zero_modes=spec.zero_modes,
+                       t0_continuum=t0c)
 
 
 def resolvent_trace_expansion(zeta: float, ops: DiscreteOperatorSet
@@ -216,7 +204,6 @@ def regularized_sum_check(spec: Spectrum, ops: DiscreteOperatorSet,
         "partial_sums": partial,
         "target": complex(target),
         "final_gap": float(abs(partial[-1] - target)),
-        "j_cut": J,
     }
 
 

@@ -187,7 +187,7 @@ def test_criterion_08_generator_dirac_equivalence():
             if abs(lam) < gen.tol_zero:
                 continue
             v = gen.vectors[:, k] / np.concatenate([su, su])
-            pair = spectral.EigenPair(lam, v, "node+node", 0.0)
+            pair = spectral.EigenPair(lam, v, 0.0)
             worst_map = max(worst_map,
                             spectral.map_generator_to_dirac(pair, ops).residual)
         for k in range(4, len(dirac), max(len(dirac) // 7, 1)):
@@ -195,7 +195,7 @@ def test_criterion_08_generator_dirac_equivalence():
             if abs(lam) < dirac.tol_zero:
                 continue
             v = dirac.vectors[:, k] / sd
-            pair = spectral.EigenPair(lam, v, "node+cell", 0.0)
+            pair = spectral.EigenPair(lam, v, 0.0)
             worst_map = max(worst_map,
                             spectral.map_dirac_to_generator(pair, ops).residual)
         fz = spectral.verify_factorization_identity(0.7 - 0.3j, ops)

@@ -52,7 +52,8 @@ def test_config_rejects_unknown_key(tmp_path):
 @pytest.mark.parametrize("text", ['{"seeds": []}', '{"fit_window": [0.1]}',
                                   '{"n_grid": "abc"}', '{"bc": 5}', '[1, 2]',
                                   '{"n_grid": 40.9}', '{"seeds": [1.7]}',
-                                  '{"zeta": true}'])
+                                  '{"zeta": true}', '{"zeta": NaN}',
+                                  '{"zeta": Infinity}', '{"seeds": [-1]}'])
 def test_malformed_config_exits_two(tmp_path, capsys, text):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(text)
@@ -63,7 +64,8 @@ def test_malformed_config_exits_two(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("key, value", [
     ("n_grid", 40.9), ("n_max", True), ("seeds", [1.7]), ("seeds", [False]),
-    ("zeta", True), ("fit_window", [0.1, True])])
+    ("zeta", True), ("fit_window", [0.1, True]), ("zeta", float("nan")),
+    ("zeta", float("-inf")), ("seeds", [3, -1])])
 def test_config_numbers_are_not_coerced(tmp_path, key, value):
     """A fractional integer or a boolean number is an error naming its key,
     not truncated to an int or read as 0 or 1."""
@@ -71,6 +73,15 @@ def test_config_numbers_are_not_coerced(tmp_path, key, value):
     cfg_path.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigError, match=repr(key)):
         RunConfig.from_json(cfg_path)
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys):
+    """--seed goes through the same check as the config key: a negative
+    seed is a configuration error naming 'seeds', not a failed check."""
+    assert run_cli("verify-all", "--seed", "-1", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'seeds'" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_config_accepts_integral_floats(tmp_path):

@@ -52,6 +52,29 @@ def test_columns_of_different_length_rejected():
         to_csv(("a", "b"), ([1.0, 2.0], [1.0]))
 
 
+def test_report_status_rule():
+    """A record passes when measured <= tolerance and fails otherwise, NaN
+    included; no tolerance makes it report-only.  The report passes unless
+    a record fails."""
+    report = VerificationReport(RunConfig(n_grid=16))
+    assert report.passed
+    cases = [(1.0, 1.0, "pass"), (0.5, 1.0, "pass"), (1.5, 1.0, "fail"),
+             (np.nan, 1.0, "fail"), (np.inf, 1.0, "fail"),
+             (np.nan, None, "report-only"), (7.0, None, "report-only")]
+    for k, (measured, tol, status) in enumerate(cases):
+        assert report.add(f"c{k}", "anchor", measured, tol).status == status
+    assert not report.passed
+    only = VerificationReport(RunConfig(n_grid=16))
+    only.add("a", "anchor", 0.5, 1.0)
+    only.add("b", "anchor", 9.0, None)
+    assert only.passed
+    only.add("c", "anchor", 2.0, 1.0)
+    assert not only.passed
+    assert json.loads(only.to_json())["passed"] is False
+    assert [line.split("]")[0] for line in only.summary_lines()] == [
+        "[       PASS", "[REPORT-ONLY", "[       FAIL"]
+
+
 def test_report_environment_names_the_software():
     report = VerificationReport(RunConfig(n_grid=16))
     report.add("check", "anchor", 0.5, 1.0)

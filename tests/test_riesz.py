@@ -100,7 +100,7 @@ def test_clusters_merge_when_a_box_captures_an_eigenvalue():
     """A diagonal chain (steps 1.56 < pi/2) is one gap cluster whose box
     holds 3 + 0.3i, which is 2.06 from the chain; the two must merge."""
     lam = np.array([0, 1.1 + 1.1j, 2.2 + 2.2j, 3.3 + 3.3j, 3.0 + 0.3j])
-    spec = ds.Spectrum(lam, np.zeros(len(lam)), 0, "dirac", 1e-10)
+    spec = ds.Spectrum(lam, np.zeros(len(lam)), 0, 1e-10)
     ops = ds.build_operator_set(8, RHO1, ds.constant(0.0, "damping"), MIN)
     clusters = riesz.cluster_eigenvalues(spec, ops)
     assert [c.members for c in clusters] == [[0, 1, 2, 3, 4]]

@@ -39,7 +39,7 @@ def test_eigen_pair_round_trip(damped_ops):
     k = len(gen) // 2
     lam = gen.eigenvalues[k]
     v = gen.vectors[:, k] / np.concatenate([su, su])
-    pair = spectral.EigenPair(lam, v, "node+node", 0.0)
+    pair = spectral.EigenPair(lam, v, 0.0)
     fwd = ds.map_generator_to_dirac(pair, damped_ops)
     assert fwd.residual < 1e-8
     back = ds.map_dirac_to_generator(fwd, damped_ops)
@@ -59,7 +59,7 @@ def test_zero_mode_maps_rejected(damped_ops):
     k = int(np.argmin(np.abs(spec.eigenvalues)))
     sd = np.sqrt(damped_ops.weights())
     pair = spectral.EigenPair(spec.eigenvalues[k], spec.vectors[:, k] / sd,
-                              "node+cell", 0.0)
+                              0.0)
     with pytest.raises(ValueError):
         ds.map_dirac_to_generator(pair, damped_ops)
 
@@ -187,8 +187,7 @@ def _dense_generator(ops):
     lam = 1j * nu
     V /= np.linalg.norm(V, axis=0)
     res = np.linalg.norm(1j * (ops.generator_frame @ V) - V * lam, axis=0)
-    return spectral._spectrum(lam, res, V, ops.generator_norm, ops.tol_zero,
-                              "generator")
+    return spectral._spectrum(lam, res, V, ops.generator_norm, ops.tol_zero)
 
 
 def test_generator_residuals_hold_assembled_G_to_the_bands(damped_ops):

@@ -16,23 +16,23 @@ def ops():
 
 
 def test_polar_reconstruction(ops):
-    parts = susy.polar_decompose(ops)
+    V, absT, _ = ops.polar
     Tf = np.sqrt(ops.wv)[:, None] * ops.T / np.sqrt(ops.wu)[None, :]
-    assert np.linalg.norm(Tf - parts.V @ parts.absT) < 1e-12 * np.linalg.norm(Tf)
+    assert np.linalg.norm(Tf - V @ absT) < 1e-12 * np.linalg.norm(Tf)
     # V is an isometry here (trivial kernel)
-    assert parts.rank == ops.n_nodes
-    VhV = parts.V.conj().T @ parts.V
+    assert ops.rank == ops.n_nodes
+    VhV = V.conj().T @ V
     assert np.linalg.norm(VhV - np.eye(ops.n_nodes)) < 1e-12
 
 
 def test_polar_partial_isometry_with_kernel():
     rho, alpha = ds.random_coefficients(13)
     opsk = ds.build_operator_set(16, rho, alpha, ds.BoundaryCondition.quasi(1.0))
-    parts = susy.polar_decompose(opsk)
-    assert parts.rank == opsk.n_nodes - 1
+    V, absT, _ = opsk.polar
+    assert opsk.rank == opsk.n_nodes - 1
     # V annihilates the kernel direction of |T|
-    mu, U = np.linalg.eigh(parts.absT)
-    assert np.linalg.norm(parts.V @ U[:, 0]) < 1e-9
+    mu, U = np.linalg.eigh(absT)
+    assert np.linalg.norm(V @ U[:, 0]) < 1e-9
 
 
 def test_isospectrality_and_kernel_counts(ops):
@@ -53,8 +53,8 @@ def _dense_susy_defects(ops):
     `check_intertwining`: the (m+n)^2 conjugation U Df U^H of the frame
     Dirac matrix by U = 2^{-1/2} [[I, V^H], [-V, I]], its Gram matrix
     U^H U, and V f(T*T) - f(TT*) V for f = x, x^2 from eigenvectors."""
-    parts = susy.polar_decompose(ops)
-    V, m, n = parts.V, ops.n_nodes, ops.n_cells
+    V, absT, absTstar = ops.polar
+    m, n = ops.n_nodes, ops.n_cells
     U = np.sqrt(0.5) * np.block([[np.eye(m), V.conj().T], [-V, np.eye(n)]])
     A = U @ frame(ops, ops.D) @ U.conj().T
     P = np.block([[V.conj().T @ V, np.zeros((m, n))],
@@ -62,8 +62,8 @@ def _dense_susy_defects(ops):
     out = {
         "off_block_norm": max(np.linalg.norm(A[:m, m:]),
                               np.linalg.norm(A[m:, :m])),
-        "diagonal_defect": max(np.linalg.norm(A[:m, :m] - parts.absT),
-                               np.linalg.norm(A[m:, m:] + parts.absTstar)),
+        "diagonal_defect": max(np.linalg.norm(A[:m, :m] - absT),
+                               np.linalg.norm(A[m:, m:] + absTstar)),
         "unitarity_defect": np.linalg.norm(
             P @ (U.conj().T @ U - np.eye(m + n)) @ P),
     }
@@ -89,7 +89,7 @@ def test_block_identities_match_dense_conjugation(bc):
     for key, want in dense.items():
         assert abs(got[key] - want) < 1e-13, (key, got[key], want)
     if bc.tag == "max":      # V is a partial isometry: ker T is nontrivial
-        assert susy.polar_decompose(opsb).rank < opsb.n_nodes
+        assert opsb.rank < opsb.n_nodes
 
 
 def test_susy_check_forms_the_polar_factors_once(tmp_path, monkeypatch):
