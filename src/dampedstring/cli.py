@@ -141,9 +141,11 @@ def cmd_trace(cfg: RunConfig, report: VerificationReport) -> None:
                    ledger.discrepancies[2 * n], 1e-6 * scale)
         report.add(f"trace.odd_sum_n{n}", "trace.odd",
                    ledger.discrepancies[2 * n + 1], 1e-6 * scale)
-    if cfg.n_max >= 1:
-        gap = abs(traces.trace_coefficient(1, ops, "closed")
-                  - traces.trace_coefficient(1, ops, "neumann"))
+    if cfg.n_max >= 1 and ops.rank < ops.n_nodes:
+        # ker T leaves the Neumann path without K = (T*T)^{-1}: report it
+        report.add("trace.neumann_available", "trace.neumann", 0.0, None)
+    elif cfg.n_max >= 1:
+        gap = abs(ledger.t[1] - traces.trace_coefficient(1, ops))
         report.add("trace.t2_two_paths", "trace.neumann", gap, 1e-10 * scale)
 
 

@@ -268,9 +268,9 @@ class DiscreteOperatorSet:
     T is stored as its per-cell coefficients c_j = i/(h rho(x_{j+1/2})):
     (T u)_j = c_j (u_{j+1} - u_j), with node n read as omega * node 0 for
     quasi.  The Hermitian problems (the spectra of T*T and TT*) are solved
-    as bands in coordinate order.  Every dense matrix (T, Tstar, Tf, H1,
-    H2, D, B, G) is built on first use and kept, written from the nonzeros
-    of T and of the frame forms H1f, H2f.
+    as bands in coordinate order.  Every dense matrix (T, Tstar, Tf, D, B,
+    G) is built on first use and kept, written from the nonzeros of T and
+    of the frame form H1f.
 
     The zero threshold `tol_zero` is 1e-10 ||Tf||_2, read off the top of the
     spectrum of T*T.  The rank of T needs only the number of singular
@@ -388,18 +388,6 @@ class DiscreteOperatorSet:
         return _product(cols, rows, rows, fv, fv.conj(), self.n_cells)
 
     @cached_property
-    def H1(self) -> np.ndarray:
-        """TstarT on the node space, filled from the entries of H1f."""
-        return _dense((self.n_nodes,) * 2,
-                      *_unframe(self.H1f, np.sqrt(self.wu)))
-
-    @cached_property
-    def H2(self) -> np.ndarray:
-        """TTstar on the cell space, filled from the entries of H2f."""
-        return _dense((self.n_cells,) * 2,
-                      *_unframe(self.H2f, np.sqrt(self.wv)))
-
-    @cached_property
     def C(self) -> np.ndarray:
         """Damping profile alpha/rho^2 sampled at retained nodes."""
         a = np.asarray(self.alpha.sample(self.grid.nodes))
@@ -511,18 +499,10 @@ class DiscreteOperatorSet:
         """Spectrum of TT* from its Hermitian frame form, ascending."""
         return self.frame_eigh("cell")
 
-    @cached_property
-    def K(self) -> np.ndarray:
-        """(T*T)^{-1}, from the band of H1; LinAlgError when ker T is
-        nontrivial for this bc."""
-        if self.rank < self.n_nodes:
-            raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
-        return solve_band(self.sparse("H1"))
-
     def sparse(self, name: str):
         """T, Tstar, H1 or H2 in the original coordinates, or the frame
-        factor Tf, as a sparse CSR matrix written from the same nonzeros as
-        the dense copy; H1 and H2 are real unless omega is complex."""
+        factor Tf, as a sparse CSR matrix; H1 and H2, written from the
+        entries of H1f and H2f, are real unless omega is complex."""
         m, n = self.n_nodes, self.n_cells
         shape, (rows, cols, vals) = {
             "T": ((n, m), self._T_entries),

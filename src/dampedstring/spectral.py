@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from . import tridiagonal
 from .coefficients import CoefficientSpec, integrate_product
-from .discretization import DiscreteOperatorSet
+from .discretization import DiscreteOperatorSet, shifted
 from .reporting import to_csv
 
 _MODE_CHUNK = 2**15      # modes x positions per batched inverse iteration
@@ -568,8 +568,7 @@ def verify_factorization_identity(z: complex, ops: DiscreteOperatorSet) -> dict:
     G = ops.G
     blocks = ((G[:m, :m], G[:m, m:]), (G[m:, :m], G[m:, m:]))
     diag = np.diag_indices(m)
-    L = -ops.H1
-    L[diag] += z * z + z * 1j * c
+    L = (-shifted(ops.sparse("H1"), z * z + z * 1j * c)).toarray()
     diff2 = lhs2 = rhs2 = 0.0
     for i in range(2):
         for j in range(2):

@@ -1,14 +1,16 @@
 """Trace coefficients t_{2n}, eigenvalue sums, and the trace-formula ledger.
 
-The family of identities verified here says that, with K = (T*T)^{-1} and
-C = alpha/rho^2 on the nodes, the regularized eigenvalue sums
+The family of identities verified here says that, with C = alpha/rho^2 on
+the nodes, the regularized eigenvalue sums
 
     S_m = sum' Im(lambda^{m+1}) / |lambda|^{2(m+1)}
 
 over the nonzero spectrum satisfy S_{2n} = -t_{2n} and S_{2n+1} = 0, where
-t_{2n} is the 2n-th Taylor coefficient of Im tr[(2 zeta + iC)(T*T - zeta^2
-- i zeta C)^{-1}].  At matrix level these are exact linear-algebra facts, so
-the checks are eigensolver-accuracy, not discretization-accuracy.
+t_{2n} is the 2n-th Taylor coefficient of Im F(zeta), F(zeta) = tr[(2 zeta +
+iC)(T*T - zeta^2 - i zeta C)^{-1}].  The ledger reads every t_{2n} off
+samples of F on a circle; the Neumann recurrence of (T*T)^{-1} is the
+second path.  At matrix level these are exact linear-algebra facts, so the
+checks are eigensolver-accuracy, not discretization-accuracy.
 """
 
 from __future__ import annotations
@@ -60,29 +62,19 @@ class TraceLedger:
 
 
 def trace_coefficient(n: int, ops: DiscreteOperatorSet,
-                      method: str = "closed") -> float:
-    """t_{2n} by the closed forms (n <= 1) or the Taylor recurrence.
+                      method: str = "neumann") -> float:
+    """t_{2n} by the Taylor recurrence, the second path beside the ledger's
+    contour (`build_ledger`).
 
-    ``method="closed"`` uses tr(C K) for n=0 and 3 tr(C K^2) - tr((CK)^3)
-    for n=1, each trace of a product read as a sum of elementwise products
-    (tr(XY) = sum(X * Y^T)), so only (CK)^2 is formed; ``method="neumann"``
-    expands (T*T - zeta^2 - i zeta C)^{-1} as sum_k R_k zeta^k, whose
-    coefficients obey R_0 = K and R_k = K (iC R_{k-1} + R_{k-2}), and reads
-    t_{2n} off the zeta^{2n} coefficient Im tr(2 R_{2n-1} + iC R_{2n}) in
-    2n products.  Both paths agree to rounding for n <= 1, which the verify
-    command asserts.
+    It expands (T*T - zeta^2 - i zeta C)^{-1} as sum_k R_k zeta^k, whose
+    coefficients obey R_0 = K = (T*T)^{-1} and R_k = K (iC R_{k-1} +
+    R_{k-2}), and reads t_{2n} off the zeta^{2n} coefficient Im tr(2 R_{2n-1}
+    + iC R_{2n}) in 2n dense products.  K comes from one band solve, so
+    LinAlgError when ker T is nontrivial.  ``method`` has the one value
+    "neumann".
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    K, C = ops.K, ops.C
-    if method == "closed":
-        if n == 0:
-            return float(np.real(np.sum(C * np.diag(K))))
-        if n == 1:
-            CK = C[:, None] * K
-            return float(np.real(3.0 * np.sum(CK * K.T)
-                                 - np.sum((CK @ CK) * CK.T)))
-        raise ValueError("closed forms available only for n <= 1")
     if method != "neumann":
         raise ValueError(f"unknown method {method!r}")
     return _neumann_coefficients(n, ops)[-1]
@@ -91,7 +83,9 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
 def _neumann_coefficients(n_max: int, ops: DiscreteOperatorSet) -> list:
     """t_0, t_2, ..., t_{2 n_max} from one run of the Taylor recurrence
     R_0 = K, R_k = K (iC R_{k-1} + R_{k-2}), each read off on the way."""
-    K, C = ops.K, ops.C
+    if ops.rank < ops.n_nodes:
+        raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
+    K, C = solve_band(ops.sparse("H1")), ops.C
     R_prev, R = np.zeros_like(K), K            # R_{-1}, R_0
     t = []
     for k in range(2 * n_max + 1):
@@ -101,6 +95,28 @@ def _neumann_coefficients(n_max: int, ops: DiscreteOperatorSet) -> list:
         if k < 2 * n_max:
             R_prev, R = R, K @ (1j * (C[:, None] * R) + R_prev)
     return t
+
+
+def _contour_coefficients(n_max: int, ops: DiscreteOperatorSet,
+                          spec: Spectrum) -> list:
+    """t_0, t_2, ..., t_{2 n_max} as Im a_{2n}, a_k = sum' lambda^{-k-1} the
+    Taylor coefficients of F(zeta) = -(log det Q)' = sum_k a_k zeta^k -
+    dim ker T / zeta, from N samples of F on |zeta| = r by one FFT (the
+    trapezoid rule).
+
+    r is half the smallest nonzero |lambda|, so a_{k+N} aliases into a_k
+    at 2^-N relative, and the Laurent term of ker T lands at index N - 1,
+    above every order read.  The samples come from the O(m) pivots of
+    `tridiagonal.resolvent_trace`; no K is formed.
+    """
+    N = max(128, 4 * n_max)
+    r = 0.5 * float(np.abs(spec.nonzero()).min())
+    z = r * np.exp(2j * np.pi * np.arange(N) / N)
+    f = tridiagonal.resolvent_trace(ops.H1f, z,
+                                    max(float(ops.H1_eigvals[-1]), 0.0),
+                                    damping=1j * ops.C)
+    k = np.arange(0, 2 * n_max + 1, 2)
+    return [float(v) for v in (np.fft.fft(f)[k] / (N * r ** k)).imag]
 
 
 def eigen_sum(m: int, spec: Spectrum) -> float:
@@ -114,12 +130,11 @@ def eigen_sum(m: int, spec: Spectrum) -> float:
 
 def build_ledger(ops: DiscreteOperatorSet, spec: Spectrum,
                  n_max: int = N_MAX_DEFAULT) -> TraceLedger:
-    lhs, disc = [], []
-    t_vals = [trace_coefficient(n, ops) for n in range(min(n_max, 1) + 1)]
-    if n_max >= 2:
-        t_vals += _neumann_coefficients(n_max, ops)[2:]
-    for m in range(2 * n_max + 2):
-        lhs.append(eigen_sum(m, spec))
+    """t_{2n}, n = 0..n_max, from one contour pass, against the eigenvalue
+    sums S_m, m = 0..2 n_max + 1, of ``spec``; the ker T families included."""
+    lhs = [eigen_sum(m, spec) for m in range(2 * n_max + 2)]
+    t_vals = _contour_coefficients(n_max, ops, spec)
+    disc = []
     for n in range(n_max + 1):
         disc.append(abs(lhs[2 * n] + t_vals[n]))
         disc.append(abs(lhs[2 * n + 1]))

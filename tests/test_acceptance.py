@@ -71,12 +71,12 @@ def test_criterion_03_second_coefficient(trace_sweep):
     worst = 0.0
     worst_paths = 0.0
     for ops, spec in trace_sweep:
-        t2_closed = traces.trace_coefficient(1, ops, method="closed")
+        t2_ledger = traces.build_ledger(ops, spec, n_max=1).t[1]
         t2_neumann = traces.trace_coefficient(1, ops, method="neumann")
         scale = float(np.sum(np.abs(spec.nonzero()) ** -3))
-        disc = abs(traces.eigen_sum(2, spec) + t2_closed) / scale
+        disc = abs(traces.eigen_sum(2, spec) + t2_ledger) / scale
         worst = max(worst, disc)
-        worst_paths = max(worst_paths, abs(t2_closed - t2_neumann))
+        worst_paths = max(worst_paths, abs(t2_ledger - t2_neumann))
     ok = worst <= 1e-6 and worst_paths <= 1e-10
     _emit(3, "second trace coefficient t2", ok, max(worst, worst_paths), 1e-6)
 

@@ -139,6 +139,20 @@ def test_trace_command_ledger(tmp_path):
     assert float(ledger["continuum"]["t0_analytic"]) == pytest.approx(1 / 6)
 
 
+@pytest.mark.parametrize("bc", ["max", "omega:1,0"])
+def test_trace_command_on_kernel_families(tmp_path, bc):
+    """ker T leaves the Neumann path without K: the ledger is written and
+    the second path is reported unavailable."""
+    assert run_cli("trace", "--n", "32", "--bc", bc,
+                   "--out", str(tmp_path)) == 0
+    ledger = json.loads((tmp_path / "trace_ledger.json").read_text())
+    assert ledger["continuum"]["t0_analytic"] is None
+    report = json.loads((tmp_path / "report.json").read_text())
+    records = {r["name"]: r for r in report["records"]}
+    assert records["trace.neumann_available"]["status"] == "report-only"
+    assert "trace.t2_two_paths" not in records
+
+
 def test_resolvent_check_command(tmp_path):
     assert run_cli("resolvent-check", "--n", "32", "--bc", "zero0",
                    "--out", str(tmp_path)) == 0

@@ -198,7 +198,8 @@ def test_zero_threshold_and_rank_solve_no_golub_kahan_band(monkeypatch,
 def test_dense_products_filled_from_bands(random_coeffs, tag):
     rho, alpha = random_coeffs
     ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(tag))
-    for H, ref in ((ops.H1, ops.Tstar @ ops.T), (ops.H2, ops.T @ ops.Tstar)):
+    for name, ref in (("H1", ops.Tstar @ ops.T), ("H2", ops.T @ ops.Tstar)):
+        H = ops.sparse(name).toarray()
         assert np.linalg.norm(H - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
@@ -215,8 +216,9 @@ def test_dense_operators_written_from_entries(random_coeffs, tag):
     np.testing.assert_array_equal(
         ops.B, np.block([[np.diag(-1j * ops.C), np.zeros((m, n))],
                          [np.zeros((n, m)), zn]]))
+    H1 = ops.sparse("H1").toarray()
     np.testing.assert_array_equal(
-        ops.G, np.block([[zm, np.eye(m)], [-ops.H1, -np.diag(ops.C)]]))
+        ops.G, np.block([[zm, np.eye(m)], [-H1, -np.diag(ops.C)]]))
     assert all(M.dtype == complex for M in (ops.D, ops.B, ops.G))
 
 
@@ -240,14 +242,18 @@ def test_generator_frame_matches_block_assembly(random_coeffs, tag, undamped):
 
 @pytest.mark.parametrize("tag", FAMILIES)
 def test_K_exists_exactly_when_ker_T_is_trivial(random_coeffs, tag):
+    """The Neumann path of the trace coefficients needs K = (T*T)^{-1}: it
+    refuses on max and omega:1,0 and matches tr(C K) of the dense inverse
+    on every other family."""
     rho, alpha = random_coeffs
     ops = ds.build_operator_set(16, rho, alpha, ds.parse_bc(tag))
     if tag in ("max", "omega:1,0"):
-        with pytest.raises(np.linalg.LinAlgError):
-            ops.K
+        with pytest.raises(np.linalg.LinAlgError, match="ker T"):
+            ds.trace_coefficient(0, ops)
     else:
-        m = ops.n_nodes
-        assert np.linalg.norm(ops.K @ (ops.Tstar @ ops.T) - np.eye(m)) < 1e-10
+        K = np.linalg.inv(ops.Tstar @ ops.T)
+        t0 = np.sum(ops.C * np.diag(K)).real
+        assert abs(ds.trace_coefficient(0, ops) - t0) <= 1e-10 * abs(t0)
 
 
 def test_solve_band_real_matrix_complex_rhs():

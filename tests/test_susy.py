@@ -67,8 +67,8 @@ def _dense_susy_defects(ops):
         "unitarity_defect": np.linalg.norm(
             P @ (U.conj().T @ U - np.eye(m + n)) @ P),
     }
-    mu1, U1 = np.linalg.eigh(frame(ops, ops.H1, "node"))
-    mu2, U2 = np.linalg.eigh(frame(ops, ops.H2, "cell"))
+    mu1, U1 = np.linalg.eigh(frame(ops, ops.sparse("H1").toarray(), "node"))
+    mu2, U2 = np.linalg.eigh(frame(ops, ops.sparse("H2").toarray(), "cell"))
     scale = max(np.abs(mu1).max(), 1.0)
     for name, p in (("x", 1), ("x2", 2)):
         F1 = (U1 * mu1 ** p) @ U1.conj().T
@@ -140,7 +140,7 @@ def test_dirac_resolvent_large_imaginary_limit(ops):
 
 
 def test_dirac_resolvent_rejects_spectrum(ops):
-    mu = np.linalg.eigvalsh(frame(ops, ops.H1, "node"))
+    mu = np.linalg.eigvalsh(frame(ops, ops.sparse("H1").toarray(), "node"))
     with pytest.raises(ValueError):
         susy.resolvent_dirac(np.sqrt(mu[0]), ops)
 

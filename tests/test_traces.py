@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import dampedstring as ds
-from dampedstring import traces
+from dampedstring import traces, tridiagonal
 
 MIN = ds.BoundaryCondition.minimal()
 RHO1 = ds.constant(1.0, "density")
@@ -20,10 +20,10 @@ def rand_setup():
 
 
 def test_t0_two_paths_agree(rand_setup):
-    ops, _ = rand_setup
-    closed = traces.trace_coefficient(0, ops, "closed")
+    ops, spec = rand_setup
+    contour = traces.build_ledger(ops, spec, n_max=0).t[0]
     neumann = traces.trace_coefficient(0, ops, "neumann")
-    assert abs(closed - neumann) <= 1e-12 * abs(closed)
+    assert abs(contour - neumann) <= 1e-12 * abs(contour)
 
 
 @pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "omega:0,1",
@@ -31,19 +31,26 @@ def test_t0_two_paths_agree(rand_setup):
 def test_t2_two_paths_agree(bc):
     rho, alpha = ds.random_coefficients(21)
     ops = ds.build_operator_set(40, rho, alpha, ds.parse_bc(bc))
-    closed = traces.trace_coefficient(1, ops, "closed")
+    contour = traces.build_ledger(ops, ds.eigen_dirac(ops), n_max=1).t[1]
     neumann = traces.trace_coefficient(1, ops, "neumann")
-    assert abs(closed - neumann) <= 1e-10 * max(abs(closed), 1.0)
+    assert abs(contour - neumann) <= 1e-10 * max(abs(contour), 1.0)
 
 
-def test_ledger_reads_every_order_off_one_recurrence(rand_setup):
-    """The ledger's t-values are the per-order calls, bit for bit: closed
-    forms for n <= 1, the Taylor recurrence above."""
+def test_ledger_reads_every_order_off_one_contour(rand_setup, monkeypatch):
+    """One resolvent-trace call on the circle gives every order: a shorter
+    ledger's t-values are the first of a longer one's, bit for bit."""
     ops, spec = rand_setup
+    calls = []
+    sample = tridiagonal.resolvent_trace
+
+    def counted(A, z, *args, **kwargs):
+        calls.append(len(z))
+        return sample(A, z, *args, **kwargs)
+
+    monkeypatch.setattr(tridiagonal, "resolvent_trace", counted)
     ledger = traces.build_ledger(ops, spec, n_max=4)
-    per_order = [traces.trace_coefficient(n, ops, "closed" if n <= 1
-                                          else "neumann") for n in range(5)]
-    assert ledger.t == per_order
+    assert calls == [128]
+    assert traces.build_ledger(ops, spec, n_max=1).t == ledger.t[:2]
 
 
 def test_higher_order_identities(rand_setup):
@@ -226,7 +233,7 @@ def test_resolvent_trace_forms_no_dense_matrix(monkeypatch, bc):
     monkeypatch.setattr(traces, "solve_band", forbidden)
     monkeypatch.setattr(ds.discretization, "solve_band", forbidden)
     monkeypatch.setattr(ds.DiscreteOperatorSet, "dirac_frame", forbidden)
-    for name in ("T", "Tstar", "Tf", "D", "B", "G", "H1", "H2", "K"):
+    for name in ("T", "Tstar", "Tf", "D", "B", "G"):
         monkeypatch.setattr(ds.DiscreteOperatorSet, name, property(forbidden))
     rho, alpha = ds.random_coefficients(27)
     ops = ds.build_operator_set(24, rho, alpha, ds.parse_bc(bc))
@@ -241,11 +248,12 @@ def test_resolvent_trace_forms_no_dense_matrix(monkeypatch, bc):
 
 @pytest.mark.parametrize("bc", ["min", "zero0", "omega:0.5,0.3"])
 def test_traces_match_full_products(bc):
-    """The traces read off diagonals and elementwise sums equal the traces
-    of the full products they replace."""
+    """The Neumann traces, read off diagonals, and the banded resolvent
+    traces equal the traces of the full products they replace."""
     rho, alpha = ds.random_coefficients(26)
     ops = ds.build_operator_set(24, rho, alpha, ds.parse_bc(bc))
-    K, C = ops.K, ops.C
+    H1, C = ops.sparse("H1").toarray(), ops.C
+    K = np.linalg.inv(H1)
     CK = C[:, None] * K
     t0 = np.trace(CK).real
     t2 = np.real(3.0 * np.trace(CK @ K) - np.trace(CK @ CK @ CK))
@@ -253,7 +261,7 @@ def test_traces_match_full_products(bc):
     assert traces.trace_coefficient(1, ops) == pytest.approx(t2, rel=1e-12)
     z = 0.1
     m = ops.n_nodes
-    inv = np.linalg.inv(ops.H1 - z * z * np.eye(m) - 1j * z * np.diag(C))
+    inv = np.linalg.inv(H1 - z * z * np.eye(m) - 1j * z * np.diag(C))
     rhs = np.imag(np.trace((np.diag(1j * C) + 2 * z * np.eye(m)) @ inv))
     Mf = ops.dirac_frame()
     R = np.linalg.inv(Mf - z * np.eye(Mf.shape[0]))
@@ -261,3 +269,51 @@ def test_traces_match_full_products(bc):
     got_lhs, got_rhs, _ = traces.resolvent_trace_expansion(z, ops)
     assert got_rhs == pytest.approx(rhs, rel=1e-12)
     assert got_lhs == pytest.approx(lhs, rel=1e-12)
+
+
+KERNEL_COEFFS = {"default": (RHO1, ALPHA1),
+                 "seed0": ds.random_coefficients(0),
+                 "seed3": ds.random_coefficients(3)}
+
+
+@pytest.mark.parametrize("n", [8, 32, 256])
+@pytest.mark.parametrize("coeffs", list(KERNEL_COEFFS))
+@pytest.mark.parametrize("bc", ["max", "omega:1,0"])
+def test_ledger_on_kernel_families(bc, coeffs, n):
+    """ker T puts a pole at zeta = 0 into F, which the contour leaves in
+    the 1/zeta term: the ledger of max and omega:1,0 passes both identities
+    at the CLI's gate, with no continuum t0."""
+    rho, alpha = KERNEL_COEFFS[coeffs]
+    ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
+    ledger = traces.build_ledger(ops, ds.eigen_dirac(ops))
+    scale = max(abs(v) for v in ledger.t)
+    assert max(ledger.discrepancies) <= 1e-6 * scale
+    assert json.loads(ledger.to_json())["continuum"]["t0_analytic"] is None
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "omega:0,1",
+                                "omega:0.5,0.3", "omega:-1,0"])
+def test_contour_matches_neumann(bc, n):
+    rho, alpha = ds.random_coefficients(3)
+    ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
+    contour = np.array(traces.build_ledger(ops, ds.eigen_dirac(ops)).t)
+    neumann = np.array(traces._neumann_coefficients(4, ops))
+    assert np.abs(contour - neumann).max() <= 1e-10 * np.abs(contour).max()
+
+
+@pytest.mark.parametrize("bc", ["min", "max"])
+def test_ledger_forms_no_inverse(monkeypatch, bc):
+    """The ledger reads the pivots of the pencil, never a band solve."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("K formed")
+
+    rho, alpha = ds.random_coefficients(3)
+    ops = ds.build_operator_set(32, rho, alpha, ds.parse_bc(bc))
+    spec = ds.eigen_dirac(ops)
+    monkeypatch.setattr(traces, "solve_band", forbidden)
+    ledger = traces.build_ledger(ops, spec)
+    assert max(ledger.discrepancies) <= 1e-6 * max(abs(v) for v in ledger.t)
+    if bc == "min":
+        with pytest.raises(AssertionError, match="K formed"):
+            traces.trace_coefficient(0, ops)
