@@ -9,7 +9,7 @@ supersymmetry identities, and Riesz projections.
 
 from .coefficients import (CoefficientError, CoefficientSpec, Piece, constant,
                            integrate_product, parse_coefficient_spec,
-                           polynomial, reduce_variable_speed)
+                           polynomial)
 from .discretization import (BoundaryCondition, DiscreteOperatorSet,
                              KernelAmbiguityError, WeightedGrid,
                              build_grid, build_operator_set,

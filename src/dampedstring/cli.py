@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import greens, riesz, spectral, susy, traces
-from .coefficients import CoefficientError, constant
+from .coefficients import constant
 from .discretization import (BoundaryCondition, build_operator_set,
                              kernel_dimensions, shifted, solve_band)
 from .reporting import (ConfigError, RunConfig, VerificationReport, parse_bc,
@@ -296,13 +296,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(args)
-    except (ConfigError, CoefficientError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = VerificationReport(cfg)
     try:
         _DISPATCH[args.command](cfg, report)
-    except (ConfigError, CoefficientError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:

@@ -1,9 +1,10 @@
 """Piecewise-polynomial coefficient model for the density rho and damping alpha.
 
-Coefficients live on [0,1] and are stored piece by piece as polynomial (or
-rational, after a variable-speed reduction) segments.  All integration is done
-with closed-form antiderivatives, so downstream trace integrals carry no
-quadrature error.
+Coefficients live on [0,1] and are stored piece by piece as polynomial
+segments.  A point is read from the last piece that starts at or before it
+(`_piece_at`), by `CoefficientSpec.sample` and `integrate_product` alike.  All
+integration is done with closed-form antiderivatives, so downstream trace
+integrals carry no quadrature error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "CoefficientSpec",
     "parse_coefficient_spec",
     "integrate_product",
-    "reduce_variable_speed",
 ]
 
 _PARTITION_TOL = 1e-12
@@ -31,23 +31,23 @@ class CoefficientError(ValueError):
 
 @dataclass(frozen=True)
 class Piece:
-    """One segment [a, b) with value poly(num)/poly(den), coefficients ascending."""
+    """One segment [a, b) with value poly(num), coefficients ascending."""
 
     a: float
     b: float
     num: tuple[float, ...]
-    den: tuple[float, ...] = (1.0,)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        val = np.polynomial.polynomial.polyval(x, np.asarray(self.num))
-        if self.den != (1.0,):
-            val = val / np.polynomial.polynomial.polyval(x, np.asarray(self.den))
-        return val
+        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float),
+                                                np.asarray(self.num))
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == (1.0,)
+
+def _piece_at(pieces: tuple[Piece, ...], x):
+    """Index of the piece that holds each x: the last piece that starts at or
+    before x, the first piece before its start and the final piece at x = 1."""
+    edges = np.array([p.a for p in pieces] + [1.0])
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
+                   len(pieces) - 1)
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,10 @@ class CoefficientSpec:
             raise CoefficientError("empty coefficient spec")
         pos = 0.0
         for p in self.pieces:
+            values = np.array([p.a, p.b, *p.num])
+            if not (np.all(np.isreal(values)) and np.all(np.isfinite(values))):
+                raise CoefficientError(f"piece [{p.a}, {p.b}): endpoints and "
+                                       "coefficients must be finite reals")
             if p.b <= p.a:
                 raise CoefficientError(f"piece [{p.a}, {p.b}) is empty or reversed")
             if abs(p.a - pos) > _PARTITION_TOL:
@@ -77,23 +81,17 @@ class CoefficientSpec:
             pos = p.b
         if abs(pos - 1.0) > _PARTITION_TOL:
             raise CoefficientError(f"partition ends at {pos}, must end at 1")
-        for p in self.pieces:
-            coeffs = np.concatenate([p.num, p.den])
-            if not np.all(np.isreal(coeffs)) or not np.all(np.isfinite(coeffs)):
-                raise CoefficientError("coefficients must be finite reals")
         if self.kind == "density":
             xs = np.linspace(0.0, 1.0, _DENSITY_PROBE)
             if np.min(self.sample(xs)) <= 0.0:
                 raise CoefficientError("density must be strictly positive on [0,1]")
 
     def sample(self, x):
-        """Evaluate at x in [0,1]; right-limit convention at breakpoints."""
+        """Evaluate at x in [0,1] by `_piece_at`: the right limit at a cut."""
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise CoefficientError("sample point outside [0,1]")
-        edges = np.array([p.a for p in self.pieces] + [1.0])
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
-                      len(self.pieces) - 1)
+        idx = _piece_at(self.pieces, x)
         out = np.empty(x.shape, dtype=float)
         for i, p in enumerate(self.pieces):
             m = idx == i
@@ -103,14 +101,6 @@ class CoefficientSpec:
 
     def __call__(self, x):
         return self.sample(x)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return all(p.is_polynomial for p in self.pieces)
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(p.a for p in self.pieces) + (1.0,)
 
 
 def constant(value: float, kind: str = "damping") -> CoefficientSpec:
@@ -173,11 +163,7 @@ def parse_coefficient_spec(text: str, kind: str = "damping") -> CoefficientSpec:
 
 def _as_pieces(factor) -> tuple[Piece, ...]:
     if isinstance(factor, CoefficientSpec):
-        if not factor.is_polynomial:
-            raise CoefficientError("integrate_product requires polynomial pieces")
         return factor.pieces
-    if isinstance(factor, Piece):
-        return (factor,)
     try:
         coeffs = tuple(float(c) for c in factor)
     except TypeError:
@@ -189,7 +175,8 @@ def integrate_product(factors) -> float:
     """Exact integral of a product of piecewise polynomials over [0,1].
 
     Each factor is a CoefficientSpec or a plain ascending coefficient list
-    (interpreted on all of [0,1]).
+    (interpreted on all of [0,1]).  Between consecutive endpoints each factor
+    contributes the piece that `sample` reads at the midpoint.
     """
     factor_pieces = [_as_pieces(f) for f in factors]
     if not factor_pieces:
@@ -205,40 +192,8 @@ def integrate_product(factors) -> float:
         mid = 0.5 * (lo + hi)
         prod = np.array([1.0])
         for pieces in factor_pieces:
-            for p in pieces:
-                if p.a <= mid < p.b or (mid < 1.0 <= p.b and p.a <= mid):
-                    prod = P.polymul(prod, np.asarray(p.num))
-                    break
-            else:
-                raise CoefficientError(f"no piece covers x={mid}")
+            prod = P.polymul(prod, np.asarray(pieces[_piece_at(pieces, mid)].num))
         anti = P.polyint(prod)
         total += P.polyval(hi, anti) - P.polyval(lo, anti)
     return float(total)
 
-
-def reduce_variable_speed(
-    rho: CoefficientSpec, alpha: CoefficientSpec, c: CoefficientSpec
-) -> tuple[CoefficientSpec, CoefficientSpec]:
-    """Fold a variable wave speed c into the coefficients: (rho/c^2, alpha/c^2).
-
-    The results carry exact rational pieces, so sampling equals pointwise
-    division; they are samplers, not further integrable polynomials.
-    """
-    if c.kind != "density":
-        c = CoefficientSpec(c.pieces, "density")  # re-validates positivity
-
-    def divide(spec: CoefficientSpec, kind: str) -> CoefficientSpec:
-        cuts = sorted(set(spec.breakpoints) | set(c.breakpoints))
-        pieces = []
-        P = np.polynomial.polynomial
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            sp = next(p for p in spec.pieces if p.a <= mid < p.b or hi == p.b == 1.0)
-            cp = next(p for p in c.pieces if p.a <= mid < p.b or hi == p.b == 1.0)
-            if not (sp.is_polynomial and cp.is_polynomial):
-                raise CoefficientError("speed reduction needs polynomial pieces")
-            den = tuple(P.polymul(np.asarray(cp.num), np.asarray(cp.num)))
-            pieces.append(Piece(lo, hi, sp.num, den))
-        return CoefficientSpec(tuple(pieces), kind)
-
-    return divide(rho, "density"), divide(alpha, "damping")

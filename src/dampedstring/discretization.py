@@ -56,6 +56,8 @@ class BoundaryCondition:
         if self.tag == "quasi":
             if self.omega is None or self.omega == 0:
                 raise ValueError("quasi-periodic coupling requires omega != 0")
+            if not np.isfinite(self.omega):
+                raise ValueError(f"omega must be finite, got {self.omega}")
         elif self.omega is not None:
             raise ValueError(f"omega only applies to quasi, not {self.tag!r}")
 

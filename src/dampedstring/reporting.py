@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import (CoefficientError, CoefficientSpec, Piece, constant,
-                           parse_coefficient_spec, reduce_variable_speed)
+from .coefficients import (CoefficientError, CoefficientSpec, Piece,
+                           parse_coefficient_spec)
 from .discretization import BoundaryCondition
 
 __all__ = [
@@ -75,7 +75,6 @@ class RunConfig:
     bc: BoundaryCondition = field(default_factory=BoundaryCondition.minimal)
     rho_text: str = "const 1"
     alpha_text: str = "const 1"
-    speed_text: str | None = None
     zeta: float = 0.1
     n_max: int = 1
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -99,16 +98,12 @@ class RunConfig:
             raise ConfigError("fit window must be two fractions 0 < lo < hi <= 1")
 
     def coefficients(self) -> tuple[CoefficientSpec, CoefficientSpec]:
-        """Parsed (rho, alpha); a speed profile triggers the reduction to c=1."""
+        """Parsed (rho, alpha); a malformed spec is a ConfigError."""
         try:
-            rho = parse_coefficient_spec(self.rho_text, kind="density")
-            alpha = parse_coefficient_spec(self.alpha_text, kind="damping")
+            return (parse_coefficient_spec(self.rho_text, kind="density"),
+                    parse_coefficient_spec(self.alpha_text, kind="damping"))
         except CoefficientError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.speed_text is not None:
-            c = parse_coefficient_spec(self.speed_text, kind="density")
-            rho, alpha = reduce_variable_speed(rho, alpha, c)
-        return rho, alpha
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -120,12 +115,11 @@ class RunConfig:
             raise ConfigError(f"config {path} must hold a JSON object")
         kw = {}
         parsers = {"n_grid": _integer, "zeta": _real, "n_max": _integer,
-                   "rho": str, "alpha": str, "speed": str, "out": str,
+                   "rho": str, "alpha": str, "out": str,
                    "bc": parse_bc,
                    "seeds": lambda v: tuple(_integer(s) for s in v),
                    "fit_window": lambda v: tuple(_real(x) for x in v)}
-        rename = {"rho": "rho_text", "alpha": "alpha_text",
-                  "speed": "speed_text", "out": "out_dir"}
+        rename = {"rho": "rho_text", "alpha": "alpha_text", "out": "out_dir"}
         for key, value in raw.items():
             if key not in parsers:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -142,7 +136,8 @@ class RunConfig:
         blob = json.dumps({
             "n_grid": self.n_grid, "bc": str(self.bc),
             "rho": self.rho_text, "alpha": self.alpha_text,
-            "speed": self.speed_text, "zeta": repr(self.zeta),
+            # a former key, kept at its old value so config_hash is unchanged
+            "speed": None, "zeta": repr(self.zeta),
             "n_max": self.n_max, "seeds": list(self.seeds),
             "fit_window": [repr(v) for v in self.fit_window],
         }, sort_keys=True)

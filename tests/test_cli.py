@@ -28,6 +28,17 @@ def test_parse_bc_variants():
         parse_bc("omega:a,b")
 
 
+@pytest.mark.parametrize("bc", ["omega:nan,0", "omega:inf,0", "omega:0,-inf"])
+def test_non_finite_omega_exits_two(tmp_path, capsys, bc):
+    """A non-finite omega is a configuration error, not a failed
+    eigensolve."""
+    assert run_cli("spectrum", "--n", "32", "--bc", bc,
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "omega" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_config_roundtrip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -53,7 +64,9 @@ def test_config_rejects_unknown_key(tmp_path):
                                   '{"n_grid": "abc"}', '{"bc": 5}', '[1, 2]',
                                   '{"n_grid": 40.9}', '{"seeds": [1.7]}',
                                   '{"zeta": true}', '{"zeta": NaN}',
-                                  '{"zeta": Infinity}', '{"seeds": [-1]}'])
+                                  '{"zeta": Infinity}', '{"seeds": [-1]}',
+                                  '{"speed": "const 2"}',
+                                  '{"bc": "omega:0,nan"}'])
 def test_malformed_config_exits_two(tmp_path, capsys, text):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(text)
@@ -176,6 +189,18 @@ def test_checks_form_no_dense_dirac_operator(tmp_path, monkeypatch, argv):
 
 def test_susy_check_command(tmp_path):
     assert run_cli("susy-check", "--n", "16", "--bc", "min",
+                   "--out", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("command", ["greens", "trace", "riesz"])
+def test_commands_run_on_tolerated_partition_gap(tmp_path, command):
+    """Coefficients whose pieces leave a gap within the partition tolerance
+    are integrated with the pieces they are sampled from, so the commands
+    that integrate rho (riesz) or alpha (greens, trace) run on them."""
+    gapped = "piece 0 0.5: const 1; piece 0.5000000000001 1: const 2"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rho": gapped, "alpha": gapped}))
+    assert run_cli(command, "--n", "32", "--config", str(cfg_path),
                    "--out", str(tmp_path)) == 0
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dampedstring.coefficients import (CoefficientError, CoefficientSpec,
-                                       Piece, constant, integrate_product,
-                                       parse_coefficient_spec, polynomial,
-                                       reduce_variable_speed)
+from dampedstring.coefficients import (CoefficientError, constant,
+                                       integrate_product,
+                                       parse_coefficient_spec, polynomial)
 
 
 def test_constant_and_polynomial_helpers():
@@ -37,6 +36,8 @@ def test_parse_piecewise_right_limit_convention():
     "piece 0 0.4: const 1; piece 0.5 1: const 1",   # partition gap
     "piece 0 0.6: const 1; piece 0.4 1: const 1",   # overlap
     "piece 0 1: const 1; piece 1 2: const 1",       # extends past 1
+    "piece 0 nan: const 1; piece nan 1: const 2",   # NaN passes every comparison
+    "const nan",
 ])
 def test_parse_rejects_bad_grammar(text):
     with pytest.raises(CoefficientError):
@@ -64,23 +65,21 @@ def test_integrate_product_merges_breakpoints():
     assert integrate_product([a, b]) == pytest.approx(0.6875, abs=1e-15)
 
 
-def test_reduce_variable_speed_constant_speed():
-    rho = constant(1.0, "density")
-    alpha = constant(0.6)
-    c = constant(2.0, "density")
-    rho2, alpha2 = reduce_variable_speed(rho, alpha, c)
-    x = np.linspace(0, 1, 7)
-    assert rho2.sample(x) == pytest.approx(0.25 * np.ones_like(x))
-    assert alpha2.sample(x) == pytest.approx(0.15 * np.ones_like(x))
+@pytest.mark.parametrize("cut", ["0.5000000000001", "0.4999999999999"])
+def test_integrate_product_reads_pieces_as_sample(cut):
+    """A gap or overlap within the partition tolerance is integrated with
+    the pieces that `sample` reads there: the first piece up to the second
+    one's start, the second after it."""
+    rho = parse_coefficient_spec(
+        f"piece 0 0.5: const 1; piece {cut} 1: const 2", kind="density")
+    start = float(cut)
+    assert rho.sample(np.array([start - 1e-14, start])) == pytest.approx([1, 2])
+    expected = start + 2.0 * (1.0 - start)
+    assert integrate_product([rho]) == pytest.approx(expected, abs=1e-15)
+    assert integrate_product([rho, (0.0, 1.0)]) == pytest.approx(
+        0.5 * start ** 2 + (1.0 - start ** 2), abs=1e-15)
 
 
 def test_sample_rejects_out_of_domain():
     with pytest.raises(CoefficientError):
         constant(1.0).sample(np.array([-0.1]))
-
-
-def test_piece_rational_evaluation():
-    pc = Piece(0.0, 1.0, (1.0,), (1.0, 1.0))   # 1 / (1 + x)
-    assert pc(1.0) == pytest.approx(0.5)
-    spec = CoefficientSpec((pc,), "density")
-    assert not spec.is_polynomial
