@@ -55,8 +55,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _ops_from(cfg: RunConfig, n: int | None = None):
-    rho, alpha = cfg.coefficients()
-    return build_operator_set(n or cfg.n_grid, rho, alpha, cfg.bc)
+    return build_operator_set(n or cfg.n_grid, cfg.rho, cfg.alpha, cfg.bc)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -102,7 +101,6 @@ def cmd_spectrum(cfg: RunConfig, report: VerificationReport) -> None:
 
 
 def cmd_greens(cfg: RunConfig, report: VerificationReport) -> None:
-    rho, alpha = cfg.coefficients()
     out = _out_dir(cfg)
     xs = np.linspace(0.0, 1.0, 201)
     try:
@@ -115,7 +113,7 @@ def cmd_greens(cfg: RunConfig, report: VerificationReport) -> None:
         ("x", "xp", "re_k", "im_k"),
         (np.repeat(xs, len(xs)), np.tile(xs, len(xs)), K.real.ravel(),
          K.imag.ravel())))
-    t0 = greens.t0_analytic(cfg.bc, alpha)
+    t0 = greens.t0_analytic(cfg.bc, cfg.alpha)
     ops = _ops_from(cfg)
     t0_disc = traces.trace_coefficient(0, ops)
     report.add("greens.t0_discretization_gap", "greens.t0",
@@ -159,7 +157,7 @@ def cmd_resolvent_check(cfg: RunConfig, report: VerificationReport) -> None:
     report.add("resolvent.block_formula", "resolvent.blocks",
                _block_gap(susy.resolvent_perturbed(cfg.zeta, ops), ops, True),
                1e-9)
-    lv = traces.livsic_check(ops, zeta=cfg.zeta)
+    lv = traces.livsic_check(ops, spectral.eigen_dirac(ops), zeta=cfg.zeta)
     report.add("resolvent.livsic_gap", "resolvent.livsic", lv["gap"], 1e-9)
 
 
@@ -264,7 +262,8 @@ def cmd_verify_all(cfg: RunConfig, report: VerificationReport) -> None:
                fz["factorization_residual"], 1e-12)
     report.add("factorization.inverses", "equivalence.factorization",
                max(fz["E_inverse_defect"], fz["F_inverse_defect"]), 1e-12)
-    lv = traces.livsic_check(ops)
+    # constant density and damping: the Hermitian spectrum of T*T
+    lv = traces.livsic_check(ops, spectral.constant_damping_dirac(ops))
     report.add("livsic.equality", "resolvent.livsic", lv["gap"], 1e-9)
     (_out_dir(cfg) / "verify_all.json").write_text(report.to_json() + "\n")
 

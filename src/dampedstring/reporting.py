@@ -80,6 +80,9 @@ class RunConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     fit_window: tuple = (1 / 16, 1 / 8)
     out_dir: str = "."
+    # rho_text and alpha_text parsed, when the config is made
+    rho: CoefficientSpec = field(init=False, repr=False, compare=False)
+    alpha: CoefficientSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_grid < 8:
@@ -96,14 +99,15 @@ class RunConfig:
         if len(self.fit_window) != 2 or not (
                 0 < self.fit_window[0] < self.fit_window[1] <= 1):
             raise ConfigError("fit window must be two fractions 0 < lo < hi <= 1")
-
-    def coefficients(self) -> tuple[CoefficientSpec, CoefficientSpec]:
-        """Parsed (rho, alpha); a malformed spec is a ConfigError."""
-        try:
-            return (parse_coefficient_spec(self.rho_text, kind="density"),
-                    parse_coefficient_spec(self.alpha_text, kind="damping"))
-        except CoefficientError as exc:
-            raise ConfigError(str(exc)) from exc
+        # parsed here, so a malformed spec is a config error for every
+        # command, those that draw their own coefficients included
+        for name, kind in (("rho", "density"), ("alpha", "damping")):
+            try:
+                spec = parse_coefficient_spec(getattr(self, f"{name}_text"),
+                                              kind=kind)
+            except CoefficientError as exc:
+                raise ConfigError(f"bad {kind} spec {name!r}: {exc}") from exc
+            object.__setattr__(self, name, spec)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -258,17 +262,28 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
+def _float_cells(col: np.ndarray) -> list:
+    """The `fmt_float` texts of a float column, each distinct bit pattern
+    formatted once and indexed back to its rows.  Bits, not values, so
+    -0.0 and 0.0, and NaNs of different payloads, keep their own texts."""
+    bits = col.view(f"u{col.itemsize}")
+    _, first, back = np.unique(bits, return_index=True, return_inverse=True)
+    texts = np.array(list(map(repr, col[first].tolist())), dtype=object)
+    return texts[back].tolist()
+
+
 def to_csv(header: tuple[str, ...], columns) -> str:
     """CSV text: the header names, then one line per row of the equally
-    long ``columns``.  A float column is written value by value as
-    `fmt_float` writes it, the ``repr`` of the Python float; integer and
-    label columns are written by ``str``.  ValueError when the columns
-    differ in length."""
+    long ``columns``.  A float column is written as `fmt_float` writes it,
+    the ``repr`` of the Python float, formatted once per distinct bit
+    pattern and repeated where the pattern repeats; integer and label
+    columns are written by ``str``.  ValueError when the columns differ in
+    length."""
     columns = [np.asarray(col) for col in columns]
     if len({len(col) for col in columns}) > 1:
         raise ValueError("CSV columns differ in length")
-    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist())
-             for col in columns]
+    cells = [_float_cells(col) if col.dtype.kind == "f"
+             else map(str, col.tolist()) for col in columns]
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"

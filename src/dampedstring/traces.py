@@ -222,24 +222,28 @@ def regularized_sum_check(spec: Spectrum, ops: DiscreteOperatorSet,
     }
 
 
-def livsic_check(ops: DiscreteOperatorSet, zeta: float = 0.3) -> dict:
+def livsic_check(ops: DiscreteOperatorSet, spec: Spectrum,
+                 zeta: float = 0.3) -> dict:
     """Shifted-resolvent eigenvalue sum against the trace of its imaginary part.
 
     R = (D + B - z)^{-1} with z = zeta + i (max|C| + LIVSIC_MARGIN) above
     the damping strip, so the shift sits in the resolvent set.  The
     eigenvalues of R are mu_j = 1/(lambda_j - z) by spectral mapping, with
-    lambda_j the spectrum of D + B from `eigen_dirac`; the trace is
-    sum Im diag(R) of the inverse of the frame band `dirac_band` - z, from
-    one pivoted band LU (`solve_band`).  `eigen_dirac` and
-    `resolvent_trace_expansion` share the twisted factorization of
-    `tridiagonal`, so this direct LU is what keeps the check an independent
+    lambda_j the spectrum of D + B that the caller passes as ``spec``:
+    `eigen_dirac` for any coefficients, or `constant_damping_dirac` where
+    the damping is constant, whose roots come from the Hermitian eigenpairs
+    of T*T.  The trace is sum Im diag(R) of the inverse of the frame band
+    `dirac_band` - z, from one pivoted band LU (`solve_band`).
+    `eigen_dirac` and `resolvent_trace_expansion` share the twisted
+    factorization of `tridiagonal`, and neither spectrum source factors
+    D + B - z, so this direct LU is what keeps the check an independent
     path.  In finite dimensions the root system is complete and the sum
     equals the trace exactly, which also witnesses the inequality direction
     sum Im mu_j <= tr Im(R).
     """
     bnorm = float(np.abs(ops.C).max())
     z = zeta + 1j * (bnorm + LIVSIC_MARGIN)
-    lam = eigen_dirac(ops).eigenvalues
+    lam = spec.eigenvalues
     lhs = float(np.sum((1.0 / (lam - z)).imag))
     rhs = float(np.sum(np.diag(solve_band(shifted(ops.dirac_band(), z))).imag))
     return {"eig_im_sum": lhs, "trace_im": rhs, "gap": abs(lhs - rhs),

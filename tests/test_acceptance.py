@@ -304,7 +304,7 @@ def test_criterion_14_livsic_relation():
     for seed in SEEDS:
         rho, alpha = ds.random_coefficients(seed)
         ops = ds.build_operator_set(32, rho, alpha, MIN)
-        out = traces.livsic_check(ops)
+        out = traces.livsic_check(ops, ds.eigen_dirac(ops))
         worst_gap = max(worst_gap, out["gap"])
         inequality_ok = inequality_ok and out["inequality_holds"]
     ok = worst_gap <= 1e-9 and inequality_ok

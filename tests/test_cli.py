@@ -49,8 +49,7 @@ def test_config_roundtrip(tmp_path):
     assert cfg.n_grid == 48
     assert cfg.bc.tag == "zero1"
     assert cfg.seeds == (7,)
-    rho, alpha = cfg.coefficients()
-    assert rho.sample(1.0) == pytest.approx(1.5)
+    assert cfg.rho.sample(1.0) == pytest.approx(1.5)
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -66,7 +65,9 @@ def test_config_rejects_unknown_key(tmp_path):
                                   '{"zeta": true}', '{"zeta": NaN}',
                                   '{"zeta": Infinity}', '{"seeds": [-1]}',
                                   '{"speed": "const 2"}',
-                                  '{"bc": "omega:0,nan"}'])
+                                  '{"bc": "omega:0,nan"}',
+                                  '{"rho": "wavelet 1 2"}',
+                                  '{"alpha": "poly"}'])
 def test_malformed_config_exits_two(tmp_path, capsys, text):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(text)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy
 
-from dampedstring import reporting
+from dampedstring import greens, reporting
+from dampedstring.cli import main
 from dampedstring.reporting import (RunConfig, VerificationReport, fmt_float,
-                                    run_environment, to_csv)
+                                    parse_bc, run_environment, to_csv)
 
 
 def _rowwise_csv(header, rows):
@@ -41,6 +42,38 @@ def test_columns_match_rowwise_formatting_byte_for_byte():
     assert text.encode() == _rowwise_csv(header, zip(*columns)).encode()
     assert "-0.0" in text and "nan" in text and "5e-324" in text
     assert "np." not in text
+
+
+def test_repeated_values_match_rowwise_formatting_byte_for_byte():
+    """Each distinct bit pattern is formatted once and repeated: the two
+    zeros and the NaNs of three payloads, which compare equal or unordered
+    as values, keep their own texts wherever they recur."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                     0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([[-0.0, 0.0, np.inf, -np.inf, 5e-324,
+                            2.2250738585072014e-308 / 3, 0.1], nans])
+    rng = np.random.default_rng(7)
+    col = pool[rng.integers(0, len(pool), 500)]
+    assert len(np.unique(col.view(np.uint64))) == len(pool)
+    columns = (np.arange(len(col)), col, col[::-1].astype(np.float32))
+    header = ("i", "x", "x32")
+    text = to_csv(header, columns)
+    assert text.encode() == _rowwise_csv(header, zip(*columns)).encode()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [r[1] for r in rows] == [repr(v) for v in col.tolist()]
+
+
+@pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "omega:0.5,0.3"])
+def test_greens_kernel_csv_matches_rowwise_formatting(tmp_path, bc):
+    """The Green's kernel CSV of the greens command, whose x and xp columns
+    repeat each of 201 values 201 times, written row by row."""
+    assert main(["greens", "--bc", bc, "--out", str(tmp_path)]) == 0
+    xs = np.linspace(0.0, 1.0, 201)
+    K = greens.greens_kernel(parse_bc(bc), xs[:, None], xs[None, :])
+    columns = (np.repeat(xs, len(xs)), np.tile(xs, len(xs)), K.real.ravel(),
+               K.imag.ravel())
+    expected = _rowwise_csv(("x", "xp", "re_k", "im_k"), zip(*columns))
+    assert (tmp_path / "greens_kernel.csv").read_bytes() == expected.encode()
 
 
 def test_header_only_without_rows():

@@ -160,7 +160,7 @@ def test_regularized_sum_linear_damping_trend():
 def test_livsic_equality_and_inequality():
     rho, alpha = ds.random_coefficients(25)
     ops = ds.build_operator_set(24, rho, alpha, ds.BoundaryCondition.zero1())
-    out = traces.livsic_check(ops)
+    out = traces.livsic_check(ops, ds.eigen_dirac(ops))
     assert out["gap"] < 1e-9
     assert out["inequality_holds"]
 
@@ -189,7 +189,7 @@ def test_livsic_sum_matches_dense_eigvals(bc, n):
     and an exactly double spectrum among them."""
     rho, alpha = ds.random_coefficients(25)
     ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
-    out = traces.livsic_check(ops)
+    out = traces.livsic_check(ops, ds.eigen_dirac(ops))
     oracle = _dense_livsic_sum(ops, out["shift"])
     assert abs(out["eig_im_sum"] - oracle) <= 1e-12 * abs(oracle)
     assert abs(out["trace_im"] - oracle) <= 1e-12 * abs(oracle)
@@ -200,10 +200,26 @@ def test_livsic_sum_matches_dense_eigvals(bc, n):
 @pytest.mark.parametrize("n", [8, 32])
 def test_livsic_sum_at_critical_damping(n):
     ops = _critical_ops(n)
-    out = traces.livsic_check(ops)
+    out = traces.livsic_check(ops, ds.eigen_dirac(ops))
     oracle = _dense_livsic_sum(ops, out["shift"])
     assert abs(out["eig_im_sum"] - oracle) <= 1e-12 * abs(oracle)
     assert out["gap"] < 1e-9
+
+
+def test_livsic_anchor_on_both_spectrum_sources():
+    """On verify-all's continuum anchor (constant density and damping), the
+    Hermitian spectrum of constant_damping_dirac and the general eigensolve
+    each close the Livsic gap against the band LU trace.  eig_banded's
+    eigenvalues of T*T carry an absolute error of about eps ||T*T|| (6e-11
+    at n = 256), which moves the lowest roots by ~1e-11 and the sum by
+    1.4e-12 relative; hence 1e-11 between the two sums."""
+    ops = ds.build_operator_set(256, RHO1, ds.constant(1.0, "damping"), MIN)
+    general = traces.livsic_check(ops, ds.eigen_dirac(ops))
+    hermitian = traces.livsic_check(ops, ds.constant_damping_dirac(ops))
+    assert general["gap"] < 1e-9 and hermitian["gap"] < 1e-9
+    assert general["trace_im"] == hermitian["trace_im"]
+    assert (abs(general["eig_im_sum"] - hermitian["eig_im_sum"])
+            <= 1e-11 * abs(general["eig_im_sum"]))
 
 
 def test_traces_use_no_dense_eigensolve(monkeypatch):
@@ -217,7 +233,7 @@ def test_traces_use_no_dense_eigensolve(monkeypatch):
         monkeypatch.setattr(mod, name, forbidden)
     rho, alpha = ds.random_coefficients(25)
     ops = ds.build_operator_set(16, rho, alpha, ds.BoundaryCondition.maximal())
-    assert traces.livsic_check(ops)["gap"] < 1e-9
+    assert traces.livsic_check(ops, ds.eigen_dirac(ops))["gap"] < 1e-9
     lhs, rhs, _ = traces.resolvent_trace_expansion(0.1, ops)
     assert abs(lhs - rhs) < 1e-10 * max(abs(rhs), 1.0)
 
