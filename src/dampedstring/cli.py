@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import greens, riesz, spectral, susy, traces
-from .coefficients import constant
+from .coefficients import CoefficientError, constant
 from .discretization import (BoundaryCondition, build_operator_set,
                              kernel_dimensions, shifted, solve_band)
 from .reporting import (ConfigError, RunConfig, VerificationReport, parse_bc,
@@ -304,6 +304,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CoefficientError:
+        raise   # a spec error after the config parsed is a programming error
     except (ValueError, RuntimeError) as exc:
         # numerical failures (LinAlgError, ContourError, the kernel errors,
         # the eigensolver gate); a programming error propagates

@@ -524,11 +524,13 @@ class DiscreteOperatorSet:
 
     def dirac_frame(self) -> np.ndarray:
         """The frame form of D + B as a dense matrix in block order (nodes,
-        then cells): the band `dirac_band` rearranged, so its undamped part
-        is exactly Hermitian.  Built on each call, for the dense algorithms
-        that take it (the Riesz projections, the Livsic inverse)."""
-        at = self.interleave
-        return self.dirac_band()[at][:, at].toarray()
+        then cells): `dirac_band`'s entries (+ 0.0, a signed zero +0 as in
+        `toarray`), so its undamped part is exactly Hermitian.  Built on each
+        call, for the dense algorithms that take it (Riesz, Livsic)."""
+        (rows, cols, fv), m = self._Tf_entries, self.n_nodes
+        return _dense((m + self.n_cells,) * 2, np.r_[m + rows, cols, 0:m],
+                      np.r_[cols, m + rows, 0:m],
+                      np.r_[fv, fv.conj(), -1j * self.C] + 0.0)
 
     @cached_property
     def dirac_norm(self) -> float:
@@ -605,20 +607,19 @@ def shifted(A, d):
 
 def solve_band(A, b: np.ndarray | None = None) -> np.ndarray:
     """A^{-1} b, or A^{-1} when b is None, of the sparse square A from one
-    pivoted band LU (LAPACK ?gbtrf, ?gbtrs).
+    pivoted band LU (`_band_lu`, which refuses a shift too close to the
+    spectrum) with the unknowns in the reverse Cuthill-McKee order of A
+    (`_band_layout`).  Real A and b are solved in real arithmetic; a real A
+    with a complex b in complex arithmetic."""
+    dtype = np.result_type(A.dtype, np.float64,
+                           *(() if b is None else (np.asarray(b).dtype,)))
+    return _band_lu(*_band_layout(A, dtype), b)
 
-    The unknowns are put in the reverse Cuthill-McKee order of A
-    (`_band_order`), and the LAPACK band storage is written from the CSR
-    entries of A, duplicates summed.  np.linalg.LinAlgError when a pivot is
-    exactly zero or the 1-norm reciprocal condition is below 1e-12: the
-    shift that made A sits too close to the spectrum for the inverse to
-    mean anything.  The condition is exact for A^{-1}; for A^{-1} b,
-    ||A^{-1}||_1 is estimated from below by the solved right-hand sides, to
-    which the start and the alternating vector of LAPACK's estimator are
-    added (one ?gbtrs call; ?gbcon's scaled triangular solves cost
-    O(size^2) on a long band).  Real A and b are solved in real arithmetic;
-    a real A with a complex b in complex arithmetic.
-    """
+
+def _band_layout(A, dtype) -> tuple:
+    """(ab, kl, ku, order, pos, ||A||_1): the sparse A, duplicates summed, as
+    LAPACK band storage ab of the dtype, its unknowns in reverse
+    Cuthill-McKee order (`_band_order`), unknown i at band position pos[i]."""
     A = scipy.sparse.csr_array(A)
     A.sum_duplicates()
     size = A.shape[0]
@@ -628,43 +629,50 @@ def solve_band(A, b: np.ndarray | None = None) -> np.ndarray:
     j = pos[A.indices]
     d = pos[np.repeat(np.arange(size), np.diff(A.indptr))] - j
     kl, ku = int(np.max(d, initial=0)), int(np.max(-d, initial=0))
-    dtype = np.result_type(A.dtype, np.float64,
-                           *(() if b is None else (np.asarray(b).dtype,)))
     ldab = 2 * kl + ku + 1
     ab = np.zeros((ldab, size), dtype, order="F")
     ab.T.reshape(-1)[ldab * j + kl + ku + d] = A.data     # ab[kl+ku+d, j]
+    return ab, kl, ku, order, pos, float(np.bincount(j, np.abs(A.data),
+                                                     size).max())
+
+
+def _band_lu(ab, kl, ku, order, pos, anorm, b=None) -> np.ndarray:
+    """A^{-1} b, or A^{-1} when b is None, from ?gbtrf and one ?gbtrs call
+    on the band storage ab (overwritten) of A in the band order ``order``
+    (pos its inverse).  `_refuse` an exactly zero pivot or a 1-norm
+    reciprocal condition below 1e-12, anorm = ||A||_1 and ||A^{-1}||_1 >=
+    ||A^{-1} v||_1 / ||v||_1 over the solved v."""
+    size = len(order)
     gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    anorm = float(np.bincount(j, np.abs(A.data), size).max())
     lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
     if info > 0:
         _refuse(0.0)
-    if b is None:       # the identity in the band order: ||A^{-1}||_1 exactly
-        rhs = np.zeros((size, size), dtype, order="F")
+    if b is None:       # the identity in the band order
+        p, v = size, np.ones(size)
+        rhs = np.zeros((size, size), ab.dtype, order="F")
         rhs[pos, np.arange(size)] = 1.0
-        x = gbtrs(lu, kl, ku, rhs, piv, overwrite_b=True)[0]
-        inv_norm = float(np.abs(x).sum(axis=0).max())
     else:
-        # ||A^{-1}||_1 >= ||A^{-1} v||_1 / ||v||_1 for every solved v: the
-        # columns of b and the two vectors of LAPACK's estimator ?lacn2
+        # the columns of b and the two vectors of LAPACK's estimator ?lacn2
         # (Higham, ACM Trans. Math. Softw. 14 (1988) 381-396), its start
-        # (1, ..., 1) and its alternating (-1)^i (1 + i/(size - 1))
+        # (1, ..., 1) and its alternating (-1)^i (1 + i/(size - 1)); ?gbcon's
+        # scaled triangular solves would cost O(size^2) on a long band
         b = np.asarray(b)
         p = b.size // size
-        rhs = np.empty((p + 2, size), dtype)    # its transpose is F-ordered
+        rhs = np.empty((p + 2, size), ab.dtype)  # its transpose is F-ordered
         rhs[:p] = b.reshape(size, p).T[:, order]
         rhs[p] = 1.0
         rhs[p + 1] = 1.0 + np.arange(size) / max(size - 1, 1)
         rhs[p + 1, 1::2] *= -1.0
-        v = np.append(np.abs(b.reshape(size, p)).sum(axis=0),
+        v = np.append(np.abs(rhs[:p]).sum(axis=1),
                       [size, np.abs(rhs[p + 1].real).sum()])
-        x = gbtrs(lu, kl, ku, rhs.T, piv, overwrite_b=True)[0]
-        used = v > 0
-        inv_norm = float((np.abs(x).sum(axis=0)[used] / v[used]).max())
-        x = x[:, :p]
-    rcond = 1.0 / (anorm * inv_norm)
+        rhs = rhs.T
+    x = gbtrs(lu, kl, ku, rhs, piv, overwrite_b=True)[0]
+    used = v > 0
+    rcond = 1.0 / (anorm * float((np.abs(x).sum(axis=0)[used]
+                                  / v[used]).max()))
     if not rcond >= 1e-12:      # a NaN from an overflowing solve refuses
         _refuse(rcond)
-    return x[pos] if b is None else x[pos].reshape(b.shape)
+    return x[pos, :p] if b is None else x[pos, :p].reshape(b.shape)
 
 
 def _refuse(rcond: float):

@@ -6,9 +6,9 @@ projects by P = X (Y^H X)^{-1} Y^H.  Where Y^H X is nearly singular (a
 Jordan pair at critical damping) the cluster falls back to a reordered
 complex Schur form, the only Schur form built.  The contour integral of
 the resolvent (`riesz_projection`) is kept as the independent oracle: its
-shifted systems are solved on the band of the operator (`solve_band`), and
-inside `verify_resolution_of_identity` it acts on a few Gaussian probe
-vectors.
+shifted systems are solved by the band LU of `solve_band` on one layout of
+the operator for every level, and inside `verify_resolution_of_identity`
+it acts on a few Gaussian probe vectors.
 
 Projections are computed on the frame matrix (weighted similarity transform),
 so operator norms reported here are weighted operator norms.
@@ -25,7 +25,8 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from .coefficients import integrate_product
-from .discretization import DiscreteOperatorSet, band_norm, solve_band
+from .discretization import (DiscreteOperatorSet, _band_layout, _band_lu,
+                             band_norm)
 from .reporting import to_csv
 from .spectral import Spectrum
 
@@ -125,9 +126,9 @@ def riesz_projection(op, contour: Contour,
     the previous sum (halved) and adds only the new odd nodes; a
     rectangle's Gauss-Legendre panels do not nest, so its sum restarts.
     The shifted systems op - z_k of a level are the diagonal blocks of one
-    sparse system, solved by one pivoted band LU (`solve_band`), at most
-    MAX_LEVEL_ENTRIES solution entries at a time; op (dense or sparse) is
-    read only through its nonzeros.
+    band, solved by one pivoted band LU, at most MAX_LEVEL_ENTRIES solution
+    entries at a time; op (dense or sparse) is read only through its
+    nonzeros, laid out once for every level (`_shifted_layout`).
 
     With ``probes`` (a dim x p array W) the result is P W instead of P:
     each node's block has p right-hand sides, and the update is measured by
@@ -138,16 +139,9 @@ def riesz_projection(op, contour: Contour,
 
 def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
     """`riesz_projection` of every contour, the level's nodes of all the
-    contours whose quadrature has not settled solved together."""
-    # op with its whole diagonal stored: the pattern of every op - z
-    band = scipy.sparse.coo_array(op)
-    dim = band.shape[0]
-    k = np.arange(dim)
-    band = scipy.sparse.csr_array(
-        (np.concatenate([band.data, np.zeros(dim)]),
-         (np.concatenate([band.row, k]), np.concatenate([band.col, k]))),
-        shape=band.shape)
-    rhs = np.eye(dim) if probes is None else np.asarray(probes)
+    unsettled contours solved together on one layout (`_shifted_layout`)."""
+    layout = _shifted_layout(op)
+    rhs = np.eye(op.shape[0]) if probes is None else np.asarray(probes)
     size = (lambda M: np.linalg.norm(M, 2)) if probes is None else _probe_bound
     per_solve = max(MAX_LEVEL_ENTRIES // rhs.size, 1)
     S, prev, out = {}, {}, [None] * len(contours)
@@ -169,7 +163,7 @@ def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
         z, dz, owner = map(np.concatenate, zip(*nodes))
         for k in range(0, len(z), per_solve):
             part = slice(k, k + per_solve)
-            X = dz[part, None, None] * _shifted_solves(band, z[part], rhs)
+            X = dz[part, None, None] * _shifted_solves(layout, z[part], rhs)
             for c in np.unique(owner[part]):
                 S[c] += X[owner[part] == c].sum(axis=0)
         for c in live:
@@ -181,21 +175,28 @@ def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
     return out
 
 
-def _shifted_solves(band, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(op - z_k)^{-1} rhs for every k, stacked (len(z) x dim x p), with
-    the systems op - z_k the diagonal blocks of one CSR matrix, written
-    from the CSR form ``band`` of op with its whole diagonal stored."""
-    dim, q, nnz = band.shape[0], len(z), band.nnz
-    at = np.flatnonzero(band.indices
-                        == np.repeat(np.arange(dim), np.diff(band.indptr)))
-    data = np.tile(band.data.astype(complex), (q, 1))
-    data[:, at] -= z[:, None]
-    step = np.arange(q)[:, None]
-    blocks = scipy.sparse.csr_array(
-        (data.ravel(), (band.indices + dim * step).ravel(),
-         np.append((band.indptr[:-1] + nnz * step).ravel(), q * nnz)),
-        shape=(q * dim, q * dim))
-    return solve_band(blocks, np.tile(rhs, (q, 1))).reshape(q, dim, -1)
+def _shifted_layout(op) -> tuple:
+    """`_band_layout` of op with its whole diagonal stored, as op - z has."""
+    A, k = scipy.sparse.coo_array(op), np.arange(op.shape[0])
+    return _band_layout(scipy.sparse.coo_array(
+        (np.r_[A.data, 0 * k], (np.r_[A.row, k], np.r_[A.col, k])),
+        shape=A.shape), complex)
+
+
+def _shifted_solves(layout, z, rhs) -> np.ndarray:
+    """(op - z_k)^{-1} rhs for every k, stacked (len(z) x dim x p), from one
+    `_band_lu` of the block-diagonal band: the one block of
+    `_shifted_layout` tiled over the nodes, z_k taken off its diagonal."""
+    block, kl, ku, order, pos, _ = layout
+    q, dim = len(z), len(order)
+    ab = np.tile(block.T, (q, 1))
+    ab[:, kl + ku] -= np.repeat(z, dim)
+    # ||op - z_k||_1: the off-diagonal column sums plus |op_jj - z_k|
+    off = np.abs(np.delete(block, kl + ku, axis=0)).sum(axis=0)
+    anorm = float((off + np.abs(block[kl + ku] - z[:, None])).max())
+    step = dim * np.arange(q)[:, None]
+    return _band_lu(ab.T, kl, ku, (order + step).ravel(), (pos + step).ravel(),
+                    anorm, np.tile(rhs, (q, 1))).reshape(q, dim, -1)
 
 
 def _probe_bound(B: np.ndarray) -> float:
@@ -211,51 +212,60 @@ def cluster_eigenvalues(spec: Spectrum, ops: DiscreteOperatorSet) -> list:
     with steps of at most GAP_FRACTION times the asymptotic spacing
     pi / integral(rho); this also joins near-critical pairs that straddle
     the plus/minus branches.  Contour margins are a quarter of the distance
-    to the nearest outside eigenvalue; clusters whose boxes would overlap
-    are merged.
+    to the nearest outside eigenvalue (`_gap_contours`); clusters whose
+    boxes would overlap are merged.
     """
     spacing = np.pi / integrate_product([ops.rho])
     lam = spec.eigenvalues
     labels = spec.branches()
-    near = np.abs(lam[:, None] - lam[None, :]) <= GAP_FRACTION * spacing
-    n_groups, group = connected_components(near, directed=False)
-    groups = [np.flatnonzero(group == k).tolist() for k in range(n_groups)]
-
-    def build(members: list[int]) -> RieszCluster:
-        vals = lam[members]
-        outside = np.delete(lam, members)
-        gap = (np.min(np.abs(outside[:, None] - vals[None, :]))
-               if len(outside) else spacing)
-        margin = gap / 4.0
-        if len(members) == 1:
-            c = Contour("circle", complex(vals[0]), margin)
-        else:
-            lo = complex(vals.real.min() - margin, vals.imag.min() - margin)
-            hi = complex(vals.real.max() + margin, vals.imag.max() + margin)
-            c = Contour("rectangle", (lo + hi) / 2, lo=lo, hi=hi)
-        return RieszCluster(0, str(labels[members[0]]), list(members), c)
-
-    clusters = [build(g) for g in groups]
-    # merge the first pair, in list order, whose contours capture each
+    dist = np.abs(lam[:, None] - lam[None, :])
+    _, group = connected_components(dist <= GAP_FRACTION * spacing,
+                                    directed=False)
+    # merge the first pair, in label order, whose contours capture each
     # other's members, until no pair does
     while True:
-        owner = np.empty(len(lam), dtype=int)
-        for k, c in enumerate(clusters):
-            owner[c.members] = k
-        hits = np.zeros((len(clusters), len(clusters)), dtype=bool)
-        for k, c in enumerate(clusters):
-            hits[k, owner[c.contour.encloses(lam)]] = True
+        members, contours, inside = _gap_contours(lam, group, dist, spacing)
+        hits = inside @ np.eye(len(members), dtype=bool)[group]
         np.fill_diagonal(hits, False)
         pairs = np.argwhere(np.triu(hits | hits.T))
         if not len(pairs):
             break
         i, j = pairs[0]
-        clusters[i] = build(sorted(clusters[i].members + clusters[j].members))
-        del clusters[j]
+        group[group == j] = i
+        group[group > j] -= 1
+    clusters = [RieszCluster(0, str(labels[m[0]]), m, c)
+                for m, c in zip(members, contours)]
     clusters.sort(key=lambda c: (c.contour.center.real, c.contour.center.imag))
     for k, c in enumerate(clusters):
         c.cluster_id = k
     return clusters
+
+
+def _gap_contours(lam, group, dist, spacing) -> tuple:
+    """Members, contour and enclosure mask (`Contour.encloses`, by rows) of
+    each group of eigenvalues (labels 0, 1, ... in ``group``); every gap to
+    the nearest outside eigenvalue is one masked row-min of ``dist``."""
+    _, first, count = np.unique(group, return_index=True, return_counts=True)
+    gap = np.full(len(count), np.inf)
+    np.minimum.at(gap, group, np.where(group[:, None] == group, np.inf,
+                                       dist).min(axis=1))
+    margin = np.where(gap < np.inf, gap, spacing)[:, None] / 4.0
+    bounds = np.full((len(count), 4), np.inf)  # min re, im; -max re, im
+    np.minimum.at(bounds, group, np.c_[lam.real, lam.imag, -lam.real,
+                                       -lam.imag])
+    lo, hi = bounds[:, :2] - margin, margin - bounds[:, 2:]
+    contours = []
+    for f, c, r, a, b in zip(first, count, margin[:, 0].tolist(),
+                             lo.tolist(), hi.tolist()):
+        a, b = complex(*a), complex(*b)
+        contours.append(Contour("circle", complex(lam[f]), r) if c == 1 else
+                        Contour("rectangle", (a + b) / 2, lo=a, hi=b))
+    inside = np.where((count == 1)[:, None],
+                      np.abs(lam - lam[first, None]) < margin,
+                      (lam.real > lo[:, :1]) & (lam.real < hi[:, :1])
+                      & (lam.imag > lo[:, 1:]) & (lam.imag < hi[:, 1:]))
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(count)[:-1])
+    return [m.tolist() for m in members], contours, inside
 
 
 def _enclosed(c: RieszCluster, eigenvalues: np.ndarray) -> np.ndarray:

@@ -318,6 +318,22 @@ def test_programming_error_propagates(monkeypatch):
         run_cli("spectrum", "--n", "16")
 
 
+def test_coefficient_error_inside_a_command_propagates(monkeypatch,
+                                                      tmp_path):
+    """CoefficientError subclasses ValueError, but one raised after the
+    config parsed is a programming error, not a failed check (exit 1); a
+    malformed spec in the config stays a config error (exit 2)."""
+    def broken(cfg, report):
+        raise ds.CoefficientError("not a numerical failure")
+    monkeypatch.setitem(cli._DISPATCH, "spectrum", broken)
+    with pytest.raises(ds.CoefficientError):
+        run_cli("spectrum", "--n", "16", "--out", str(tmp_path))
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"rho": "wavelet 1 2"}))
+    assert run_cli("spectrum", "--n", "16", "--config", str(config),
+                   "--out", str(tmp_path)) == 2
+
+
 def test_numerical_failure_exits_one(tmp_path):
     # 32 cells give fewer than the 40 branch modes the slope fit needs
     assert run_cli("asymptotics", "--n", "32", "--out", str(tmp_path)) == 1

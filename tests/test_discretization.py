@@ -78,6 +78,23 @@ def test_dirac_frame_from_the_band(random_coeffs, tag):
         assert np.linalg.norm(Mf - ref) <= 4e-16 * np.linalg.norm(ref), n
 
 
+@pytest.mark.parametrize("tag", ["min", "zero0", "zero1", "max",
+                                 "omega:0.5,0.3"])
+def test_dirac_frame_is_the_band_bit_for_bit(random_coeffs, tag):
+    """The dense frame written from the frame entries is bit-identical to
+    the band rearranged into block order and densified, signed zeros
+    included (zero damping gives -1j * 0.0 on the diagonal)."""
+    for rho, alpha in (random_coeffs, (RHO1, ds.constant(0.0, "damping"))):
+        for n in (4, 17, 64):
+            ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(tag))
+            at = ops.interleave
+            ref = ops.dirac_band()[at][:, at].toarray()
+            got = ops.dirac_frame()
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          ref.view(np.uint64))
+
+
 def test_generator_and_dirac_nonzero_spectra_agree(random_coeffs):
     rho, alpha = random_coeffs
     ops = ds.build_operator_set(24, rho, alpha, ds.BoundaryCondition.zero1())

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 import dampedstring as ds
 from dampedstring import riesz
@@ -66,13 +68,13 @@ def test_circle_quadrature_reuses_nested_nodes(small_ops, monkeypatch):
     lam0 = lam[np.argmin(np.abs(lam - np.pi))]
     gap = np.sort(np.abs(lam - lam0))[1]
     nodes = []
-    solve_band = riesz.solve_band
+    shifted_solves = riesz._shifted_solves
 
-    def counting(A, b=None):
-        nodes.append(A.shape[0] // op.shape[0])
-        return solve_band(A, b)
+    def counting(layout, z, rhs):
+        nodes.append(len(z))
+        return shifted_solves(layout, z, rhs)
 
-    monkeypatch.setattr(riesz, "solve_band", counting)
+    monkeypatch.setattr(riesz, "_shifted_solves", counting)
     P = riesz.riesz_projection(op, riesz.Contour("circle", lam0, gap / 4))
     assert nodes == [32, 32]
     assert abs(np.trace(P) - 1.0) < 1e-9
@@ -302,3 +304,162 @@ def test_probe_bound_dominates_quadrature_distance(small_ops,
     direct = max(np.linalg.norm(riesz.riesz_projection(op, c.contour)
                                 - c.L @ c.R, 2) for c in sample)
     assert out["max_quadrature_deviation"] >= direct
+
+
+def _reference_clusters(spec, ops):
+    """The member-by-member cluster build: each group's gap from its own
+    outer product with the eigenvalues outside it, and each contour's
+    enclosure tested one contour at a time."""
+    spacing = np.pi / ds.integrate_product([ops.rho])
+    lam = spec.eigenvalues
+    labels = spec.branches()
+    near = np.abs(lam[:, None] - lam[None, :]) <= riesz.GAP_FRACTION * spacing
+    n_groups, group = scipy.sparse.csgraph.connected_components(
+        near, directed=False)
+    groups = [np.flatnonzero(group == k).tolist() for k in range(n_groups)]
+
+    def build(members):
+        vals = lam[members]
+        outside = np.delete(lam, members)
+        gap = (np.min(np.abs(outside[:, None] - vals[None, :]))
+               if len(outside) else spacing)
+        margin = gap / 4.0
+        if len(members) == 1:
+            c = riesz.Contour("circle", complex(vals[0]), margin)
+        else:
+            lo = complex(vals.real.min() - margin, vals.imag.min() - margin)
+            hi = complex(vals.real.max() + margin, vals.imag.max() + margin)
+            c = riesz.Contour("rectangle", (lo + hi) / 2, lo=lo, hi=hi)
+        return riesz.RieszCluster(0, str(labels[members[0]]), list(members), c)
+
+    clusters = [build(g) for g in groups]
+    while True:
+        owner = np.empty(len(lam), dtype=int)
+        for k, c in enumerate(clusters):
+            owner[c.members] = k
+        hits = np.zeros((len(clusters), len(clusters)), dtype=bool)
+        for k, c in enumerate(clusters):
+            hits[k, owner[c.contour.encloses(lam)]] = True
+        np.fill_diagonal(hits, False)
+        pairs = np.argwhere(np.triu(hits | hits.T))
+        if not len(pairs):
+            break
+        i, j = pairs[0]
+        clusters[i] = build(sorted(clusters[i].members + clusters[j].members))
+        del clusters[j]
+    clusters.sort(key=lambda c: (c.contour.center.real, c.contour.center.imag))
+    for k, c in enumerate(clusters):
+        c.cluster_id = k
+    return clusters
+
+
+def _merge_case():
+    lam = np.array([0, 1.1 + 1.1j, 2.2 + 2.2j, 3.3 + 3.3j, 3.0 + 0.3j])
+    ops = ds.build_operator_set(8, RHO1, ds.constant(0.0, "damping"), MIN)
+    return ds.Spectrum(lam, np.zeros(len(lam)), 0, 1e-10), ops
+
+
+def _near_critical_case():
+    ops = ds.build_operator_set(64, RHO1,
+                                ds.constant(2 * np.pi - 0.05, "damping"), MIN)
+    return ds.constant_damping_dirac(ops), ops
+
+
+def _family_case(tag):
+    ops = ds.build_operator_set(32, *ds.random_coefficients(5),
+                                ds.parse_bc(tag))
+    return ds.eigen_dirac(ops), ops
+
+
+def _bits(z):
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("case", [
+    _near_critical_case, _merge_case,
+    lambda: _family_case("max"), lambda: _family_case("omega:0.5,0.3")],
+    ids=["near-critical", "merged-box", "max", "omega:0.5,0.3"])
+def test_clusters_match_member_by_member_build(case):
+    """Members, branches and every contour float, bit for bit."""
+    spec, ops = case()
+    got = riesz.cluster_eigenvalues(spec, ops)
+    ref = _reference_clusters(spec, ops)
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert (a.cluster_id, a.branch, a.members) == \
+            (b.cluster_id, b.branch, b.members)
+        assert a.contour.kind == b.contour.kind
+        for field in ("center", "radius", "lo", "hi"):
+            assert _bits(getattr(a.contour, field)) == \
+                _bits(getattr(b.contour, field)), field
+    if case is _merge_case:
+        assert [c.members for c in got] == [[0, 1, 2, 3, 4]]
+    if case is _near_critical_case:
+        assert any(len(c.members) == 2 for c in got)
+
+
+def _block_diagonal_solves(op, z, rhs):
+    """solve_band of the assembled block-diagonal system diag(op - z_k)."""
+    dim = len(op)
+    blocks = scipy.sparse.block_diag(
+        [scipy.sparse.csr_array(op - zk * np.eye(dim)) for zk in z],
+        format="csr")
+    return ds.discretization.solve_band(blocks, np.tile(rhs, (len(z), 1))).reshape(
+        len(z), dim, -1)
+
+
+@pytest.mark.parametrize("tag", ["min", "omega:0,1"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_level_solves_match_assembled_block_system(tag, kind):
+    """The tiled one-block band layout solves every node's system as
+    solve_band does on the assembled block-diagonal matrix, on a chain and
+    on a ring."""
+    ops = ds.build_operator_set(24, *ds.random_coefficients(5),
+                                ds.parse_bc(tag))
+    op = ops.dirac_frame()
+    rng = np.random.default_rng(1)
+    rhs = rng.standard_normal((len(op), 3))
+    if kind == "complex":
+        rhs = rhs + 1j * rng.standard_normal(rhs.shape)
+    z = riesz.Contour("circle", 3.0 - 0.4j, 1.5).points(16)[0]
+    got = riesz._shifted_solves(riesz._shifted_layout(op), z, rhs)
+    ref = _block_diagonal_solves(op, z, rhs)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("tag", ["min", "omega:0,1"])
+def test_level_node_on_an_eigenvalue_is_refused(tag):
+    ops = ds.build_operator_set(24, *ds.random_coefficients(5),
+                                ds.parse_bc(tag))
+    op = ops.dirac_frame()
+    lam = scipy.linalg.eigvals(op)
+    z = np.array([lam[3] + 0.5, lam[3], lam[3] - 0.5j])
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="too close to the spectrum"):
+        riesz._shifted_solves(riesz._shifted_layout(op), z,
+                              np.ones((len(op), 2)))
+
+
+def test_level_split_over_several_solves_matches_one_solve(small_ops,
+                                                           monkeypatch):
+    """With MAX_LEVEL_ENTRIES small enough that a level of 32 nodes takes
+    several band LUs, P W is the one-solve result."""
+    op = small_ops.dirac_frame()
+    lam = np.linalg.eigvals(op)
+    lam0 = lam[np.argmin(np.abs(lam - np.pi))]
+    contour = riesz.Contour("circle", lam0, np.sort(np.abs(lam - lam0))[1] / 4)
+    probes = np.random.default_rng(2).standard_normal((len(op), 4))
+    whole = riesz.riesz_projection(op, contour, probes)
+    calls = []
+    shifted_solves = riesz._shifted_solves
+
+    def counting(layout, z, rhs):
+        calls.append(len(z))
+        return shifted_solves(layout, z, rhs)
+
+    monkeypatch.setattr(riesz, "_shifted_solves", counting)
+    monkeypatch.setattr(riesz, "MAX_LEVEL_ENTRIES", 5 * probes.size)
+    split = riesz.riesz_projection(op, contour, probes)
+    assert max(calls) == 5 and len(calls) > 2
+    assert np.abs(split - whole).max() <= 1e-14 * np.abs(whole).max()
