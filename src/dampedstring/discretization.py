@@ -7,7 +7,7 @@ matrix level and the continuum adjoint boundary conditions emerge in the
 limit instead of being imposed by hand.
 
 T is a two-band difference operator, so T*T and TT* are tridiagonal
-(cyclic for quasi) and every Hermitian problem is solved as a band; dense
+(a ring for quasi) and every Hermitian problem is solved as a band; dense
 matrices are built only when a dense algorithm asks for them.
 """
 
@@ -134,56 +134,6 @@ def build_grid(n: int, rho: CoefficientSpec, bc: BoundaryCondition) -> WeightedG
     return WeightedGrid(n, bc, keep, xk, mids, wu, wv)
 
 
-def _fold(size: int) -> np.ndarray:
-    """The order (0, N-1, 1, N-2, ...): it puts the first and the last
-    unknown next to each other and every coordinate neighbour within two
-    places, so a cyclic tridiagonal matrix becomes a band of width 2."""
-    idx = np.arange(size)
-    order = np.empty_like(idx)
-    order[0::2] = idx[:(size + 1) // 2]
-    order[1::2] = idx[:(size - 1) // 2:-1]
-    return order
-
-
-def _band_eigh(A, cyclic: bool, vectors: bool = False, top: bool = False):
-    """Eigenvalues (ascending), and with ``vectors`` the eigenvectors, of the
-    sparse Hermitian matrix A by `scipy.linalg.eig_banded`; with ``top``
-    only the largest eigenvalue.
-
-    The unknowns of A are in coordinate order, so A is banded apart from,
-    when ``cyclic``, the corners that couple the first and the last
-    unknowns; `_fold` moves those corners inside twice the bandwidth.  A is
-    written in lower band storage, so a real A is solved in real arithmetic.
-    """
-    size = A.shape[0]
-    order = _fold(size) if cyclic else np.arange(size)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(size)
-    A = A.tocoo()
-    i, j = pos[A.row], pos[A.col]
-    low = i >= j
-    ab = np.zeros((int(np.max(i[low] - j[low])) + 1, size), dtype=A.dtype)
-    ab[i[low] - j[low], j[low]] = A.data[low]
-    if top:
-        return scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True,
-                                       select="i",
-                                       select_range=(size - 1, size - 1),
-                                       check_finite=False)
-    if not vectors:
-        return scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True,
-                                       check_finite=False)
-    w, V = scipy.linalg.eig_banded(ab, lower=True, check_finite=False)
-    return w, V[pos]
-
-
-def _band_norm(M, cyclic: bool) -> float:
-    """||M||_2 of the sparse M, banded in coordinate order (cyclic when
-    ``cyclic``): the square root of the top eigenvalue of the Gram band
-    M^H M, exact where a bound would loosen a gate."""
-    gram = (M.conj().T @ M).tocoo()
-    return float(np.sqrt(max(_band_eigh(gram, cyclic, top=True)[0], 0.0)))
-
-
 def _dense(shape: tuple, rows: np.ndarray, cols: np.ndarray,
            vals: np.ndarray) -> np.ndarray:
     """Complex matrix of the given shape with only the given nonzeros."""
@@ -269,10 +219,11 @@ class DiscreteOperatorSet:
 
     T is stored as its per-cell coefficients c_j = i/(h rho(x_{j+1/2})):
     (T u)_j = c_j (u_{j+1} - u_j), with node n read as omega * node 0 for
-    quasi.  The Hermitian problems (the spectra of T*T and TT*) are solved
-    as bands in coordinate order.  Every dense matrix (T, Tstar, Tf, D, B,
-    G) is built on first use and kept, written from the nonzeros of T and
-    of the frame form H1f.
+    quasi.  The Hermitian problems (the spectra of T*T and TT*, and the
+    Gram bands behind `dirac_norm` and `generator_norm`) are solved as
+    bands in the one layout of `_band_layout`.  Every dense matrix (T,
+    Tstar, Tf, D, B, G) is built on first use and kept, written from the
+    nonzeros of T and of the frame form H1f.
 
     The zero threshold `tol_zero` is 1e-10 ||Tf||_2, read off the top of the
     spectrum of T*T.  The rank of T needs only the number of singular
@@ -304,10 +255,6 @@ class DiscreteOperatorSet:
     def wv(self) -> np.ndarray:
         return self.grid.cell_weights
 
-    @property
-    def _cyclic(self) -> bool:
-        return self.bc.tag == "quasi"
-
     @cached_property
     def _T_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cell, node column, value) of the nonzeros of T."""
@@ -317,7 +264,7 @@ class DiscreteOperatorSet:
         r, l = right < m, left >= 0
         rows, cols = [j[r], j[l]], [right[r], left[l]]
         vals = [self.c[r], -self.c[l]]
-        if self._cyclic:
+        if self.bc.tag == "quasi":
             rows.append([n - 1])
             cols.append([0])
             vals.append([self.c[-1] * self.bc.omega])
@@ -378,14 +325,14 @@ class DiscreteOperatorSet:
     @cached_property
     def H1f(self):
         """T*T in the node frame, Tf^H Tf: sparse Hermitian, tridiagonal
-        (cyclic for quasi)."""
+        (a ring for quasi)."""
         rows, cols, fv = self._Tf_entries
         return _product(rows, cols, cols, fv.conj(), fv, self.n_nodes)
 
     @cached_property
     def H2f(self):
         """TT* in the cell frame, Tf Tf^H: sparse Hermitian, tridiagonal
-        (cyclic for quasi)."""
+        (a ring for quasi)."""
         rows, cols, fv = self._Tf_entries
         return _product(cols, rows, rows, fv, fv.conj(), self.n_cells)
 
@@ -447,7 +394,7 @@ class DiscreteOperatorSet:
         spectrum is symmetric about 0, so an odd count means an eigenvalue
         at t itself: KernelAmbiguityError."""
         e, corner = self._golub_kahan
-        count = (_ring_count(e, corner, t) if self._cyclic
+        count = (_ring_count(e, corner, t) if self.bc.tag == "quasi"
                  else _chain_count(e, t))
         half, odd = divmod(count - abs(self.n_nodes - self.n_cells), 2)
         if odd:
@@ -479,7 +426,7 @@ class DiscreteOperatorSet:
         """Spectrum, ascending, of T*T ("node") or TT* ("cell") in its
         Hermitian frame, with the eigenvectors as columns if ``vectors``."""
         A = {"node": self.H1f, "cell": self.H2f}[which]
-        return _band_eigh(A, self._cyclic, vectors)
+        return _band_eigh(A, vectors)
 
     @cached_property
     def H1_eigvals(self) -> np.ndarray:
@@ -535,7 +482,7 @@ class DiscreteOperatorSet:
     @cached_property
     def dirac_norm(self) -> float:
         """||D + B||_2 in the weighted frame, from the Gram band."""
-        return _band_norm(self.dirac_band(), self._cyclic)
+        return band_norm(self.dirac_band())
 
     @cached_property
     def generator_frame(self):
@@ -555,10 +502,8 @@ class DiscreteOperatorSet:
     @cached_property
     def generator_norm(self) -> float:
         """||G||_2 in the weighted frame, from the Gram band of
-        `generator_frame` with u_k and v_k at 2k and 2k + 1."""
-        order = np.arange(2 * self.n_nodes).reshape(2, -1).T.ravel()
-        return _band_norm(self.generator_frame[order][:, order],
-                          self._cyclic)
+        `generator_frame`."""
+        return band_norm(self.generator_frame)
 
     def weighted_norm(self, v: np.ndarray, space: str = "dirac") -> float:
         w = self.weights(space)
@@ -582,22 +527,26 @@ def _rank(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s >= tol))
 
 
-def _band_order(A) -> np.ndarray:
-    """The reverse Cuthill-McKee order of the sparse, structurally
-    symmetric A: it makes a chain a band of width 1 and a ring (quasi) one
-    of width 2, whatever order the unknowns of A come in."""
-    return reverse_cuthill_mckee(scipy.sparse.csr_array(A),
-                                 symmetric_mode=True)
+def _band_eigh(A, vectors: bool = False, top: bool = False):
+    """Eigenvalues (ascending), and with ``vectors`` the eigenvectors in the
+    order of A's unknowns, of the sparse Hermitian A by
+    `scipy.linalg.eig_banded` on the lower half of A's band storage
+    (`_band_layout`); with ``top`` only the largest eigenvalue.  A real A is
+    solved in real arithmetic."""
+    ab, kl, ku, _, pos, _ = _band_layout(A, A.dtype)
+    last = dict(select="i", select_range=(len(pos) - 1,) * 2) if top else {}
+    out = scipy.linalg.eig_banded(ab[kl + ku:], lower=True,
+                                  eigvals_only=not vectors,
+                                  check_finite=False, **last)
+    return (out[0], out[1][pos]) if vectors else out
 
 
-def band_norm(A) -> float:
-    """||A||_2 of the sparse, structurally symmetric A by `_band_norm`,
-    with the unknowns in reverse Cuthill-McKee order."""
-    A = scipy.sparse.coo_array(A)
-    pos = np.empty(A.shape[0], dtype=np.intp)
-    pos[_band_order(A)] = np.arange(A.shape[0])
-    return _band_norm(scipy.sparse.coo_array(
-        (A.data, (pos[A.row], pos[A.col])), shape=A.shape), False)
+def band_norm(M) -> float:
+    """||M||_2 of the sparse M: the square root of the top eigenvalue of
+    the Gram band M^H M (`_band_eigh`), exact where a bound would loosen a
+    gate."""
+    M = scipy.sparse.csr_array(M)
+    return float(np.sqrt(max(_band_eigh(M.conj().T @ M, top=True)[0], 0.0)))
 
 
 def shifted(A, d):
@@ -617,13 +566,16 @@ def solve_band(A, b: np.ndarray | None = None) -> np.ndarray:
 
 
 def _band_layout(A, dtype) -> tuple:
-    """(ab, kl, ku, order, pos, ||A||_1): the sparse A, duplicates summed, as
-    LAPACK band storage ab of the dtype, its unknowns in reverse
-    Cuthill-McKee order (`_band_order`), unknown i at band position pos[i]."""
+    """(ab, kl, ku, order, pos, ||A||_1): the sparse, structurally symmetric
+    A, duplicates summed, as LAPACK band storage ab of the dtype, whose row
+    kl + ku holds the whole diagonal (zeros included), unknown i at band
+    position pos[i].  The unknowns are in reverse Cuthill-McKee order, which
+    makes a chain a band of width 1 and a ring (quasi) one of width 2,
+    whatever order they come in."""
     A = scipy.sparse.csr_array(A)
     A.sum_duplicates()
     size = A.shape[0]
-    order = _band_order(A)
+    order = reverse_cuthill_mckee(A, symmetric_mode=True)
     pos = np.empty_like(order)
     pos[order] = np.arange(size)
     j = pos[A.indices]

@@ -6,9 +6,9 @@ projects by P = X (Y^H X)^{-1} Y^H.  Where Y^H X is nearly singular (a
 Jordan pair at critical damping) the cluster falls back to a reordered
 complex Schur form, the only Schur form built.  The contour integral of
 the resolvent (`riesz_projection`) is kept as the independent oracle: its
-shifted systems are solved by the band LU of `solve_band` on one layout of
-the operator for every level, and inside `verify_resolution_of_identity`
-it acts on a few Gaussian probe vectors.
+shifted systems are solved by the pivoted band LU of `solve_band` on one
+band layout of the operator (`_band_layout`) for every level, and inside
+`verify_resolution_of_identity` it acts on a few Gaussian probe vectors.
 
 Projections are computed on the frame matrix (weighted similarity transform),
 so operator norms reported here are weighted operator norms.
@@ -128,7 +128,8 @@ def riesz_projection(op, contour: Contour,
     The shifted systems op - z_k of a level are the diagonal blocks of one
     band, solved by one pivoted band LU, at most MAX_LEVEL_ENTRIES solution
     entries at a time; op (dense or sparse) is read only through its
-    nonzeros, laid out once for every level (`_shifted_layout`).
+    nonzeros, laid out once for every level (`_band_layout`, whose storage
+    holds the whole diagonal, as op - z has).
 
     With ``probes`` (a dim x p array W) the result is P W instead of P:
     each node's block has p right-hand sides, and the update is measured by
@@ -139,8 +140,8 @@ def riesz_projection(op, contour: Contour,
 
 def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
     """`riesz_projection` of every contour, the level's nodes of all the
-    unsettled contours solved together on one layout (`_shifted_layout`)."""
-    layout = _shifted_layout(op)
+    unsettled contours solved together on one layout (`_band_layout`)."""
+    layout = _band_layout(op, complex)
     rhs = np.eye(op.shape[0]) if probes is None else np.asarray(probes)
     size = (lambda M: np.linalg.norm(M, 2)) if probes is None else _probe_bound
     per_solve = max(MAX_LEVEL_ENTRIES // rhs.size, 1)
@@ -175,18 +176,11 @@ def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
     return out
 
 
-def _shifted_layout(op) -> tuple:
-    """`_band_layout` of op with its whole diagonal stored, as op - z has."""
-    A, k = scipy.sparse.coo_array(op), np.arange(op.shape[0])
-    return _band_layout(scipy.sparse.coo_array(
-        (np.r_[A.data, 0 * k], (np.r_[A.row, k], np.r_[A.col, k])),
-        shape=A.shape), complex)
-
-
 def _shifted_solves(layout, z, rhs) -> np.ndarray:
     """(op - z_k)^{-1} rhs for every k, stacked (len(z) x dim x p), from one
-    `_band_lu` of the block-diagonal band: the one block of
-    `_shifted_layout` tiled over the nodes, z_k taken off its diagonal."""
+    `_band_lu` of the block-diagonal band: the one block of ``layout``
+    (`_band_layout` of op) tiled over the nodes, z_k taken off its
+    diagonal row."""
     block, kl, ku, order, pos, _ = layout
     q, dim = len(z), len(order)
     ab = np.tile(block.T, (q, 1))

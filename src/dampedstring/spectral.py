@@ -189,6 +189,16 @@ def selfadjoint_modes(ops: DiscreteOperatorSet, weights=()
     retried once, with the ring cut at m/2 for a cyclic T*T and with one
     more step otherwise; RuntimeError names a mode still above it.
     """
+    return _modes(ops, weights)[:3]
+
+
+def _modes(ops: DiscreteOperatorSet, weights=()) -> tuple:
+    """`selfadjoint_modes` and (q, rq): the Rayleigh quotient
+    q_j = ||Tf x||^2 / ||x||^2 of each mode's iterate x and its backward
+    error rq_j = ||(H1f - q_j) x|| / ||x||.  Tf x is accurate relative to
+    sqrt(mu_j), so q_j is accurate relative to a small mu_j, which the band
+    solver gives only to about eps ||T*T||; res_j^2 = rq_j^2 + (q_j - mu_j)^2,
+    so the gate on res also bounds |q_j - mu_j|."""
     H = ops.H1f
     mu = ops.H1_eigvals
     m = len(mu)
@@ -200,12 +210,15 @@ def selfadjoint_modes(ops: DiscreteOperatorSet, weights=()
             np.append(H.diagonal(-1), H.diagonal(m - 1)))
     cyclic = bool(ring[1][-1] or ring[2][-1])
     steps = 2 if len(W) else 1
-    res, means = _mode_stats(H, ring, mu, W, 0, steps, scale)
+    # -i Tf, which is real unless omega is complex
+    F = ops.sparse("Tf") * -1j
+    F = F if F.data.imag.any() else F.real
+    res, means, quotient = _mode_stats(F, ring, mu, W, 0, steps, scale)
     gate = 1e-8 * scale
     bad = np.flatnonzero(~(res <= gate))      # nan fails too
     if len(bad):
-        res[bad], means[:, bad] = _mode_stats(
-            H, ring, mu[bad], W, m // 2 if cyclic else 0,
+        res[bad], means[:, bad], quotient[:, bad] = _mode_stats(
+            F, ring, mu[bad], W, m // 2 if cyclic else 0,
             steps + (not cyclic), scale)
         bad = bad[~(res[bad] <= gate)]
         if len(bad):
@@ -213,26 +226,34 @@ def selfadjoint_modes(ops: DiscreteOperatorSet, weights=()
             raise RuntimeError(
                 f"inverse iteration of T*T: mode {j} (mu = {mu[j]:.6e}) has "
                 f"backward error {res[j]:.3e} above 1e-8 x norm after a retry")
-    return mu, res, means
+    return mu, res, means, quotient
 
 
-def _mode_stats(H, ring, mu, W, cut, steps, scale):
-    """(res, means) of `selfadjoint_modes` for the shifts mu, by chunks."""
-    m = H.shape[0]
+def _mode_stats(F, ring, mu, W, cut, steps, scale):
+    """(res, means, (q, rq)) of `_modes` for the shifts mu, by chunks, with
+    F = -i Tf: q = ||F x||^2 / ||x||^2, and H1f x is taken as F^H (F x)."""
+    m = F.shape[1]
     res, means = np.empty(len(mu)), np.empty((len(W), len(mu)))
+    quotient = np.empty((2, len(mu)))
     # a fixed pseudo-random start, uniform on [-1, 1] as in LAPACK ?stein
     start = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     per = max(1, _MODE_CHUNK // m)
+    FH = F.conj().T
     for lo in range(0, len(mu), per):
         s = mu[lo:lo + per]
         x = _inverse_iterates(ring, s, start, cut, steps, _EPS * scale)
         p = _abs2(x)
-        R = (H @ x.T).T
-        R -= s[:, None] * x
+        y = F @ x.T
         norm2 = p.sum(axis=1)
-        res[lo:lo + per] = np.sqrt(_abs2(R).sum(axis=1) / norm2)
+        q = _abs2(y).sum(axis=0) / norm2
+        R = (FH @ y).T
+        R -= q[:, None] * x
+        rq = np.sqrt(_abs2(R).sum(axis=1) / norm2)
+        # (H1f - q) x is orthogonal to x, so (H1f - s) x adds (q - s) x to it
+        res[lo:lo + per] = np.hypot(rq, q - s)
+        quotient[:, lo:lo + per] = q, rq
         means[:, lo:lo + per] = (W @ p.T) / norm2
-    return res, means
+    return res, means, quotient
 
 
 def _abs2(v: np.ndarray) -> np.ndarray:
@@ -324,22 +345,24 @@ def constant_damping_dirac(ops: DiscreteOperatorSet) -> Spectrum:
     zero modes (`_damped_roots`).  Cheaper than the general eigensolve;
     rejected if the profile is not constant.
 
-    The residual reduces exactly to the node block: with H1 u = mu u and
-    w = T u / lambda, the cell component of (D+B-lambda)(u, w) vanishes
-    identically and the node component equals (H1 u - mu u)/lambda, so each
-    root takes its mode's backward error ||H1f u - mu u|| for a unit u, the
-    inverse iterate of `selfadjoint_modes`: no eigenvector matrix is formed.
+    Each mu is the Rayleigh quotient ||Tf u||^2 of the unit inverse iterate
+    u of `selfadjoint_modes` (`_modes`), accurate relative to the small mu
+    where the band eigenvalue is accurate only to about eps ||T*T||.  The
+    residual reduces exactly to the node block: with w = T u / lambda, the
+    cell component of (D+B-lambda)(u, w) vanishes identically and the node
+    component equals (H1 u - mu u)/lambda, so each root takes its mode's
+    backward error ||H1f u - mu u|| at that quotient: no eigenvector matrix
+    is formed.
     """
     C = ops.C
     if np.ptp(C) > 1e-13 * max(1.0, np.abs(C).max()):
         raise ValueError("damping profile is not constant at the nodes")
     a = float(C[0])
-    mu, rn, _ = selfadjoint_modes(ops)
+    mu, rn = _modes(ops)[3]
     k_T, k_Ts = ops.n_nodes - ops.rank, ops.n_cells - ops.rank
     lam = _damped_roots(mu, np.full(len(mu), a), k_T, k_Ts)
     # per root, in the order of _damped_roots: its mode's residual and mu
     rn = np.concatenate([np.tile(rn[k_T:], 2), rn[:k_T], np.zeros(k_Ts)])
-    mu = np.maximum(mu, 0.0)
     mu2 = np.concatenate([np.tile(mu[k_T:], 2), mu[:k_T], np.zeros(k_Ts)])
     lam_safe = np.where(np.abs(lam) < ops.tol_zero, 1.0, np.abs(lam))
     vec_norm = np.sqrt(1.0 + mu2 / lam_safe**2)

@@ -122,20 +122,21 @@ def _squared_shift(zeta: complex, ops: DiscreteOperatorSet) -> complex:
 
 
 def resolvent_dirac(zeta: complex, ops: DiscreteOperatorSet) -> BlockResolvent:
-    """(D - zeta)^{-1} assembled from the two scalar-block resolvents
-    K1 = (T*T - zeta^2)^{-1} and K2 = (TT* - zeta^2)^{-1}, each from a band
-    LU."""
-    z2 = _squared_shift(zeta, ops)
-    K1 = solve_band(shifted(ops.sparse("H1"), z2))
-    K2 = solve_band(shifted(ops.sparse("H2"), z2))
-    blocks = ((zeta * K1, ops.sparse("Tstar") @ K2),
-              (ops.sparse("T") @ K1, zeta * K2))
-    return BlockResolvent(zeta, blocks)
+    """(D - zeta)^{-1}: `_block_resolvent` without damping, whose pencil Q
+    is T*T - zeta^2, so the blocks are zeta K1, T* K2, T K1 and zeta K2 with
+    K1 = (T*T - zeta^2)^{-1} and K2 = (TT* - zeta^2)^{-1}."""
+    return _block_resolvent(zeta, ops, np.zeros(ops.n_nodes))
 
 
 def resolvent_perturbed(zeta: complex, ops: DiscreteOperatorSet) -> BlockResolvent:
-    """(D + B - zeta)^{-1} from K2 = (TT* - zeta^2)^{-1} and one band LU of
-    the damped pencil Q = T*T - zeta^2 - i zeta C.
+    """(D + B - zeta)^{-1}: `_block_resolvent` with the damping C of ops."""
+    return _block_resolvent(zeta, ops, ops.C)
+
+
+def _block_resolvent(zeta: complex, ops: DiscreteOperatorSet,
+                     C: np.ndarray) -> BlockResolvent:
+    """(D + B - zeta)^{-1}, B = diag(-i C, 0), from K2 = (TT* - zeta^2)^{-1}
+    and one band LU of the damped pencil Q = T*T - zeta^2 - i zeta C.
 
     With K1 = (T*T - zeta^2)^{-1} and the node-space correction
     M = [I - i zeta C K1]^{-1}, the blocks need only K1 M = Q^{-1} and
@@ -143,7 +144,7 @@ def resolvent_perturbed(zeta: complex, ops: DiscreteOperatorSet) -> BlockResolve
     LU; `solve_band` gates the conditioning of Q.
     """
     z2 = _squared_shift(zeta, ops)
-    m, C = ops.n_nodes, ops.C
+    m = ops.n_nodes
     K2 = solve_band(shifted(ops.sparse("H2"), z2))
     TsK2 = ops.sparse("Tstar") @ K2
     X = solve_band(shifted(ops.sparse("H1"), z2 + 1j * zeta * C),

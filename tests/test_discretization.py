@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dampedstring as ds
-from dampedstring.discretization import (KernelAmbiguityError, build_grid,
-                                         build_operator_set, shifted,
-                                         solve_band)
+from dampedstring.discretization import (KernelAmbiguityError, _band_eigh,
+                                         build_grid, build_operator_set,
+                                         shifted, solve_band)
 
 from conftest import frame
 
@@ -351,6 +351,29 @@ def test_band_norm_matches_dense_norm(random_coeffs, tag):
     frame_ = ops.dirac_frame()
     assert ds.discretization.band_norm(scipy.sparse.csr_array(frame_)) \
         == pytest.approx(np.linalg.norm(frame_, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["min", "omega:0.5,0.3"])
+def test_band_eigh_takes_the_unknowns_in_any_order(random_coeffs, tag,
+                                                  monkeypatch):
+    """T*T with its unknowns randomly permuted, so that neither the chain
+    nor the ring is banded: the spectrum of frame_eigh, eigenvectors in the
+    permuted order, and a band of width at most 2 handed to eig_banded."""
+    rho, alpha = random_coeffs
+    ops = ds.build_operator_set(64, rho, alpha, ds.parse_bc(tag))
+    mu = ops.frame_eigh("node")
+    p = np.random.default_rng(3).permutation(ops.n_nodes)
+    H = ops.H1f[p][:, p]
+    rows, eig_banded = [], scipy.linalg.eig_banded
+
+    def recording(a_band, *args, **kwargs):
+        rows.append(len(a_band))
+        return eig_banded(a_band, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", recording)
+    w, V = _band_eigh(H, vectors=True)
+    assert rows == [2 if tag == "min" else 3]
+    assert np.abs(w - mu).max() <= 1e-13 * mu[-1]
+    assert np.linalg.norm(H @ V - V * w, axis=0).max() <= 1e-12 * mu[-1]
 
 
 @pytest.mark.parametrize("tag", ["min", "zero0", "zero1", "max", "omega:0,1"])

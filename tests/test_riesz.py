@@ -6,6 +6,7 @@ import scipy.sparse.csgraph
 
 import dampedstring as ds
 from dampedstring import riesz
+from dampedstring.discretization import _band_layout
 
 MIN = ds.BoundaryCondition.minimal()
 RHO1 = ds.constant(1.0, "density")
@@ -422,7 +423,7 @@ def test_level_solves_match_assembled_block_system(tag, kind):
     if kind == "complex":
         rhs = rhs + 1j * rng.standard_normal(rhs.shape)
     z = riesz.Contour("circle", 3.0 - 0.4j, 1.5).points(16)[0]
-    got = riesz._shifted_solves(riesz._shifted_layout(op), z, rhs)
+    got = riesz._shifted_solves(_band_layout(op, complex), z, rhs)
     ref = _block_diagonal_solves(op, z, rhs)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -437,7 +438,7 @@ def test_level_node_on_an_eigenvalue_is_refused(tag):
     z = np.array([lam[3] + 0.5, lam[3], lam[3] - 0.5j])
     with pytest.raises(np.linalg.LinAlgError,
                        match="too close to the spectrum"):
-        riesz._shifted_solves(riesz._shifted_layout(op), z,
+        riesz._shifted_solves(_band_layout(op, complex), z,
                               np.ones((len(op), 2)))
 
 

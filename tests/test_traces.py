@@ -209,10 +209,8 @@ def test_livsic_sum_at_critical_damping(n):
 def test_livsic_anchor_on_both_spectrum_sources():
     """On verify-all's continuum anchor (constant density and damping), the
     Hermitian spectrum of constant_damping_dirac and the general eigensolve
-    each close the Livsic gap against the band LU trace.  eig_banded's
-    eigenvalues of T*T carry an absolute error of about eps ||T*T|| (6e-11
-    at n = 256), which moves the lowest roots by ~1e-11 and the sum by
-    1.4e-12 relative; hence 1e-11 between the two sums."""
+    each close the Livsic gap against the band LU trace, and the two sums
+    agree."""
     ops = ds.build_operator_set(256, RHO1, ds.constant(1.0, "damping"), MIN)
     general = traces.livsic_check(ops, ds.eigen_dirac(ops))
     hermitian = traces.livsic_check(ops, ds.constant_damping_dirac(ops))
@@ -220,6 +218,17 @@ def test_livsic_anchor_on_both_spectrum_sources():
     assert general["trace_im"] == hermitian["trace_im"]
     assert (abs(general["eig_im_sum"] - hermitian["eig_im_sum"])
             <= 1e-11 * abs(general["eig_im_sum"]))
+
+
+def test_livsic_anchor_closes_to_rounding_on_the_hermitian_spectrum():
+    """verify-all's livsic.equality anchor: the constant-damping roots come
+    from the Rayleigh quotients ||Tf u||^2 of the inverse iterates, which
+    are accurate relative to the small eigenvalues of T*T.  eig_banded's
+    eigenvalues, accurate only to about eps ||T*T|| (6e-11 at n = 256),
+    give a gap of 1.7e-12."""
+    ops = ds.build_operator_set(256, RHO1, ds.constant(1.0, "damping"), MIN)
+    assert traces.livsic_check(ops, ds.constant_damping_dirac(ops))["gap"] \
+        <= 1e-14
 
 
 def test_traces_use_no_dense_eigensolve(monkeypatch):
