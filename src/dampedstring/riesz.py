@@ -465,7 +465,9 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     E = op L - L (R op L) and F = R op - (R op L) R; splitting E along L
     gives its Frobenius norm from k x k products.  The quadrature acts on
     N_PROBES fixed Gaussian probes W, and the record is `_probe_bound` of
-    (P_quad - P) W, an upper bound with probability 1 - 10^-4.
+    (P_quad - P) W, an upper bound with probability 1 - 10^-4;
+    ``quadrature_samples`` counts the sampled clusters, and with none the
+    deviation is 0.0 by default, not a measurement.
     """
     dim = op.shape[0]
     covered = sorted(i for c in clusters for i in c.members)
@@ -494,6 +496,7 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
         "total_rank": sum(c.rank for c in clusters),
         "max_commutator": records["max_commutator"],
         "max_quadrature_deviation": float(deviation),
+        "quadrature_samples": len(sample),
         "max_projection_norm": records["max_projection_norm"],
         "schur_clusters": schur_clusters,
     }

@@ -141,16 +141,21 @@ def _block_resolvent(zeta: complex, ops: DiscreteOperatorSet,
     With K1 = (T*T - zeta^2)^{-1} and the node-space correction
     M = [I - i zeta C K1]^{-1}, the blocks need only K1 M = Q^{-1} and
     K1 M (i C T* K2) = Q^{-1} (i C T* K2), two right-hand sides of the one
-    LU; `solve_band` gates the conditioning of Q.
+    LU; `solve_band` gates the conditioning of Q.  Without damping the
+    second vanishes and Q is real for a real zeta: only the identity
+    columns are solved.
     """
     z2 = _squared_shift(zeta, ops)
     m = ops.n_nodes
     K2 = solve_band(shifted(ops.sparse("H2"), z2))
     TsK2 = ops.sparse("Tstar") @ K2
+    T = ops.sparse("T")
+    if not C.any():     # Q = T*T - zeta^2, and i C T* K2 = 0
+        QI = solve_band(shifted(ops.sparse("H1"), z2), np.eye(m))
+        return BlockResolvent(zeta, ((zeta * QI, TsK2), (T @ QI, zeta * K2)))
     X = solve_band(shifted(ops.sparse("H1"), z2 + 1j * zeta * C),
                    np.hstack([np.eye(m), 1j * (C[:, None] * TsK2)]))
     QI, QC = X[:, :m], X[:, m:]
-    T = ops.sparse("T")
     blocks = ((zeta * QI, zeta * QC + TsK2), (T @ QI, T @ QC + zeta * K2))
     return BlockResolvent(zeta, blocks)
 

@@ -8,9 +8,10 @@ the nodes, the regularized eigenvalue sums
 over the nonzero spectrum satisfy S_{2n} = -t_{2n} and S_{2n+1} = 0, where
 t_{2n} is the 2n-th Taylor coefficient of Im F(zeta), F(zeta) = tr[(2 zeta +
 iC)(T*T - zeta^2 - i zeta C)^{-1}].  The ledger reads every t_{2n} off
-samples of F on a circle; the Neumann recurrence of (T*T)^{-1} is the
-second path.  At matrix level these are exact linear-algebra facts, so the
-checks are eigensolver-accuracy, not discretization-accuracy.
+samples of F on a circle; the Neumann recurrence of (T*T)^{-1}, run on
+column blocks of the identity by band solves of T*T, is the second path.
+At matrix level these are exact linear-algebra facts, so the checks are
+eigensolver-accuracy, not discretization-accuracy.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
 
 N_MAX_DEFAULT = 4
 LIVSIC_MARGIN = 0.5        # height of the Livsic shift above the strip
+_BLOCK_ENTRIES = 1 << 16   # entries of one column block of the Neumann path
 
 
 @dataclass
@@ -69,31 +71,29 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
     It expands (T*T - zeta^2 - i zeta C)^{-1} as sum_k R_k zeta^k, whose
     coefficients obey R_0 = K = (T*T)^{-1} and R_k = K (iC R_{k-1} +
     R_{k-2}), and reads t_{2n} off the zeta^{2n} coefficient Im tr(2 R_{2n-1}
-    + iC R_{2n}) in 2n dense products.  K comes from one band solve, so
-    LinAlgError when ker T is nontrivial.  ``method`` has the one value
-    "neumann".
+    + iC R_{2n}).  The recurrence runs on blocks of _BLOCK_ENTRIES // m
+    columns of the identity, each product with K one band solve of T*T
+    (`solve_band`), and each block adds its diagonal entries to the trace; no
+    m x m matrix is formed.  LinAlgError when ker T is nontrivial.
+    ``method`` has the one value "neumann".
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if method != "neumann":
         raise ValueError(f"unknown method {method!r}")
-    return _neumann_coefficients(n, ops)[-1]
-
-
-def _neumann_coefficients(n_max: int, ops: DiscreteOperatorSet) -> list:
-    """t_0, t_2, ..., t_{2 n_max} from one run of the Taylor recurrence
-    R_0 = K, R_k = K (iC R_{k-1} + R_{k-2}), each read off on the way."""
     if ops.rank < ops.n_nodes:
         raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
-    K, C = solve_band(ops.sparse("H1")), ops.C
-    R_prev, R = np.zeros_like(K), K            # R_{-1}, R_0
-    t = []
-    for k in range(2 * n_max + 1):
-        if k % 2 == 0:
-            t.append(float(np.imag(2.0 * np.trace(R_prev)
-                                   + 1j * np.sum(C * np.diag(R)))))
-        if k < 2 * n_max:
-            R_prev, R = R, K @ (1j * (C[:, None] * R) + R_prev)
+    H1, C, m = ops.sparse("H1"), ops.C, ops.n_nodes
+    width, t = max(1, _BLOCK_ENTRIES // m), 0.0
+    for start in range(0, m, width):
+        cols = np.arange(start, min(start + width, m))
+        R = solve_band(H1, np.eye(m, len(cols), -start))      # R_0
+        R_prev = np.zeros_like(R)                             # R_{-1}
+        for _ in range(2 * n):
+            R_prev, R = R, solve_band(H1, 1j * (C[:, None] * R) + R_prev)
+        at = (cols, cols - start)       # the block's diagonal entries
+        t += float(np.imag(2.0 * np.sum(R_prev[at])
+                           + 1j * np.sum(C[cols] * R[at])))
     return t
 
 

@@ -230,6 +230,23 @@ def test_riesz_command(tmp_path):
     assert csv.startswith("cluster_id,branch,member_count")
 
 
+@pytest.mark.parametrize("bc, samples", [("omega:0.5,0.3", False),
+                                         ("min", True)])
+def test_riesz_quadrature_record_needs_a_sample(tmp_path, bc, samples):
+    """Every cluster of omega:0.5,0.3 at n = 32 is a rectangle, so the
+    Riesz oracle samples none and its record is report-only; a family with
+    a sampled cluster keeps the gate."""
+    assert run_cli("riesz", "--n", "32", "--bc", bc,
+                   "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    (record,) = [r for r in report["records"]
+                 if r["name"] == "riesz.quadrature_deviation"]
+    if samples:
+        assert (record["status"], record["tolerance"]) == ("pass", "1e-08")
+    else:
+        assert (record["status"], record["tolerance"]) == ("report-only", None)
+
+
 def test_verify_all_passes(tmp_path):
     code = run_cli("verify-all", "--out", str(tmp_path), "--seed", "11")
     assert code == 0

@@ -3,6 +3,7 @@ import pytest
 
 import dampedstring as ds
 from dampedstring import cli, susy
+from dampedstring.discretization import shifted, solve_band
 
 from conftest import frame
 
@@ -160,6 +161,49 @@ def test_perturbed_reduces_to_dirac_when_undamped():
     a = susy.resolvent_perturbed(z, ops0).assemble()
     b = susy.resolvent_dirac(z, ops0).assemble()
     assert np.linalg.norm(a - b) < 1e-12 * np.linalg.norm(b)
+
+
+def _full_pencil_blocks(zeta, ops):
+    """The blocks of (D - zeta)^{-1} with the damped right-hand sides of
+    the pencil solved as well, all zero at C = 0: the route of the damped
+    resolvent."""
+    m, C = ops.n_nodes, np.zeros(ops.n_nodes)
+    z2 = zeta * zeta
+    K2 = solve_band(shifted(ops.sparse("H2"), z2))
+    TsK2 = ops.sparse("Tstar") @ K2
+    X = solve_band(shifted(ops.sparse("H1"), z2 + 1j * zeta * C),
+                   np.hstack([np.eye(m), 1j * (C[:, None] * TsK2)]))
+    QI, QC = X[:, :m], X[:, m:]
+    T = ops.sparse("T")
+    return ((zeta * QI, zeta * QC + TsK2), (T @ QI, T @ QC + zeta * K2))
+
+
+@pytest.mark.parametrize("bc", ["min", "max", "omega:0,1", "omega:1,0",
+                                "omega:0.5,0.3"])
+def test_dirac_resolvent_solves_only_identity_columns(bc, monkeypatch):
+    """Without damping the pencil is solved for the m identity columns
+    alone, and for a complex zeta the blocks are those of the full pencil,
+    bit for bit."""
+    rho, alpha = ds.random_coefficients(13)
+    ops = ds.build_operator_set(32, rho, alpha, ds.parse_bc(bc))
+    m = ops.n_nodes
+    shapes = []
+    solve = susy.solve_band
+
+    def spy(A, b=None):
+        shapes.append(None if b is None else b.shape)
+        return solve(A, b)
+
+    monkeypatch.setattr(susy, "solve_band", spy)
+    z = 0.3 + 0.1j
+    got = susy.resolvent_dirac(z, ops).blocks
+    assert shapes == [None, (m, m)]        # K2, then the pencil
+    for row, full_row in zip(got, _full_pencil_blocks(z, ops)):
+        for block, full in zip(row, full_row):
+            assert np.array_equal(block, full)
+    # a real zeta on a real T*T is solved in real arithmetic
+    assert (np.iscomplexobj(susy.resolvent_dirac(0.3, ops).blocks[0][0])
+            == np.iscomplexobj(ops.sparse("H1").data))
 
 
 def test_trace_ideal_decay():

@@ -323,7 +323,7 @@ def test_contour_matches_neumann(bc, n):
     rho, alpha = ds.random_coefficients(3)
     ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
     contour = np.array(traces.build_ledger(ops, ds.eigen_dirac(ops)).t)
-    neumann = np.array(traces._neumann_coefficients(4, ops))
+    neumann = np.array([traces.trace_coefficient(k, ops) for k in range(5)])
     assert np.abs(contour - neumann).max() <= 1e-10 * np.abs(contour).max()
 
 
@@ -342,3 +342,67 @@ def test_ledger_forms_no_inverse(monkeypatch, bc):
     if bc == "min":
         with pytest.raises(AssertionError, match="K formed"):
             traces.trace_coefficient(0, ops)
+
+
+def _dense_neumann(n_max, ops):
+    """t_0, t_2, ..., t_{2 n_max} from the dense Taylor recurrence R_0 = K,
+    R_k = K (iC R_{k-1} + R_{k-2}), K = (T*T)^{-1} by a dense inverse: the
+    oracle of the blocked band path."""
+    K, C = np.linalg.inv(ops.sparse("H1").toarray()), ops.C
+    R_prev, R = np.zeros_like(K), K            # R_{-1}, R_0
+    t = []
+    for k in range(2 * n_max + 1):
+        if k % 2 == 0:
+            t.append(float(np.imag(2.0 * np.trace(R_prev)
+                                   + 1j * np.sum(C * np.diag(R)))))
+        R_prev, R = R, K @ (1j * (C[:, None] * R) + R_prev)
+    return t
+
+
+@pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "omega:0,1",
+                                "omega:-1,0", "omega:0.5,0.3"])
+def test_neumann_blocks_match_dense_recurrence(bc, monkeypatch):
+    """The recurrence on column blocks of the identity, at least three of
+    them, gives t_0 ... t_8 of the dense recurrence, at the tolerances of
+    test_traces_match_full_products."""
+    rho, alpha = ds.random_coefficients(26)
+    ops = ds.build_operator_set(24, rho, alpha, ds.parse_bc(bc))
+    m = ops.n_nodes
+    monkeypatch.setattr(traces, "_BLOCK_ENTRIES", m * (m // 3 - 1))
+    widths = []
+    solve = traces.solve_band
+
+    def spy(A, b=None):
+        widths.append(b.shape[1])
+        return solve(A, b)
+
+    monkeypatch.setattr(traces, "solve_band", spy)
+    oracle = _dense_neumann(4, ops)
+    assert traces.trace_coefficient(0, ops) == pytest.approx(oracle[0],
+                                                             rel=1e-13)
+    assert len(widths) >= 3 and sum(widths) == m
+    for n in range(1, 5):
+        assert traces.trace_coefficient(n, ops) == pytest.approx(oracle[n],
+                                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", ["min", "omega:0,1"])
+def test_neumann_path_forms_no_inverse(bc, monkeypatch):
+    """Every band solve of the Neumann path takes a block of at most
+    max(1, _BLOCK_ENTRIES // m) columns, never the whole inverse."""
+    rho, alpha = ds.random_coefficients(3)
+    ops = ds.build_operator_set(300, rho, alpha, ds.parse_bc(bc))
+    m = ops.n_nodes
+    width = max(1, traces._BLOCK_ENTRIES // m)
+    assert width < m
+    shapes = []
+    solve = traces.solve_band
+
+    def spy(A, b=None):
+        shapes.append(None if b is None else b.shape)
+        return solve(A, b)
+
+    monkeypatch.setattr(traces, "solve_band", spy)
+    traces.trace_coefficient(1, ops)
+    assert shapes and None not in shapes
+    assert all(rows == m and 1 <= cols <= width for rows, cols in shapes)
