@@ -33,6 +33,8 @@ __all__ = [
     "band_norm",
     "shifted",
     "solve_band",
+    "band_layout",
+    "band_lu",
     "KernelAmbiguityError",
 ]
 
@@ -221,7 +223,7 @@ class DiscreteOperatorSet:
     (T u)_j = c_j (u_{j+1} - u_j), with node n read as omega * node 0 for
     quasi.  The Hermitian problems (the spectra of T*T and TT*, and the
     Gram bands behind `dirac_norm` and `generator_norm`) are solved as
-    bands in the one layout of `_band_layout`.  Every dense matrix (T,
+    bands in the one layout of `band_layout`.  Every dense matrix (T,
     Tstar, Tf, D, B, G) is built on first use and kept, written from the
     nonzeros of T and of the frame form H1f.
 
@@ -531,9 +533,9 @@ def _band_eigh(A, vectors: bool = False, top: bool = False):
     """Eigenvalues (ascending), and with ``vectors`` the eigenvectors in the
     order of A's unknowns, of the sparse Hermitian A by
     `scipy.linalg.eig_banded` on the lower half of A's band storage
-    (`_band_layout`); with ``top`` only the largest eigenvalue.  A real A is
+    (`band_layout`); with ``top`` only the largest eigenvalue.  A real A is
     solved in real arithmetic."""
-    ab, kl, ku, _, pos, _ = _band_layout(A, A.dtype)
+    ab, kl, ku, _, pos = band_layout(A, A.dtype)
     last = dict(select="i", select_range=(len(pos) - 1,) * 2) if top else {}
     out = scipy.linalg.eig_banded(ab[kl + ku:], lower=True,
                                   eigvals_only=not vectors,
@@ -555,19 +557,17 @@ def shifted(A, d):
 
 
 def solve_band(A, b: np.ndarray | None = None) -> np.ndarray:
-    """A^{-1} b, or A^{-1} when b is None, of the sparse square A from one
-    pivoted band LU (`_band_lu`, which refuses a shift too close to the
-    spectrum) with the unknowns in the reverse Cuthill-McKee order of A
-    (`_band_layout`).  Real A and b are solved in real arithmetic; a real A
-    with a complex b in complex arithmetic."""
+    """A^{-1} b, or A^{-1} when b is None, of the sparse square A: the
+    one-shift call of `band_lu`.  Real A and b are solved in real
+    arithmetic; a real A with a complex b in complex arithmetic."""
     dtype = np.result_type(A.dtype, np.float64,
                            *(() if b is None else (np.asarray(b).dtype,)))
-    return _band_lu(*_band_layout(A, dtype), b)
+    return band_lu(band_layout(A, dtype))(b)
 
 
-def _band_layout(A, dtype) -> tuple:
-    """(ab, kl, ku, order, pos, ||A||_1): the sparse, structurally symmetric
-    A, duplicates summed, as LAPACK band storage ab of the dtype, whose row
+def band_layout(A, dtype) -> tuple:
+    """(ab, kl, ku, order, pos): the sparse, structurally symmetric A,
+    duplicates summed, as LAPACK band storage ab of the dtype, whose row
     kl + ku holds the whole diagonal (zeros included), unknown i at band
     position pos[i].  The unknowns are in reverse Cuthill-McKee order, which
     makes a chain a band of width 1 and a ring (quasi) one of width 2,
@@ -584,47 +584,62 @@ def _band_layout(A, dtype) -> tuple:
     ldab = 2 * kl + ku + 1
     ab = np.zeros((ldab, size), dtype, order="F")
     ab.T.reshape(-1)[ldab * j + kl + ku + d] = A.data     # ab[kl+ku+d, j]
-    return ab, kl, ku, order, pos, float(np.bincount(j, np.abs(A.data),
-                                                     size).max())
+    return ab, kl, ku, order, pos
 
 
-def _band_lu(ab, kl, ku, order, pos, anorm, b=None) -> np.ndarray:
-    """A^{-1} b, or A^{-1} when b is None, from ?gbtrf and one ?gbtrs call
-    on the band storage ab (overwritten) of A in the band order ``order``
-    (pos its inverse).  `_refuse` an exactly zero pivot or a 1-norm
-    reciprocal condition below 1e-12, anorm = ||A||_1 and ||A^{-1}||_1 >=
-    ||A^{-1} v||_1 / ||v||_1 over the solved v."""
-    size = len(order)
+def band_lu(layout, z=0.0):
+    """solve(b=None) -> (A - z_k)^{-1} b, or (A - z_k)^{-1} when b is None,
+    shaped z.shape + b.shape, for every shift z_k, from one ?gbtrf of the
+    block-diagonal band of the A - z_k (the storage of ``layout``, A's
+    `band_layout`, tiled over the shifts, in the arithmetic of A and z) and
+    one ?gbtrs per solve.  `_refuse`s a zero pivot, and in every solve a
+    1-norm reciprocal condition below 1e-12: ||A - z_k||_1 from the band's
+    column sums, ||(A - z_k)^{-1}||_1 >= ||x||_1 / ||v||_1 over solved v."""
+    block, kl, ku, order, pos = layout
+    z = np.asarray(z)
+    q, dim = z.size, len(order)
+    size = q * dim
+    ab = np.tile(block.T, (q, 1)).astype(np.result_type(block, z), copy=False)
+    ab[:, kl + ku] -= np.repeat(z.ravel(), dim)
+    # ||A - z_k||_1: the off-diagonal column sums plus |A_jj - z_k|
+    off = np.abs(np.delete(block, kl + ku, axis=0)).sum(axis=0)
+    anorm = float((off + np.abs(block[kl + ku] - z.reshape(-1, 1))).max())
+    pos = (pos + dim * np.arange(q)[:, None]).ravel()
     gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
+    lu, piv, info = gbtrf(ab.T, kl, ku, overwrite_ab=True)
     if info > 0:
         _refuse(0.0)
-    if b is None:       # the identity in the band order
-        p, v = size, np.ones(size)
-        rhs = np.zeros((size, size), ab.dtype, order="F")
-        rhs[pos, np.arange(size)] = 1.0
-    else:
-        # the columns of b and the two vectors of LAPACK's estimator ?lacn2
-        # (Higham, ACM Trans. Math. Softw. 14 (1988) 381-396), its start
-        # (1, ..., 1) and its alternating (-1)^i (1 + i/(size - 1)); ?gbcon's
-        # scaled triangular solves would cost O(size^2) on a long band
-        b = np.asarray(b)
-        p = b.size // size
-        rhs = np.empty((p + 2, size), ab.dtype)  # its transpose is F-ordered
-        rhs[:p] = b.reshape(size, p).T[:, order]
-        rhs[p] = 1.0
-        rhs[p + 1] = 1.0 + np.arange(size) / max(size - 1, 1)
-        rhs[p + 1, 1::2] *= -1.0
-        v = np.append(np.abs(rhs[:p]).sum(axis=1),
-                      [size, np.abs(rhs[p + 1].real).sum()])
-        rhs = rhs.T
-    x = gbtrs(lu, kl, ku, rhs, piv, overwrite_b=True)[0]
-    used = v > 0
-    rcond = 1.0 / (anorm * float((np.abs(x).sum(axis=0)[used]
-                                  / v[used]).max()))
-    if not rcond >= 1e-12:      # a NaN from an overflowing solve refuses
-        _refuse(rcond)
-    return x[pos, :p] if b is None else x[pos, :p].reshape(b.shape)
+
+    def solve(b=None) -> np.ndarray:
+        if b is None:       # the identity of every block in the band order
+            p, v, shape = dim, np.full(dim, float(q)), (dim, dim)
+            rhs = np.zeros((size, dim), lu.dtype, order="F")
+            rhs[pos, np.tile(np.arange(dim), q)] = 1.0
+        else:
+            # b and the start (1, ..., 1) and alternating (-1)^i (1 + i/(size
+            # - 1)) of LAPACK's estimator ?lacn2 (Higham, ACM TOMS 14 (1988)
+            # 381-396); ?gbcon's scaled triangular solves cost O(size^2)
+            b = np.asarray(b)
+            if not np.can_cast(b.dtype, lu.dtype):
+                raise TypeError(f"a {b.dtype} b on a {lu.dtype} band LU")
+            p, shape = b.size // dim, b.shape
+            rhs = np.empty((p + 2, size), lu.dtype)  # its transpose: F order
+            rhs[:p].reshape(p, q, dim)[:] = b.reshape(dim, p).T[:, None, order]
+            rhs[p] = 1.0
+            rhs[p + 1] = 1.0 + np.arange(size) / max(size - 1, 1)
+            rhs[p + 1, 1::2] *= -1.0
+            v = np.append(np.abs(rhs[:p]).sum(axis=1),
+                          [size, np.abs(rhs[p + 1].real).sum()])
+            rhs = rhs.T
+        x = gbtrs(lu, kl, ku, rhs, piv, overwrite_b=True)[0]
+        used = v > 0
+        rcond = 1.0 / (anorm * float((np.abs(x).sum(axis=0)[used]
+                                      / v[used]).max()))
+        if not rcond >= 1e-12:      # a NaN from an overflowing solve refuses
+            _refuse(rcond)
+        return x[pos, :p].reshape(z.shape + shape)
+
+    return solve
 
 
 def _refuse(rcond: float):

@@ -5,9 +5,9 @@ Cluster projections come from the right and left eigenvectors of one
 projects by P = X (Y^H X)^{-1} Y^H.  Where Y^H X is nearly singular (a
 Jordan pair at critical damping) the cluster falls back to a reordered
 complex Schur form, the only Schur form built.  The contour integral of
-the resolvent (`riesz_projection`) is kept as the independent oracle: its
-shifted systems are solved by the pivoted band LU of `solve_band` on one
-band layout of the operator (`_band_layout`) for every level, and inside
+the resolvent (`riesz_projection`) is kept as the independent oracle: a
+level's shifted systems are one pivoted band LU (`band_lu`) on the one band
+layout of the operator (`band_layout`), and inside
 `verify_resolution_of_identity` it acts on a few Gaussian probe vectors.
 
 Projections are computed on the frame matrix (weighted similarity transform),
@@ -25,7 +25,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from .coefficients import integrate_product
-from .discretization import (DiscreteOperatorSet, _band_layout, _band_lu,
+from .discretization import (DiscreteOperatorSet, band_layout, band_lu,
                              band_norm)
 from .reporting import to_csv
 from .spectral import Spectrum
@@ -126,10 +126,10 @@ def riesz_projection(op, contour: Contour,
     the previous sum (halved) and adds only the new odd nodes; a
     rectangle's Gauss-Legendre panels do not nest, so its sum restarts.
     The shifted systems op - z_k of a level are the diagonal blocks of one
-    band, solved by one pivoted band LU, at most MAX_LEVEL_ENTRIES solution
-    entries at a time; op (dense or sparse) is read only through its
-    nonzeros, laid out once for every level (`_band_layout`, whose storage
-    holds the whole diagonal, as op - z has).
+    band, solved by one pivoted band LU (`band_lu`), at most
+    MAX_LEVEL_ENTRIES solution entries at a time; op (dense or sparse) is
+    read only through its nonzeros, laid out once for every level
+    (`band_layout`).
 
     With ``probes`` (a dim x p array W) the result is P W instead of P:
     each node's block has p right-hand sides, and the update is measured by
@@ -140,8 +140,8 @@ def riesz_projection(op, contour: Contour,
 
 def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
     """`riesz_projection` of every contour, the level's nodes of all the
-    unsettled contours solved together on one layout (`_band_layout`)."""
-    layout = _band_layout(op, complex)
+    unsettled contours solved together on one layout (`band_layout`)."""
+    layout = band_layout(op, complex)
     rhs = np.eye(op.shape[0]) if probes is None else np.asarray(probes)
     size = (lambda M: np.linalg.norm(M, 2)) if probes is None else _probe_bound
     per_solve = max(MAX_LEVEL_ENTRIES // rhs.size, 1)
@@ -164,7 +164,7 @@ def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
         z, dz, owner = map(np.concatenate, zip(*nodes))
         for k in range(0, len(z), per_solve):
             part = slice(k, k + per_solve)
-            X = dz[part, None, None] * _shifted_solves(layout, z[part], rhs)
+            X = dz[part, None, None] * band_lu(layout, z[part])(rhs)
             for c in np.unique(owner[part]):
                 S[c] += X[owner[part] == c].sum(axis=0)
         for c in live:
@@ -174,23 +174,6 @@ def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
             prev[c] = P
         n *= 2
     return out
-
-
-def _shifted_solves(layout, z, rhs) -> np.ndarray:
-    """(op - z_k)^{-1} rhs for every k, stacked (len(z) x dim x p), from one
-    `_band_lu` of the block-diagonal band: the one block of ``layout``
-    (`_band_layout` of op) tiled over the nodes, z_k taken off its
-    diagonal row."""
-    block, kl, ku, order, pos, _ = layout
-    q, dim = len(z), len(order)
-    ab = np.tile(block.T, (q, 1))
-    ab[:, kl + ku] -= np.repeat(z, dim)
-    # ||op - z_k||_1: the off-diagonal column sums plus |op_jj - z_k|
-    off = np.abs(np.delete(block, kl + ku, axis=0)).sum(axis=0)
-    anorm = float((off + np.abs(block[kl + ku] - z[:, None])).max())
-    step = dim * np.arange(q)[:, None]
-    return _band_lu(ab.T, kl, ku, (order + step).ravel(), (pos + step).ravel(),
-                    anorm, np.tile(rhs, (q, 1))).reshape(q, dim, -1)
 
 
 def _probe_bound(B: np.ndarray) -> float:
@@ -254,10 +237,7 @@ def _gap_contours(lam, group, dist, spacing) -> tuple:
         a, b = complex(*a), complex(*b)
         contours.append(Contour("circle", complex(lam[f]), r) if c == 1 else
                         Contour("rectangle", (a + b) / 2, lo=a, hi=b))
-    inside = np.where((count == 1)[:, None],
-                      np.abs(lam - lam[first, None]) < margin,
-                      (lam.real > lo[:, :1]) & (lam.real < hi[:, :1])
-                      & (lam.imag > lo[:, 1:]) & (lam.imag < hi[:, 1:]))
+    inside = np.array([c.encloses(lam) for c in contours])
     members = np.split(np.argsort(group, kind="stable"), np.cumsum(count)[:-1])
     return [m.tolist() for m in members], contours, inside
 

@@ -9,7 +9,7 @@ over the nonzero spectrum satisfy S_{2n} = -t_{2n} and S_{2n+1} = 0, where
 t_{2n} is the 2n-th Taylor coefficient of Im F(zeta), F(zeta) = tr[(2 zeta +
 iC)(T*T - zeta^2 - i zeta C)^{-1}].  The ledger reads every t_{2n} off
 samples of F on a circle; the Neumann recurrence of (T*T)^{-1}, run on
-column blocks of the identity by band solves of T*T, is the second path.
+column blocks of the identity with band LUs of T*T, is the second path.
 At matrix level these are exact linear-algebra facts, so the checks are
 eigensolver-accuracy, not discretization-accuracy.
 """
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tridiagonal
-from .discretization import DiscreteOperatorSet, shifted, solve_band
+from .discretization import (DiscreteOperatorSet, band_layout, band_lu,
+                             shifted, solve_band)
 from .greens import KernelUnavailableError, t0_analytic
 from .reporting import fmt_float
 from .spectral import Spectrum, eigen_dirac
@@ -72,9 +73,10 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
     coefficients obey R_0 = K = (T*T)^{-1} and R_k = K (iC R_{k-1} +
     R_{k-2}), and reads t_{2n} off the zeta^{2n} coefficient Im tr(2 R_{2n-1}
     + iC R_{2n}).  The recurrence runs on blocks of _BLOCK_ENTRIES // m
-    columns of the identity, each product with K one band solve of T*T
-    (`solve_band`), and each block adds its diagonal entries to the trace; no
-    m x m matrix is formed.  LinAlgError when ker T is nontrivial.
+    columns of the identity, each product with K one solve with the band LU
+    of T*T (`band_lu`: one for R_0, one for the complex recurrence where T*T
+    is real), and each block adds its diagonal entries to the trace; no m x
+    m matrix is formed.  LinAlgError when ker T is nontrivial.
     ``method`` has the one value "neumann".
     """
     if n < 0:
@@ -84,13 +86,16 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
     if ops.rank < ops.n_nodes:
         raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
     H1, C, m = ops.sparse("H1"), ops.C, ops.n_nodes
+    layout = band_layout(H1, H1.dtype)
+    first = band_lu(layout)
+    solve = band_lu(layout, 0j) if n and H1.dtype != complex else first
     width, t = max(1, _BLOCK_ENTRIES // m), 0.0
     for start in range(0, m, width):
         cols = np.arange(start, min(start + width, m))
-        R = solve_band(H1, np.eye(m, len(cols), -start))      # R_0
+        R = first(np.eye(m, len(cols), -start))               # R_0
         R_prev = np.zeros_like(R)                             # R_{-1}
         for _ in range(2 * n):
-            R_prev, R = R, solve_band(H1, 1j * (C[:, None] * R) + R_prev)
+            R_prev, R = R, solve(1j * (C[:, None] * R) + R_prev)
         at = (cols, cols - start)       # the block's diagonal entries
         t += float(np.imag(2.0 * np.sum(R_prev[at])
                            + 1j * np.sum(C[cols] * R[at])))

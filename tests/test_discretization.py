@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import dampedstring as ds
 from dampedstring.discretization import (KernelAmbiguityError, _band_eigh,
-                                         build_grid, build_operator_set,
-                                         shifted, solve_band)
+                                         band_layout, band_lu, build_grid,
+                                         build_operator_set, shifted,
+                                         solve_band)
 
 from conftest import frame
 
@@ -282,6 +283,31 @@ def test_solve_band_real_matrix_complex_rhs():
     ref = np.linalg.solve(A, b)
     got = solve_band(scipy.sparse.csr_array(A), b)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("tag", ["min", "omega:0,1"])
+def test_one_factorization_solves_every_shift(tag):
+    """band_lu(layout, z) solves A - z_k for every shift, for the inverse
+    as for a right-hand side, stacked in the shape of z, and solves again
+    from the same factors; a real factorization refuses a complex b rather
+    than drop its imaginary part."""
+    ops = ds.build_operator_set(16, *ds.random_coefficients(5),
+                                ds.parse_bc(tag))
+    A = ops.sparse("H1")
+    z = np.array([[-0.5, 0.25 + 0.5j, 2.0 - 1.0j]])
+    b = np.random.default_rng(3).standard_normal((A.shape[0], 2))
+    solve = band_lu(band_layout(A, complex), z)
+    dense = [A.toarray() - zk * np.eye(A.shape[0]) for zk in z.ravel()]
+    for rhs in (None, b, b[:, 0]):
+        got = solve(rhs)
+        ref = np.array([np.linalg.inv(D) if rhs is None
+                        else np.linalg.solve(D, rhs) for D in dense])
+        assert got.shape == z.shape + ref.shape[1:]
+        assert np.abs(got.reshape(ref.shape) - ref).max() \
+            <= 1e-13 * np.abs(ref).max()
+    if tag == "min":
+        with pytest.raises(TypeError):
+            band_lu(band_layout(A, A.dtype), -0.5)(1j * b)
 
 
 def test_solve_band_refuses_singular_matrix():

@@ -6,7 +6,7 @@ import scipy.sparse.csgraph
 
 import dampedstring as ds
 from dampedstring import riesz
-from dampedstring.discretization import _band_layout
+from dampedstring.discretization import band_layout, band_lu
 
 MIN = ds.BoundaryCondition.minimal()
 RHO1 = ds.constant(1.0, "density")
@@ -69,13 +69,12 @@ def test_circle_quadrature_reuses_nested_nodes(small_ops, monkeypatch):
     lam0 = lam[np.argmin(np.abs(lam - np.pi))]
     gap = np.sort(np.abs(lam - lam0))[1]
     nodes = []
-    shifted_solves = riesz._shifted_solves
 
-    def counting(layout, z, rhs):
+    def counting(layout, z):
         nodes.append(len(z))
-        return shifted_solves(layout, z, rhs)
+        return band_lu(layout, z)
 
-    monkeypatch.setattr(riesz, "_shifted_solves", counting)
+    monkeypatch.setattr(riesz, "band_lu", counting)
     P = riesz.riesz_projection(op, riesz.Contour("circle", lam0, gap / 4))
     assert nodes == [32, 32]
     assert abs(np.trace(P) - 1.0) < 1e-9
@@ -423,7 +422,7 @@ def test_level_solves_match_assembled_block_system(tag, kind):
     if kind == "complex":
         rhs = rhs + 1j * rng.standard_normal(rhs.shape)
     z = riesz.Contour("circle", 3.0 - 0.4j, 1.5).points(16)[0]
-    got = riesz._shifted_solves(_band_layout(op, complex), z, rhs)
+    got = band_lu(band_layout(op, complex), z)(rhs)
     ref = _block_diagonal_solves(op, z, rhs)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -438,8 +437,7 @@ def test_level_node_on_an_eigenvalue_is_refused(tag):
     z = np.array([lam[3] + 0.5, lam[3], lam[3] - 0.5j])
     with pytest.raises(np.linalg.LinAlgError,
                        match="too close to the spectrum"):
-        riesz._shifted_solves(_band_layout(op, complex), z,
-                              np.ones((len(op), 2)))
+        band_lu(band_layout(op, complex), z)(np.ones((len(op), 2)))
 
 
 def test_level_split_over_several_solves_matches_one_solve(small_ops,
@@ -453,13 +451,12 @@ def test_level_split_over_several_solves_matches_one_solve(small_ops,
     probes = np.random.default_rng(2).standard_normal((len(op), 4))
     whole = riesz.riesz_projection(op, contour, probes)
     calls = []
-    shifted_solves = riesz._shifted_solves
 
-    def counting(layout, z, rhs):
+    def counting(layout, z):
         calls.append(len(z))
-        return shifted_solves(layout, z, rhs)
+        return band_lu(layout, z)
 
-    monkeypatch.setattr(riesz, "_shifted_solves", counting)
+    monkeypatch.setattr(riesz, "band_lu", counting)
     monkeypatch.setattr(riesz, "MAX_LEVEL_ENTRIES", 5 * probes.size)
     split = riesz.riesz_projection(op, contour, probes)
     assert max(calls) == 5 and len(calls) > 2

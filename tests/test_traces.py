@@ -6,6 +6,7 @@ import scipy.linalg
 
 import dampedstring as ds
 from dampedstring import traces, tridiagonal
+from dampedstring.discretization import solve_band
 
 MIN = ds.BoundaryCondition.minimal()
 RHO1 = ds.constant(1.0, "density")
@@ -255,8 +256,9 @@ def test_resolvent_trace_forms_no_dense_matrix(monkeypatch, bc):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense matrix formed")
 
-    monkeypatch.setattr(traces, "solve_band", forbidden)
-    monkeypatch.setattr(ds.discretization, "solve_band", forbidden)
+    for name in ("solve_band", "band_lu"):
+        monkeypatch.setattr(traces, name, forbidden)
+        monkeypatch.setattr(ds.discretization, name, forbidden)
     monkeypatch.setattr(ds.DiscreteOperatorSet, "dirac_frame", forbidden)
     for name in ("T", "Tstar", "Tf", "D", "B", "G"):
         monkeypatch.setattr(ds.DiscreteOperatorSet, name, property(forbidden))
@@ -337,6 +339,7 @@ def test_ledger_forms_no_inverse(monkeypatch, bc):
     ops = ds.build_operator_set(32, rho, alpha, ds.parse_bc(bc))
     spec = ds.eigen_dirac(ops)
     monkeypatch.setattr(traces, "solve_band", forbidden)
+    monkeypatch.setattr(traces, "band_lu", forbidden)
     ledger = traces.build_ledger(ops, spec)
     assert max(ledger.discrepancies) <= 1e-6 * max(abs(v) for v in ledger.t)
     if bc == "min":
@@ -359,6 +362,23 @@ def _dense_neumann(n_max, ops):
     return t
 
 
+def _spy_solves(monkeypatch) -> list:
+    """The shape of every right-hand side (None for b=None) that
+    trace_coefficient hands to its band LUs, in call order."""
+    shapes = []
+
+    def spy(layout, z=0.0):
+        solve = ds.discretization.band_lu(layout, z)
+
+        def spied(b=None):
+            shapes.append(None if b is None else b.shape)
+            return solve(b)
+        return spied
+
+    monkeypatch.setattr(traces, "band_lu", spy)
+    return shapes
+
+
 @pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "omega:0,1",
                                 "omega:-1,0", "omega:0.5,0.3"])
 def test_neumann_blocks_match_dense_recurrence(bc, monkeypatch):
@@ -369,17 +389,11 @@ def test_neumann_blocks_match_dense_recurrence(bc, monkeypatch):
     ops = ds.build_operator_set(24, rho, alpha, ds.parse_bc(bc))
     m = ops.n_nodes
     monkeypatch.setattr(traces, "_BLOCK_ENTRIES", m * (m // 3 - 1))
-    widths = []
-    solve = traces.solve_band
-
-    def spy(A, b=None):
-        widths.append(b.shape[1])
-        return solve(A, b)
-
-    monkeypatch.setattr(traces, "solve_band", spy)
+    shapes = _spy_solves(monkeypatch)
     oracle = _dense_neumann(4, ops)
     assert traces.trace_coefficient(0, ops) == pytest.approx(oracle[0],
                                                              rel=1e-13)
+    widths = [cols for _, cols in shapes]
     assert len(widths) >= 3 and sum(widths) == m
     for n in range(1, 5):
         assert traces.trace_coefficient(n, ops) == pytest.approx(oracle[n],
@@ -395,14 +409,54 @@ def test_neumann_path_forms_no_inverse(bc, monkeypatch):
     m = ops.n_nodes
     width = max(1, traces._BLOCK_ENTRIES // m)
     assert width < m
-    shapes = []
-    solve = traces.solve_band
-
-    def spy(A, b=None):
-        shapes.append(None if b is None else b.shape)
-        return solve(A, b)
-
-    monkeypatch.setattr(traces, "solve_band", spy)
+    shapes = _spy_solves(monkeypatch)
     traces.trace_coefficient(1, ops)
     assert shapes and None not in shapes
     assert all(rows == m and 1 <= cols <= width for rows, cols in shapes)
+
+
+def _neumann_solve_by_solve(n, ops):
+    """t_{2n} by trace_coefficient's recurrence with a fresh layout and band
+    LU for every solve (`solve_band`): the factor-per-solve reference."""
+    H1, C, m = ops.sparse("H1"), ops.C, ops.n_nodes
+    width, t = max(1, traces._BLOCK_ENTRIES // m), 0.0
+    for start in range(0, m, width):
+        cols = np.arange(start, min(start + width, m))
+        R = solve_band(H1, np.eye(m, len(cols), -start))
+        R_prev = np.zeros_like(R)
+        for _ in range(2 * n):
+            R_prev, R = R, solve_band(H1, 1j * (C[:, None] * R) + R_prev)
+        at = (cols, cols - start)
+        t += float(np.imag(2.0 * np.sum(R_prev[at])
+                           + 1j * np.sum(C[cols] * R[at])))
+    return t
+
+
+@pytest.mark.parametrize("bc", ["min", "omega:0,1"])
+def test_neumann_path_factors_once(bc, monkeypatch):
+    """However many column blocks run, trace_coefficient factors T*T at
+    most twice per call (one ?gbtrf per arithmetic), and t_0 ... t_8 are
+    bit-identical to a fresh factorization for every solve."""
+    rho, alpha = ds.random_coefficients(3)
+    ops = ds.build_operator_set(300, rho, alpha, ds.parse_bc(bc))
+    assert max(1, traces._BLOCK_ENTRIES // ops.n_nodes) < ops.n_nodes
+    reference = [_neumann_solve_by_solve(n, ops) for n in range(5)]
+    factorizations = []
+    lapack = scipy.linalg.get_lapack_funcs
+
+    def counting(names, *args, **kwargs):
+        funcs = lapack(names, *args, **kwargs)
+        if names != ("gbtrf", "gbtrs"):
+            return funcs
+        gbtrf, gbtrs = funcs
+
+        def counted(*a, **k):
+            factorizations.append(a[0].shape)
+            return gbtrf(*a, **k)
+        return counted, gbtrs
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    for n in range(5):
+        factorizations.clear()
+        assert traces.trace_coefficient(n, ops) == reference[n]
+        assert 1 <= len(factorizations) <= 2
