@@ -594,7 +594,9 @@ def band_lu(layout, z=0.0):
     `band_layout`, tiled over the shifts, in the arithmetic of A and z) and
     one ?gbtrs per solve.  `_refuse`s a zero pivot, and in every solve a
     1-norm reciprocal condition below 1e-12: ||A - z_k||_1 from the band's
-    column sums, ||(A - z_k)^{-1}||_1 >= ||x||_1 / ||v||_1 over solved v."""
+    column sums, ||(A - z_k)^{-1}||_1 >= ||x||_1 / ||v||_1 over solved v,
+    the solve's own and the two of LAPACK's estimator ?lacn2, solved once
+    after ?gbtrf."""
     block, kl, ku, order, pos = layout
     z = np.asarray(z)
     q, dim = z.size, len(order)
@@ -610,34 +612,40 @@ def band_lu(layout, z=0.0):
     if info > 0:
         _refuse(0.0)
 
+    def ratio(rhs, v):
+        # x = (A - z)^{-1} rhs and its largest ||x||_1 / ||v||_1 over the
+        # nonzero columns v of rhs, whose 1-norms are v
+        x = gbtrs(lu, kl, ku, rhs, piv, overwrite_b=True)[0]
+        used = v > 0
+        return np.max(np.abs(x).sum(axis=0)[used] / v[used], initial=0.0), x
+
+    # the start (1, ..., 1) and alternating (-1)^i (1 + i/(size - 1)) of
+    # ?lacn2 (Higham, ACM TOMS 14 (1988) 381-396); ?gbcon's scaled
+    # triangular solves cost O(size^2)
+    lacn2 = np.ones((2, size), lu.dtype)             # its transpose: F order
+    lacn2[1] += np.arange(size) / max(size - 1, 1)
+    lacn2[1, 1::2] *= -1.0
+    lower = ratio(lacn2.T, np.abs(lacn2).sum(axis=1))[0]
+
     def solve(b=None) -> np.ndarray:
         if b is None:       # the identity of every block in the band order
-            p, v, shape = dim, np.full(dim, float(q)), (dim, dim)
+            v, shape = np.full(dim, float(q)), (dim, dim)
             rhs = np.zeros((size, dim), lu.dtype, order="F")
             rhs[pos, np.tile(np.arange(dim), q)] = 1.0
         else:
-            # b and the start (1, ..., 1) and alternating (-1)^i (1 + i/(size
-            # - 1)) of LAPACK's estimator ?lacn2 (Higham, ACM TOMS 14 (1988)
-            # 381-396); ?gbcon's scaled triangular solves cost O(size^2)
             b = np.asarray(b)
             if not np.can_cast(b.dtype, lu.dtype):
                 raise TypeError(f"a {b.dtype} b on a {lu.dtype} band LU")
             p, shape = b.size // dim, b.shape
-            rhs = np.empty((p + 2, size), lu.dtype)  # its transpose: F order
-            rhs[:p].reshape(p, q, dim)[:] = b.reshape(dim, p).T[:, None, order]
-            rhs[p] = 1.0
-            rhs[p + 1] = 1.0 + np.arange(size) / max(size - 1, 1)
-            rhs[p + 1, 1::2] *= -1.0
-            v = np.append(np.abs(rhs[:p]).sum(axis=1),
-                          [size, np.abs(rhs[p + 1].real).sum()])
+            rhs = np.empty((p, size), lu.dtype)     # its transpose: F order
+            rhs.reshape(p, q, dim)[:] = b.reshape(dim, p).T[:, None, order]
+            v = np.abs(rhs).sum(axis=1)
             rhs = rhs.T
-        x = gbtrs(lu, kl, ku, rhs, piv, overwrite_b=True)[0]
-        used = v > 0
-        rcond = 1.0 / (anorm * float((np.abs(x).sum(axis=0)[used]
-                                      / v[used]).max()))
+        top, x = ratio(rhs, v)
+        rcond = 1.0 / (anorm * float(np.maximum(top, lower)))
         if not rcond >= 1e-12:      # a NaN from an overflowing solve refuses
             _refuse(rcond)
-        return x[pos, :p].reshape(z.shape + shape)
+        return x[pos].reshape(z.shape + shape)
 
     return solve
 

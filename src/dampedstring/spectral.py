@@ -271,10 +271,14 @@ def _inverse_iterates(ring, shifts, start, cut, steps, tiny):
     call (a zero below the diagonal never makes it swap rows, so no pivot
     crosses a block) and ?gttrs solves, in real arithmetic when the chain
     is real (only the corners of T*T carry the phase of omega).  An exactly
-    zero pivot becomes ``tiny``.  The two corners that close a cyclic ring
-    are a rank-2 update: the chain solves for e_0 and e_(m-1) ride along as
-    two more right-hand sides, and the Sherman-Morrison-Woodbury 2 x 2
-    system of each shift is solved in closed form."""
+    zero pivot becomes ``tiny``.  A cyclic ring, with corners P = ring[0,
+    m-1] and Q = conj P, is the chain with both end diagonals raised by |P|
+    plus the rank-1 term u v^H, u = g e_0 + Q e_(m-1), v^H = e_0^T + (P/g)
+    e_(m-1)^T, g = -|P| (Press et al., Numerical Recipes, 3rd ed., 2.7): the
+    chain solve for u rides along with the start, and each step is closed
+    by Sherman-Morrison.  The bare chain of a constant-coefficient ring
+    shares some of the ring's simple eigenvalues at every cut; the raised
+    one does not."""
     a, up, low = (np.roll(v, -cut) for v in ring) if cut else ring
     k, m = len(shifts), len(a)
     P, Q = low[-1], up[-1]                    # chain[0, m-1], chain[m-1, 0]
@@ -283,7 +287,10 @@ def _inverse_iterates(ring, shifts, start, cut, steps, tiny):
     if not any(np.imag(v).any() for v in chain):
         chain = tuple(np.real(v) for v in chain)
     a, up, low = chain
-    d = (a[None, :] - shifts[:, None]).ravel()
+    g = -abs(P)
+    d = a[None, :] - shifts[:, None]
+    d[:, [0, -1]] -= g if cyclic else 0.0     # the ends raised by |P|
+    d = d.ravel()
     du = np.tile(np.append(up, 0.0), k)[:-1]
     dl = np.tile(np.append(low, 0.0), k)[:-1]
     gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"),
@@ -304,33 +311,26 @@ def _inverse_iterates(ring, shifts, start, cut, steps, tiny):
             half = y.shape[1] // 2
             y = y[:, :half] + 1j * y[:, half:]
         return y
+    # the start and, on a ring, the real and imaginary parts of u
     B = np.zeros((3 if cyclic else 1, k * m), dtype=d.dtype).T
     B[:, 0] = np.tile(start, k)
     if cyclic:
-        B[0::m, 1] = 1.0
-        B[m - 1::m, 2] = 1.0
-    X = solve(B)
-    x = X[:, 0].reshape(k, m)
+        B[0::m, 1], B[m - 1::m, 1], B[m - 1::m, 2] = g, np.real(Q), np.imag(Q)
+    X = solve(B[:, :1 + cyclic + bool(np.imag(Q))]).T.reshape(-1, k, m)
+    x = X[0]
     if cyclic:
-        z0, zn = X[:, 1].reshape(k, m), X[:, 2].reshape(k, m)
-        M00, M01 = 1 + P * z0[:, -1], P * zn[:, -1]
-        M10, M11 = Q * z0[:, 0], 1 + Q * zn[:, 0]
-        det = (M00 * M11 - M01 * M10)[:, None]
+        z = X[1] + 1j * X[2] if len(X) > 2 else X[1]
+        vz = 1 + z[:, 0] + P / g * z[:, -1]
     for step in range(steps):
         if step:
             x = x / np.linalg.norm(x, axis=1)[:, None]
             x = solve(x.reshape(-1, 1)).reshape(k, m)
         if cyclic:
-            # x = y - [z0 zn] M^{-1} (P y_(m-1), Q y_0), times det M: M
-            # vanishes at an eigenvalue of multiplicity two, where rounding
-            # may leave it exactly singular, and then x lies on z0 and zn,
-            # which are null vectors there (their sum if M is exactly 0)
-            r0, r1 = P * x[:, -1], Q * x[:, 0]
-            x = x * det
-            x -= z0 * (M11 * r0 - M01 * r1)[:, None]
-            x -= zn * (M00 * r1 - M10 * r0)[:, None]
+            # Sherman-Morrison times 1 + v^H z, zero where the ring is
+            # singular: x then lies on z, its null vector (z if x is 0)
+            x = vz[:, None] * x - (x[:, 0] + P / g * x[:, -1])[:, None] * z
             dead = ~x.any(axis=1)
-            x[dead] = z0[dead] + zn[dead]
+            x[dead] = z[dead]
     return np.roll(x, cut, axis=1) if cut else x
 
 

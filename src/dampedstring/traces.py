@@ -72,12 +72,13 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
     It expands (T*T - zeta^2 - i zeta C)^{-1} as sum_k R_k zeta^k, whose
     coefficients obey R_0 = K = (T*T)^{-1} and R_k = K (iC R_{k-1} +
     R_{k-2}), and reads t_{2n} off the zeta^{2n} coefficient Im tr(2 R_{2n-1}
-    + iC R_{2n}).  The recurrence runs on blocks of _BLOCK_ENTRIES // m
-    columns of the identity, each product with K one solve with the band LU
-    of T*T (`band_lu`: one for R_0, one for the complex recurrence where T*T
-    is real), and each block adds its diagonal entries to the trace; no m x
-    m matrix is formed.  LinAlgError when ker T is nontrivial.
-    ``method`` has the one value "neumann".
+    + iC R_{2n}).  With R_k = i^k S_k the recurrence stays in the arithmetic
+    of T*T: S_0 = K, S_k = K (C S_{k-1} - S_{k-2}), and t_{2n} = (-1)^n
+    Re[tr(C S_{2n}) - 2 tr S_{2n-1}].  It runs on blocks of _BLOCK_ENTRIES
+    // m columns of the identity, each product with K one solve with the one
+    band LU of T*T (`band_lu`), and each block adds its diagonal entries to
+    the trace; no m x m matrix is formed.  LinAlgError when ker T is
+    nontrivial.  ``method`` has the one value "neumann".
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -86,20 +87,18 @@ def trace_coefficient(n: int, ops: DiscreteOperatorSet,
     if ops.rank < ops.n_nodes:
         raise np.linalg.LinAlgError("T*T is singular: ker T is nontrivial")
     H1, C, m = ops.sparse("H1"), ops.C, ops.n_nodes
-    layout = band_layout(H1, H1.dtype)
-    first = band_lu(layout)
-    solve = band_lu(layout, 0j) if n and H1.dtype != complex else first
+    solve = band_lu(band_layout(H1, H1.dtype))
     width, t = max(1, _BLOCK_ENTRIES // m), 0.0
     for start in range(0, m, width):
         cols = np.arange(start, min(start + width, m))
-        R = first(np.eye(m, len(cols), -start))               # R_0
-        R_prev = np.zeros_like(R)                             # R_{-1}
+        S = solve(np.eye(m, len(cols), -start))               # S_0
+        S_prev = np.zeros_like(S)                             # S_{-1}
         for _ in range(2 * n):
-            R_prev, R = R, solve(1j * (C[:, None] * R) + R_prev)
+            S_prev, S = S, solve(C[:, None] * S - S_prev)
         at = (cols, cols - start)       # the block's diagonal entries
-        t += float(np.imag(2.0 * np.sum(R_prev[at])
-                           + 1j * np.sum(C[cols] * R[at])))
-    return t
+        t += float(np.real(np.sum(C[cols] * S[at])
+                           - 2.0 * np.sum(S_prev[at])))
+    return (-1) ** n * t
 
 
 def _contour_coefficients(n_max: int, ops: DiscreteOperatorSet,

@@ -167,6 +167,17 @@ def test_trace_command_on_kernel_families(tmp_path, bc):
     assert "trace.t2_two_paths" not in records
 
 
+def test_spectrum_on_an_odd_constant_ring(tmp_path):
+    """rho = alpha = 1 on omega = i at an odd size, where the bare cut
+    chain shares simple eigenvalues with the ring: exit 0, every record
+    passing."""
+    assert run_cli("spectrum", "--n", "33", "--bc", "omega:0,1",
+                   "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] and report["records"]
+    assert all(r["status"] == "pass" for r in report["records"])
+
+
 def test_resolvent_check_command(tmp_path):
     assert run_cli("resolvent-check", "--n", "32", "--bc", "zero0",
                    "--out", str(tmp_path)) == 0

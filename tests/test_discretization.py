@@ -310,6 +310,32 @@ def test_one_factorization_solves_every_shift(tag):
             band_lu(band_layout(A, A.dtype), -0.5)(1j * b)
 
 
+def test_estimator_vectors_solved_once_per_factorization(monkeypatch):
+    """The two ?lacn2 vectors of the refusal depend only on the factors:
+    a factorization solved three times passes them to ?gbtrs once, beside
+    the one column of each solve, and every solve still refuses by them."""
+    A = scipy.sparse.csr_array(np.diag([1.0, 1e-14, 1.0, 2.0]))
+    lapack, columns = scipy.linalg.get_lapack_funcs, []
+
+    def counting(names, *args, **kwargs):
+        funcs = lapack(names, *args, **kwargs)
+        if names != ("gbtrf", "gbtrs"):
+            return funcs
+
+        def counted(lu, kl, ku, b, *a, **k):
+            columns.append(b.shape[1])
+            return funcs[1](lu, kl, ku, b, *a, **k)
+        return funcs[0], counted
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    solve = band_lu(band_layout(A, float))
+    assert columns == [2]
+    for _ in range(3):
+        with pytest.raises(np.linalg.LinAlgError, match="too close"):
+            solve(np.eye(4, 1))
+    assert columns == [2, 1, 1, 1]
+
+
 def test_solve_band_refuses_singular_matrix():
     with pytest.raises(np.linalg.LinAlgError, match="too close to the spectrum"):
         solve_band(scipy.sparse.csr_array(np.array([[1.0, 2.0], [2.0, 4.0]])))

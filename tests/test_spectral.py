@@ -244,36 +244,57 @@ def _coefficients(kind):
     return ds.random_coefficients(kind)
 
 
+def _assert_modes_match_the_eigenvectors(ops):
+    """Residuals and means of C, C^2 from the inverse iterates against those
+    of the band solver's eigenvectors; on a repeated pair (gap at most
+    1e-8 ||T*T||) only the pair's sum of means is defined."""
+    C = ops.C
+    weights = np.stack([C, C**2])
+    mu, res, means = spectral.selfadjoint_modes(ops, weights)
+    _, res1, none = spectral.selfadjoint_modes(ops)
+    mu_d, U = ops.frame_eigh("node", vectors=True)
+    dense = weights @ np.abs(U) ** 2
+    norm = np.linalg.norm(ops.H1f.toarray(), 2)
+    assert none.shape == (0, len(mu))
+    assert np.array_equal(mu, ops.H1_eigvals)
+    assert np.abs(mu - mu_d).max() <= 1e-12 * norm
+    assert res.max() <= 1e-10 * norm and res1.max() <= 1e-10 * norm
+    tol = 1e-10 * np.abs(weights).max(axis=1)[:, None]
+    close = np.diff(mu) <= 1e-8 * norm
+    assert not np.any(close[1:] & close[:-1])      # at most pairs
+    paired = np.append(close, False) | np.insert(close, 0, False)
+    assert np.all(np.abs(means - dense)[:, ~paired] <= tol)
+    first = np.flatnonzero(close)
+    pair_sum = means[:, first] + means[:, first + 1]
+    assert np.all(np.abs(pair_sum - dense[:, first] - dense[:, first + 1])
+                  <= tol)
+
+
 @pytest.mark.parametrize("kind", ["constant", 1, 2, "contrast"])
 @pytest.mark.parametrize("bc", ["min", "zero0", "zero1", "max", "omega:1,0",
                                 "omega:-1,0", "omega:0,1", "omega:0.5,0.3"])
 def test_selfadjoint_modes_match_the_eigenvectors(bc, kind):
-    """Residuals and means of C, C^2 from the inverse iterates against those
-    of the band solver's eigenvectors; on a repeated pair (gap at most
-    1e-8 ||T*T||) only the pair's sum of means is defined."""
     rho, alpha = _coefficients(kind)
     for n in (4, 16, 64, 256):
-        ops = ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc))
-        C = ops.C
-        weights = np.stack([C, C**2])
-        mu, res, means = spectral.selfadjoint_modes(ops, weights)
-        _, res1, none = spectral.selfadjoint_modes(ops)
-        mu_d, U = ops.frame_eigh("node", vectors=True)
-        dense = weights @ np.abs(U) ** 2
-        norm = np.linalg.norm(ops.H1f.toarray(), 2)
-        assert none.shape == (0, len(mu))
-        assert np.array_equal(mu, ops.H1_eigvals)
-        assert np.abs(mu - mu_d).max() <= 1e-12 * norm
-        assert res.max() <= 1e-10 * norm and res1.max() <= 1e-10 * norm
-        tol = 1e-10 * np.abs(weights).max(axis=1)[:, None]
-        close = np.diff(mu) <= 1e-8 * norm
-        assert not np.any(close[1:] & close[:-1])      # at most pairs
-        paired = np.append(close, False) | np.insert(close, 0, False)
-        assert np.all(np.abs(means - dense)[:, ~paired] <= tol)
-        first = np.flatnonzero(close)
-        pair_sum = means[:, first] + means[:, first + 1]
-        assert np.all(np.abs(pair_sum - dense[:, first] - dense[:, first + 1])
-                      <= tol)
+        _assert_modes_match_the_eigenvectors(
+            ds.build_operator_set(n, rho, alpha, ds.parse_bc(bc)))
+
+
+@pytest.mark.parametrize("bc", ["omega:0,1", "omega:0,-1", "omega:1,0",
+                                "omega:-1,0", "omega:0.5,0.8660254037844386"])
+def test_modes_of_constant_rings_at_every_size(bc):
+    """rho = alpha = 1 on the rings, odd n included: the bare chain of a
+    constant-coefficient ring shares some of the ring's simple eigenvalues
+    at every cut, so the cyclic closure must not rest on it.  The modes
+    meet the bounds of test_selfadjoint_modes_match_the_eigenvectors, and
+    the constant-damping roots carry residuals below 1e-10 ||D + B||."""
+    for n in [*range(8, 65), 129, 257]:
+        ops = ds.build_operator_set(n, RHO1, ds.constant(1.0, "damping"),
+                                    ds.parse_bc(bc))
+        _assert_modes_match_the_eigenvectors(ops)
+        spec = ds.constant_damping_dirac(ops)
+        assert len(spec) == ops.n_nodes + ops.n_cells
+        assert spec.residuals.max() <= 1e-10 * ops.dirac_norm, n
 
 
 def test_mode_statistics_form_no_m_by_m_array():
@@ -338,8 +359,8 @@ def test_mode_still_above_the_gate_raises(monkeypatch, bc):
 @pytest.mark.parametrize("bc", ["omega:1,0", "omega:-1,0"])
 def test_selfadjoint_modes_on_exact_double_eigenvalues(bc):
     """Constant coefficients on the periodic families: every eigenvalue but
-    the lowest of omega = 1 is double, and at these sizes rounding leaves
-    the 2 x 2 corner system of some exactly singular."""
+    the lowest of omega = 1 is double, and at these sizes rounding may
+    leave the Sherman-Morrison closure of some exactly singular."""
     for n in (12, 28, 196, 396):
         ops = ds.build_operator_set(n, RHO1, ds.constant(0.7, "damping"),
                                     ds.parse_bc(bc))

@@ -416,27 +416,28 @@ def test_neumann_path_forms_no_inverse(bc, monkeypatch):
 
 
 def _neumann_solve_by_solve(n, ops):
-    """t_{2n} by trace_coefficient's recurrence with a fresh layout and band
-    LU for every solve (`solve_band`): the factor-per-solve reference."""
+    """t_{2n} by trace_coefficient's recurrence, S_k = K (C S_{k-1} -
+    S_{k-2}) in the arithmetic of T*T, with a fresh layout and band LU for
+    every solve (`solve_band`): the factor-per-solve reference."""
     H1, C, m = ops.sparse("H1"), ops.C, ops.n_nodes
     width, t = max(1, traces._BLOCK_ENTRIES // m), 0.0
     for start in range(0, m, width):
         cols = np.arange(start, min(start + width, m))
-        R = solve_band(H1, np.eye(m, len(cols), -start))
-        R_prev = np.zeros_like(R)
+        S = solve_band(H1, np.eye(m, len(cols), -start))
+        S_prev = np.zeros_like(S)
         for _ in range(2 * n):
-            R_prev, R = R, solve_band(H1, 1j * (C[:, None] * R) + R_prev)
+            S_prev, S = S, solve_band(H1, C[:, None] * S - S_prev)
         at = (cols, cols - start)
-        t += float(np.imag(2.0 * np.sum(R_prev[at])
-                           + 1j * np.sum(C[cols] * R[at])))
-    return t
+        t += float(np.real(np.sum(C[cols] * S[at])
+                           - 2.0 * np.sum(S_prev[at])))
+    return (-1) ** n * t
 
 
 @pytest.mark.parametrize("bc", ["min", "omega:0,1"])
 def test_neumann_path_factors_once(bc, monkeypatch):
-    """However many column blocks run, trace_coefficient factors T*T at
-    most twice per call (one ?gbtrf per arithmetic), and t_0 ... t_8 are
-    bit-identical to a fresh factorization for every solve."""
+    """However many column blocks run, trace_coefficient factors T*T once
+    per call, in its own arithmetic, and t_0 ... t_8 are bit-identical to a
+    fresh factorization for every solve."""
     rho, alpha = ds.random_coefficients(3)
     ops = ds.build_operator_set(300, rho, alpha, ds.parse_bc(bc))
     assert max(1, traces._BLOCK_ENTRIES // ops.n_nodes) < ops.n_nodes
@@ -459,4 +460,4 @@ def test_neumann_path_factors_once(bc, monkeypatch):
     for n in range(5):
         factorizations.clear()
         assert traces.trace_coefficient(n, ops) == reference[n]
-        assert 1 <= len(factorizations) <= 2
+        assert len(factorizations) == 1
