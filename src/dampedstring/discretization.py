@@ -223,9 +223,10 @@ class DiscreteOperatorSet:
     (T u)_j = c_j (u_{j+1} - u_j), with node n read as omega * node 0 for
     quasi.  The Hermitian problems (the spectra of T*T and TT*, and the
     Gram bands behind `dirac_norm` and `generator_norm`) are solved as
-    bands in the one layout of `band_layout`.  Every dense matrix (T,
-    Tstar, Tf, D, B, G) is built on first use and kept, written from the
-    nonzeros of T and of the frame form H1f.
+    bands in the one layout of `band_layout`.  The dense T, Tstar, Tf, D, B
+    and G are built on first use and kept; only the tests and the benchmark
+    harness (`dense_mb`, `bench.check`) read T, Tstar, D, B and G, and Tf
+    feeds the polar SVD, the SUSY products and `map_dirac_to_generator`.
 
     The zero threshold `tol_zero` is 1e-10 ||Tf||_2, read off the top of the
     spectrum of T*T.  The rank of T needs only the number of singular

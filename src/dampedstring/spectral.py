@@ -27,7 +27,7 @@ RANGE_TOL = 1e-8         # least-squares residual of a vector in ran(T)
 __all__ = [
     "Spectrum", "EigenPair",
     "eigen_dirac", "eigen_generator", "selfadjoint_modes",
-    "constant_damping_dirac", "weighted_residual",
+    "constant_damping_dirac",
     "map_generator_to_dirac", "map_dirac_to_generator",
     "multiset_distance", "check_symmetry", "check_strip",
     "fit_asymptotics", "closed_form_constant_damping",
@@ -373,28 +373,32 @@ def constant_damping_dirac(ops: DiscreteOperatorSet) -> Spectrum:
     return Spectrum(lam, res, zm, ops.tol_zero)
 
 
-def weighted_residual(M: np.ndarray, lam: complex, v: np.ndarray,
-                      ops: DiscreteOperatorSet, space: str) -> float:
-    """Weighted residual ||M v - lambda v|| / ||v|| on ``space``."""
-    r = M @ v - lam * v
-    return ops.weighted_norm(r, space) / ops.weighted_norm(v, space)
+def _frame_residual(M, lam: complex, v: np.ndarray,
+                    ops: DiscreteOperatorSet, space: str) -> float:
+    """Weighted residual ||(A - lambda) v|| / ||v|| on ``space`` of the
+    operator A whose frame form is the sparse M."""
+    x = np.sqrt(ops.weights(space)) * v
+    return float(np.linalg.norm(M @ x - lam * x) / np.linalg.norm(x))
 
 
 def map_generator_to_dirac(pair: EigenPair, ops: DiscreteOperatorSet) -> EigenPair:
-    """(u, v) of iG goes to (v, -i T u) of D+B, for lambda != 0."""
+    """(u, v) of iG goes to (v, -i T u) of D+B, for lambda != 0; the
+    residual is taken with the frame band `dirac_band` in block order."""
     if abs(pair.lam) < ops.tol_zero:
         raise ValueError("zero eigenvalue cannot be mapped")
     m = ops.n_nodes
     u, v = pair.vector[:m], pair.vector[m:]
-    out = np.concatenate([v, -1j * (ops.T @ u)])
+    out = np.concatenate([v, -1j * (ops.sparse("T") @ u)])
     out = out / ops.weighted_norm(out)
-    return EigenPair(pair.lam, out, weighted_residual(ops.D + ops.B, pair.lam,
-                                                      out, ops, "dirac"))
+    at = ops.interleave
+    return EigenPair(pair.lam, out, _frame_residual(
+        ops.dirac_band()[at][:, at], pair.lam, out, ops, "dirac"))
 
 
 def map_dirac_to_generator(pair: EigenPair,
                            ops: DiscreteOperatorSet) -> EigenPair:
-    """(psi1, psi2) of D+B goes to (i T^{-1}|_ran psi2, psi1) of iG, lambda != 0."""
+    """(psi1, psi2) of D+B goes to (i T^{-1}|_ran psi2, psi1) of iG, lambda
+    != 0; the residual is taken with `generator_frame`."""
     if abs(pair.lam) < ops.tol_zero:
         raise ValueError("zero eigenvalue cannot be mapped")
     m = ops.n_nodes
@@ -407,8 +411,8 @@ def map_dirac_to_generator(pair: EigenPair,
     w = wf / np.sqrt(ops.wu)
     out = np.concatenate([1j * w, psi1])
     out = out / ops.weighted_norm(out, "generator")
-    return EigenPair(pair.lam, out, weighted_residual(1j * ops.G, pair.lam,
-                                                      out, ops, "generator"))
+    return EigenPair(pair.lam, out, _frame_residual(
+        1j * ops.generator_frame, pair.lam, out, ops, "generator"))
 
 
 def _near_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple:
@@ -575,11 +579,11 @@ def verify_factorization_identity(z: complex, ops: DiscreteOperatorSet) -> dict:
 
     (L(z) + I) F(z) = E(z) (iG - z) with L(z) = z^2 + z i R - T*T, where
     E, F are the standard block factors; also checks the printed inverses.
-    Every block of E, F and their inverses is diagonal, so the identity is
-    taken block by block: block (i, j) of the right side scales the rows of
-    the blocks (i G_kj - z delta_kj) of the assembled G by the diagonals of
-    E_ik, and the left side scales the columns of L by those of F.  No array
-    larger than m x m is formed.
+    Every block of E, F and their inverses is diagonal, so the identity
+    holds in the weighted frame as it stands: both sides are sparse products
+    of H1f and `generator_frame`, the pencil the generator eigensolve
+    factors and the operator whose norm gates it.  No dense array is formed;
+    the inverse defects are sums over diagonal vectors.
     """
     m = ops.n_nodes
     c = ops.C
@@ -588,28 +592,22 @@ def verify_factorization_identity(z: complex, ops: DiscreteOperatorSet) -> dict:
     Einv = ((zero, one), (1j * one, -1j * E[0][0]))
     F = ((one, zero), (-z * one, 1j * one))
     Finv = ((one, zero), (-1j * z * one, -1j * one))
-    G = ops.G
-    blocks = ((G[:m, :m], G[:m, m:]), (G[m:, :m], G[m:, m:]))
-    diag = np.diag_indices(m)
-    L = (-shifted(ops.sparse("H1"), z * z + z * 1j * c)).toarray()
-    diff2 = lhs2 = rhs2 = 0.0
-    for i in range(2):
-        for j in range(2):
-            rhs = (1j * E[i][0])[:, None] * blocks[0][j]
-            rhs += (1j * E[i][1])[:, None] * blocks[1][j]
-            rhs[diag] -= z * E[i][j]
-            lhs = L * F[0][j][None, :] if i == 0 else np.diag(F[1][j])
-            rhs2 += np.vdot(rhs, rhs).real
-            lhs2 += np.vdot(lhs, lhs).real
-            rhs -= lhs
-            diff2 += np.vdot(rhs, rhs).real
-            del rhs, lhs      # at most three m x m arrays live at once
-    scale = max(np.sqrt(lhs2), np.sqrt(rhs2), 1.0)
+    L = -shifted(ops.H1f, z * z + z * 1j * c)
+    lhs = scipy.sparse.block_diag((L, scipy.sparse.eye_array(m))
+                                  ) @ _block_diagonals(F)
+    rhs = _block_diagonals(E) @ shifted(1j * ops.generator_frame, z)
+    scale = max(np.linalg.norm(lhs.data), np.linalg.norm(rhs.data), 1.0)
     return {
-        "factorization_residual": float(np.sqrt(diff2) / scale),
+        "factorization_residual": float(np.linalg.norm((lhs - rhs).data) / scale),
         "E_inverse_defect": _block_product_defect(E, Einv),
         "F_inverse_defect": _block_product_defect(F, Finv),
     }
+
+
+def _block_diagonals(X):
+    """The sparse 2 x 2 block matrix with the diagonal blocks X[i][j]."""
+    return scipy.sparse.block_array(
+        [[scipy.sparse.diags_array(x) for x in row] for row in X])
 
 
 def spectrum_to_csv(spec: Spectrum) -> str:

@@ -186,15 +186,23 @@ def test_resolvent_check_command(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("resolvent-check", "--n", "32"),
     ("resolvent-check", "--n", "32", "--bc", "omega:0,1"),
-    ("verify-all",)])
+    ("verify-all",),
+    ("spectrum", "--n", "32"),
+    ("greens", "--n", "32"),
+    ("trace", "--n", "32"),
+    ("susy-check", "--n", "32"),
+    ("asymptotics",),
+    ("riesz", "--n", "32")])
 def test_checks_form_no_dense_dirac_operator(tmp_path, monkeypatch, argv):
-    """The block-resolvent witnesses and the Livsic trace solve on the band:
-    the checks pass with the dense D, B and Dirac frame forbidden."""
+    """Every command runs on the bands and the sparse frame operators: it
+    passes with the dense T, Tstar, D, B and G forbidden, and with the dense
+    Dirac frame forbidden but in riesz, whose eig takes it."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense Dirac operator formed")
+        raise AssertionError("dense operator formed")
 
-    monkeypatch.setattr(ds.DiscreteOperatorSet, "dirac_frame", forbidden)
-    for name in ("D", "B"):
+    if argv[0] != "riesz":
+        monkeypatch.setattr(ds.DiscreteOperatorSet, "dirac_frame", forbidden)
+    for name in ("T", "Tstar", "D", "B", "G"):
         monkeypatch.setattr(ds.DiscreteOperatorSet, name, property(forbidden))
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
