@@ -223,10 +223,9 @@ class DiscreteOperatorSet:
     (T u)_j = c_j (u_{j+1} - u_j), with node n read as omega * node 0 for
     quasi.  The Hermitian problems (the spectra of T*T and TT*, and the
     Gram bands behind `dirac_norm` and `generator_norm`) are solved as
-    bands in the one layout of `band_layout`.  The dense T, Tstar, Tf, D, B
-    and G are built on first use and kept; only the tests and the benchmark
-    harness (`dense_mb`, `bench.check`) read T, Tstar, D, B and G, and Tf
-    feeds the polar SVD, the SUSY products and `map_dirac_to_generator`.
+    bands in the one layout of `band_layout`.  The dense T, Tstar, D, B and
+    G are built on first use and kept, for the tests and the benchmark
+    harness (`dense_mb`, `bench.check`) alone; no dense Tf is kept.
 
     The zero threshold `tol_zero` is 1e-10 ||Tf||_2, read off the top of the
     spectrum of T*T.  The rank of T needs only the number of singular
@@ -294,12 +293,6 @@ class DiscreteOperatorSet:
     @cached_property
     def Tstar(self) -> np.ndarray:
         return _dense((self.n_nodes, self.n_cells), *self._Tstar_entries)
-
-    @cached_property
-    def Tf(self) -> np.ndarray:
-        """Frame factor Wv^{1/2} T Wu^{-1/2}: T as a Euclidean map, with
-        Tf^H the frame form of Tstar."""
-        return _dense((self.n_cells, self.n_nodes), *self._Tf_entries)
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -377,8 +370,10 @@ class DiscreteOperatorSet:
         """Polar factors (V, |T|, |T*|) of Tf = V |T|, from one thin SVD
         W diag(s) Xh of Tf: V = W_r Xh_r over the `rank` singular values
         above tol_zero (so V is the zero map on ker T), |T| = Xh^H diag(s)
-        Xh and |T*| = W diag(s) W^H."""
-        W, s, Xh = np.linalg.svd(self.Tf, full_matrices=False)
+        Xh and |T*| = W diag(s) W^H; the SVD reads a transient dense copy
+        of `sparse("Tf")`."""
+        W, s, Xh = np.linalg.svd(self.sparse("Tf").toarray(),
+                                 full_matrices=False)
         r = self.rank
         return (W[:, :r] @ Xh[:r], (Xh.conj().T * s) @ Xh,
                 (W * s) @ W.conj().T)

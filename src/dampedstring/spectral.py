@@ -22,7 +22,6 @@ from .reporting import to_csv
 
 _MODE_CHUNK = 2**15      # modes x positions per batched inverse iteration
 _EPS = np.finfo(float).eps
-RANGE_TOL = 1e-8         # least-squares residual of a vector in ran(T)
 
 __all__ = [
     "Spectrum", "EigenPair",
@@ -397,19 +396,14 @@ def map_generator_to_dirac(pair: EigenPair, ops: DiscreteOperatorSet) -> EigenPa
 
 def map_dirac_to_generator(pair: EigenPair,
                            ops: DiscreteOperatorSet) -> EigenPair:
-    """(psi1, psi2) of D+B goes to (i T^{-1}|_ran psi2, psi1) of iG, lambda
-    != 0; the residual is taken with `generator_frame`."""
+    """(psi1, psi2) of D+B goes to (i psi1 / lambda, psi1) of iG, lambda
+    != 0, with no solve: T psi1 = lambda psi2 and -iC psi1 + T* psi2 =
+    lambda psi1 make it an eigenvector, ker T part of psi1 included.  The
+    residual is taken with `generator_frame`."""
     if abs(pair.lam) < ops.tol_zero:
         raise ValueError("zero eigenvalue cannot be mapped")
-    m = ops.n_nodes
-    psi1, psi2 = pair.vector[:m], pair.vector[m:]
-    rhs = np.sqrt(ops.wv) * psi2
-    wf, *_ = np.linalg.lstsq(ops.Tf, rhs, rcond=None)
-    resid = np.linalg.norm(ops.Tf @ wf - rhs)
-    if resid > RANGE_TOL * max(1.0, np.linalg.norm(rhs)):
-        raise ValueError(f"second component lies outside ran(T): residual {resid:.3e}")
-    w = wf / np.sqrt(ops.wu)
-    out = np.concatenate([1j * w, psi1])
+    psi1 = pair.vector[:ops.n_nodes]
+    out = np.concatenate([1j * psi1 / pair.lam, psi1])
     out = out / ops.weighted_norm(out, "generator")
     return EigenPair(pair.lam, out, _frame_residual(
         1j * ops.generator_frame, pair.lam, out, ops, "generator"))

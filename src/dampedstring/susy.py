@@ -61,7 +61,7 @@ def block_diagonalize(ops: DiscreteOperatorSet) -> dict:
     unitarity defect is ||diag(P1, P2) (U^H U - I) diag(P1, P2)||.
     """
     V, absT, absTstar = ops.polar
-    T, Vh = ops.Tf, V.conj().T
+    T, Vh = ops.sparse("Tf"), V.conj().T
     VhT, TVh = Vh @ T, T @ Vh
     diag_defect = max(np.linalg.norm(0.5 * (VhT + VhT.conj().T) - absT),
                       np.linalg.norm(0.5 * (TVh + TVh.conj().T) - absTstar))
@@ -103,9 +103,9 @@ def first_resolvent_identity(z: complex, ops: DiscreteOperatorSet) -> float:
     ran T as ||V^H (lhs - rhs) V||_F, which is ||P (lhs - rhs) P||_F for the
     projector P = V V^H, V being a partial isometry.
     """
-    n = ops.n_cells
-    lhs = np.eye(n) + z * solve_band(shifted(ops.H2f, z))
-    rhs = ops.sparse("Tf") @ solve_band(shifted(ops.H1f, z), ops.Tf.conj().T)
+    Tf = ops.sparse("Tf")
+    lhs = np.eye(ops.n_cells) + z * solve_band(shifted(ops.H2f, z))
+    rhs = Tf @ solve_band(shifted(ops.H1f, z), Tf.conj().T.toarray())
     V = ops.polar[0]
     return float(np.linalg.norm(V.conj().T @ (lhs - rhs) @ V)
                  / max(np.linalg.norm(rhs), 1.0))

@@ -14,11 +14,14 @@ step is the sum of the P'_kk(z) / gamma_k; at the twist t of least
 |gamma_t|, x is an approximate eigenvector, and the backward error of x
 itself is the stopping test.
 
-A cyclic matrix is a chain plus the two corners that close the ring, a
-rank-2 update; the Sherman-Morrison-Woodbury formula turns the end columns
-of the chain's inverse into the diagonal and the columns of the ring's.
-Each iterate cuts the ring where its eigenvector is largest, so that its
-chain is far from singular.  Its off-diagonal pairs must have equal moduli
+A cyclic matrix is a chain whose two end diagonals are shifted off the
+real line, plus the rank-2 remainder that closes the ring: the two corners
+and the shift given back; the Sherman-Morrison-Woodbury formula turns the
+end columns of the chain's inverse into the diagonal and the columns of
+the ring's.  Each iterate cuts the ring where its eigenvector is largest,
+so that its chain is far from singular, and the shift keeps the chain off
+the eigenvalues that a bare cut chain of a constant-coefficient ring
+shares with the ring.  Its off-diagonal pairs must have equal moduli
 (a Hermitian pattern, as in a Dirac frame or T*T), so that the chain's left
 end columns are its right ones times a factor of modulus 1.
 
@@ -44,6 +47,9 @@ _NEAR = 2.0**-24         # Aberth step below which the vector is formed
 _EPS = np.finfo(float).eps
 _CHUNK = 2**15           # iterates x positions per evaluation: the memory
 _SINGULAR = 1e-12        # pivot of a singular P(z), x a bound of ||P(z)||
+_SHIFT = 0.5j            # a ring's cut chain has both ends lowered by this
+                         # x |corner|: off the real line, where a constant
+                         # ring's bare chain shares the ring's eigenvalues
 
 
 def _bands(A):
@@ -190,12 +196,16 @@ def _factor(ring, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float,
     take the log-derivative from the derivative of the pivots (`_pivots`).
 
     A cyclic A is read as the chain T that starts at unknown ``cut`` and
-    ends at cut - 1, one per iterate, plus the two corners that close the
-    ring there; the Sherman-Morrison-Woodbury formula on the end columns of
-    the chain's inverse and of its transpose then gives the diagonal and
-    the columns of P(z)^{-1}.  The chain is near-singular where an
-    eigenvector is small at the cut, so the cut follows each iterate's
-    largest component.  Iterates that all share one cut read the ring
+    ends at cut - 1, one per iterate, with its two end diagonals lowered by
+    sigma = _SHIFT |corner|, plus the remainder M = [[sigma, hi], [lo,
+    sigma]] on the ends, hi and lo the corners that close the ring there;
+    the Sherman-Morrison-Woodbury formula on the end columns of the chain's
+    inverse and of its transpose then gives the diagonal and the columns of
+    P(z)^{-1}.  The chain is near-singular where an eigenvector is small at
+    the cut, so the cut follows each iterate's largest component; on a
+    constant-coefficient ring the bare chain (sigma = 0) shares some of
+    the ring's simple eigenvalues at every cut, which the imaginary sigma
+    moves off.  Iterates that all share one cut read the ring
     rotated once, as one column broadcast over them, as a chain is read;
     otherwise each iterate reads a column of its own."""
     a, e, b, c, ahead = ring
@@ -224,6 +234,10 @@ def _factor(ring, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float,
         diag *= z
         np.subtract(a[at], diag, out=diag)
         slope = e + 2 * z
+    if cyclic:
+        hi, lo = c[at[-1]], b[at[-1]]           # A[cut, cut-1], A[cut-1, cut]
+        sigma = _SHIFT * np.abs(hi)
+        diag[[0, -1]] -= sigma
     gamma, quot, g_slow = _pivots(diag, slope, np.stack([p, p[::-1]], 1),
                                   tiny, slow, work)
     _guard(gamma, tiny)
@@ -257,12 +271,16 @@ def _factor(ring, z: np.ndarray, cut: np.ndarray, slow: int, tiny: float,
         xn = xn[::-1]
         turn, lead = ahead[at], ahead[cut]
         wn = turn[-1] / lead
-        hi, lo = c[at[-1]], b[at[-1]]           # A[cut, cut-1], A[cut-1, cut]
         g0, gn = gamma[0], gamma[-1]
         # P(z)^{-1} = T(z)^{-1} - [x0 xn] J^{-1} [yn y0]^T, whose diagonal
-        # enters the log-derivative with the weight -P_kk'(z)
-        J = np.array([[gn * (g0 + hi * x0[-1]) / hi, gn],
-                      [g0, g0 * (gn + lo * xn[0]) / lo]])
+        # enters the log-derivative with the weight -P_kk'(z); J is the
+        # capacitance M^{-1} + [e0 en]^T T(z)^{-1} [e0 en], rows swapped,
+        # times gamma_0 gamma_(N-1)
+        delta = sigma * sigma - hi * lo
+        J = np.array([[gn * (x0[-1] - g0 * lo / delta),
+                       gn * (1 + gn * sigma / delta)],
+                      [g0 * (1 + g0 * sigma / delta),
+                       g0 * (xn[0] - gn * hi / delta)]])
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
         _guard(det, tiny * tiny)
         Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
@@ -355,7 +373,8 @@ def resolvent_trace(A, z, scale: float, damping=None) -> np.ndarray:
     when P(z) is too close to singular for its inverse to mean anything: a
     pivot gamma_k = 1 / [P(z)^{-1}]_kk below 1e-12 s(z).  For a ring these
     are the ring's own pivots, from the Sherman-Morrison-Woodbury diagonal,
-    which grows without bound as its 2 x 2 corner system becomes singular.
+    which grows without bound as its 2 x 2 capacitance matrix (the corner
+    remainder closing the shifted chain) becomes singular.
     """
     e = None if damping is None else np.asarray(damping, dtype=complex)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
