@@ -1,14 +1,15 @@
 """Riesz projections and branch-wise eigenvalue clusters.
 
-Cluster projections come from the right and left eigenvectors of one
-`scipy.linalg.eig`: a cluster with right vectors X and left vectors Y
-projects by P = X (Y^H X)^{-1} Y^H.  Where Y^H X is nearly singular (a
-Jordan pair at critical damping) the cluster falls back to a reordered
-complex Schur form, the only Schur form built.  The contour integral of
-the resolvent (`riesz_projection`) is kept as the independent oracle: a
-level's shifted systems are one pivoted band LU (`band_lu`) on the one band
-layout of the operator (`band_layout`), and inside
-`verify_resolution_of_identity` it acts on a few Gaussian probe vectors.
+Cluster projections come from the right and left eigenvectors of one dense
+eigensolve, real where the frame is i times a real matrix: a cluster with
+right vectors X and left vectors Y projects by P = X (Y^H X)^{-1} Y^H.
+Where Y^H X is nearly singular (a Jordan pair at critical damping) the
+cluster falls back to a reordered complex Schur form, the only Schur form
+built.  The contour integral of the resolvent (`riesz_projection`) is kept
+as the independent oracle: a level's shifted systems are one pivoted band
+LU (`band_lu`) on the one band layout of the operator (`band_layout`), and
+inside `verify_resolution_of_identity` it acts on a few Gaussian probe
+vectors.
 
 Projections are computed on the frame matrix (weighted similarity transform),
 so operator norms reported here are weighted operator norms.
@@ -71,18 +72,23 @@ class Contour:
         """n quadrature nodes traversed counterclockwise, with tangent weights.
 
         Returns an array of (node, d_zeta) pairs suitable for a trapezoid rule
-        on a closed curve (equal parameter spacing).
+        on a closed curve (equal parameter spacing).  A rectangle takes n/32
+        panels on each side, so its n must be a positive multiple of 32.
         """
         if self.kind == "circle":
             th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
             z = self.center + self.radius * np.exp(1j * th)
             dz = 1j * self.radius * np.exp(1j * th) * (2 * np.pi / n)
             return np.stack([z, dz])
-        # rectangle sides: composite Gauss-Legendre panels (order 8)
+        if n <= 0 or n % 32:
+            raise ValueError(
+                f"a rectangle takes a positive multiple of 32 nodes, not {n}")
+        # rectangle sides: composite Gauss-Legendre panels (order 8), four
+        # sides of n/32 panels each, so doubling n doubles the panels
         x0, y0 = self.lo.real, self.lo.imag
         x1, y1 = self.hi.real, self.hi.imag
         xg, wg = np.polynomial.legendre.leggauss(8)
-        panels = max(-(-n // 32), 1)  # ceil so doubling n always refines
+        panels = n // 32
         edges = np.linspace(0.0, 1.0, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 / panels
@@ -121,10 +127,13 @@ def riesz_projection(op, contour: Contour,
                      probes: np.ndarray | None = None) -> np.ndarray:
     """P = -(2 pi i)^{-1} contour-integral of (op - zeta)^{-1} d zeta.
 
-    Quadrature with node doubling until the update falls below 1e-10 in
-    operator norm.  A circle's trapezoid nodes nest, so each doubling keeps
-    the previous sum (halved) and adds only the new odd nodes; a
-    rectangle's Gauss-Legendre panels do not nest, so its sum restarts.
+    Quadrature with node doubling until two levels agree within QUAD_TOL in
+    operator norm.  A circle's trapezoid nodes nest: its first solve takes
+    32 nodes, whose even half is the 16-node rule, so the first two levels
+    are compared after one solve, and each doubling after that keeps the
+    previous sum (halved) and adds only the new odd nodes.  A rectangle's
+    Gauss-Legendre panels do not nest, so its levels are 32, 64, ...
+    nodes, and its sum restarts at each.
     The shifted systems op - z_k of a level are the diagonal blocks of one
     band, solved by one pivoted band LU (`band_lu`), at most
     MAX_LEVEL_ENTRIES solution entries at a time; op (dense or sparse) is
@@ -145,6 +154,8 @@ def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
     rhs = np.eye(op.shape[0]) if probes is None else np.asarray(probes)
     size = (lambda M: np.linalg.norm(M, 2)) if probes is None else _probe_bound
     per_solve = max(MAX_LEVEL_ENTRIES // rhs.size, 1)
+    # the sums of contour c's nodes are S[2c] and, on a circle's first
+    # level, S[2c + 1] of its even half: the 16-node rule at half weight
     S, prev, out = {}, {}, [None] * len(contours)
     n = 32
     while any(P is None for P in out):
@@ -155,12 +166,16 @@ def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
         nodes = []
         for c in live:
             z, dz = contours[c].points(n)
-            if contours[c].kind == "circle" and c in S:
-                S[c] = S[c] / 2
-                z, dz = z[1::2], dz[1::2]
+            owner = np.full(len(z), 2 * c)
+            if contours[c].kind == "circle" and 2 * c in S:
+                S[2 * c] = S[2 * c] / 2
+                z, dz, owner = z[1::2], dz[1::2], owner[1::2]
             else:
-                S[c] = np.zeros(rhs.shape, dtype=complex)
-            nodes.append((z, dz, np.full(len(z), c)))
+                S[2 * c] = np.zeros(rhs.shape, dtype=complex)
+                if contours[c].kind == "circle":
+                    S[2 * c + 1] = np.zeros(rhs.shape, dtype=complex)
+                    owner[::2] += 1
+            nodes.append((z, dz, owner))
         z, dz, owner = map(np.concatenate, zip(*nodes))
         for k in range(0, len(z), per_solve):
             part = slice(k, k + per_solve)
@@ -168,7 +183,11 @@ def _quadratures(op, contours: list, probes: np.ndarray | None) -> list:
             for c in np.unique(owner[part]):
                 S[c] += X[owner[part] == c].sum(axis=0)
         for c in live:
-            P = S[c] / (-2j * np.pi)
+            if 2 * c + 1 in S:
+                half = S.pop(2 * c + 1)
+                S[2 * c] += half
+                prev[c] = 2 * half / (-2j * np.pi)
+            P = S[2 * c] / (-2j * np.pi)
             if c in prev and size(P - prev[c]) <= QUAD_TOL:
                 out[c] = P
             prev[c] = P
@@ -310,8 +329,47 @@ def _direct_projection(select: np.ndarray, schur) -> tuple:
     return Qs[:, :k].copy(), R, s
 
 
+def _eigenvectors(op: np.ndarray) -> tuple:
+    """Eigenvalues and left and right eigenvectors of the complex ``op``, as
+    `scipy.linalg.eig(op, left=True, right=True)` gives them.
+
+    Where the real part of op is zero, op = i M with M real, and they come
+    from one real ``?geev`` of M: lambda = i mu, with M's own vectors.  The
+    real vectors of a conjugate pair mu, conj(mu) (Im mu > 0 first) are the
+    real and imaginary parts of the first vector; each real array is
+    released before the next complex one is built.
+    """
+    if op.real.any():
+        return scipy.linalg.eig(op, left=True, right=True)
+    dim = len(op)
+    lwork, info = scipy.linalg.lapack.dgeev_lwork(dim)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeev_lwork failed with info={info}")
+    # the optimal workspace: with the wrapper's default 4 dim, dgeev reduces
+    # to Hessenberg form unblocked, twice as slow at dim 1023
+    wr, wi, vl, vr, info = scipy.linalg.lapack.dgeev(
+        np.asfortranarray(op.imag), lwork=int(lwork), overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeev failed with info={info}")
+    pair = np.flatnonzero(wi > 0)
+
+    def joined(v):
+        w = v.astype(complex)
+        w.imag[:, pair] = v[:, pair + 1]
+        w.real[:, pair + 1] = v[:, pair]
+        w.imag[:, pair + 1] = -v[:, pair + 1]
+        return w
+
+    left = joined(vl)
+    del vl
+    right = joined(vr)
+    del vr
+    return 1j * (wr + 1j * wi), left, right
+
+
 def _oracle_sample(clusters: list) -> list:
-    """Every zero-branch cluster and the first circle of each other branch."""
+    """Every zero-branch cluster, whatever its shape, and the first circle
+    of each other branch."""
     sample, seen = [], set()
     for c in clusters:
         if c.branch == "zero":
@@ -417,15 +475,16 @@ def _stacked_records(clusters: list, groups: list, op: np.ndarray,
 def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     """Fill in projections, then check sum(P) = I and pairwise products.
 
-    One `scipy.linalg.eig` gives every right and left eigenvector, and
-    `contour.encloses` assigns its eigenvalues to the clusters.  A cluster's
-    projection P = L R comes from its vectors (`_vector_projection`); only a
-    cluster whose unit-vector block Y^H X has a singular value below
-    VECTOR_SIGMA_MIN is reordered out of a complex Schur form instead
-    (`_direct_projection`), and a cluster of the whole spectrum is the
-    identity.  The cluster keeps the thin factors L, R, not the dense P.  L
-    has orthonormal columns, so ||P||_F = ||R||_F and the reciprocal
-    condition is s = 1/sqrt(1 + ||X||_F^2) = (1 + ||R||_F^2 - k)^{-1/2};
+    One dense eigensolve (`_eigenvectors`) gives every right and left
+    eigenvector, in real arithmetic where op = i M with M real (every real
+    omega), and `contour.encloses` assigns its eigenvalues to the clusters.
+    A cluster's projection P = L R comes from its vectors
+    (`_vector_projection`); only a cluster whose unit-vector block Y^H X has
+    a singular value below VECTOR_SIGMA_MIN is reordered out of a complex
+    Schur form instead (`_direct_projection`), and a cluster of the whole
+    spectrum is the identity.  The cluster keeps the thin factors L, R, not
+    the dense P.  L has orthonormal columns, so ||P||_F = ||R||_F and the
+    reciprocal condition is s = 1/sqrt(1 + ||X||_F^2) = (1 + ||R||_F^2 - k)^{-1/2};
     the singular values, rank and ||P||_2 are those of R, read off its
     k x k Gram matrix.  Clusters of equal size are handled as one stack.
 
@@ -438,9 +497,14 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     ||op P - P op||_F / (||op||_2 ||P||_2) of every cluster, with ||op||_2
     from the Gram band of op (`band_norm`), and an upper bound of
     ||P_quad - P||_2, P_quad the contour integral `riesz_projection`, on the
-    sample of `_oracle_sample` (rectangles are left out of the sample: their
-    quadrature needs thousands of nodes), every sampled contour's level
-    solved in one band LU.
+    sample of `_oracle_sample`: every zero-branch cluster, whatever its
+    shape, and the first circle of each other branch.  A sampled circle is
+    integrated on a circle about the same center with a quarter of its
+    radius, gap/16, which still encloses only its eigenvalue; there the
+    16- and 32-node trapezoid rules of its first solve differ by about
+    16^-16, so it settles after one solve.  A sampled rectangle keeps its
+    contour and its levels of 32, 64, ... nodes.  Every level of the
+    sampled contours is solved in one band LU.
     The commutator is E R - L F, with the residual blocks
     E = op L - L (R op L) and F = R op - (R op L) R; splitting E along L
     gives its Frobenius norm from k x k products.  The quadrature acts on
@@ -455,7 +519,7 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
         raise ContourError("clusters do not cover the whole spectrum")
     op = np.asarray(op, dtype=complex)
     band = scipy.sparse.csr_array(op)
-    lam, left, right = scipy.linalg.eig(op, left=True, right=True)
+    lam, left, right = _eigenvectors(op)
     owned = [np.flatnonzero(_enclosed(c, lam)) for c in clusters]
     sizes = np.array([len(m) for m in owned])
     groups = [(k, np.flatnonzero(sizes == k)) for k in np.unique(sizes)]
@@ -466,7 +530,9 @@ def verify_resolution_of_identity(clusters: list, op: np.ndarray) -> dict:
     records = _stacked_records(clusters, groups, op, band_norm(band))
     probes = np.random.default_rng(PROBE_SEED).standard_normal((dim, N_PROBES))
     sample = _oracle_sample(clusters)
-    quadratures = _quadratures(band, [c.contour for c in sample], probes)
+    contours = [Contour("circle", c.contour.center, c.contour.radius / 4)
+                if c.contour.kind == "circle" else c.contour for c in sample]
+    quadratures = _quadratures(band, contours, probes)
     deviation = max((_probe_bound(P - c.L @ (c.R @ probes))
                      for c, P in zip(sample, quadratures)), default=0.0)
     return {

@@ -80,6 +80,46 @@ def test_circle_quadrature_reuses_nested_nodes(small_ops, monkeypatch):
     assert abs(np.trace(P) - 1.0) < 1e-9
 
 
+def test_circle_first_solve_pairs_the_16_and_32_node_rules(small_ops,
+                                                           monkeypatch):
+    """The even half of a circle's first 32 nodes is the 16-node rule: on a
+    gap/16 circle the two agree within QUAD_TOL after one band LU, and on a
+    circle as wide as half the gap they do not."""
+    op = small_ops.dirac_frame()
+    lam = np.linalg.eigvals(op)
+    lam0 = lam[np.argmin(np.abs(lam - np.pi))]
+    gap = np.sort(np.abs(lam - lam0))[1]
+    nodes = []
+
+    def counting(layout, z):
+        nodes.append(len(z))
+        return band_lu(layout, z)
+
+    monkeypatch.setattr(riesz, "band_lu", counting)
+    P = riesz.riesz_projection(op, riesz.Contour("circle", lam0, gap / 16))
+    assert nodes == [32]
+    assert abs(np.trace(P) - 1.0) < 1e-9
+    nodes.clear()
+    riesz.riesz_projection(op, riesz.Contour("circle", lam0, gap / 2))
+    assert nodes[0] == 32 and len(nodes) > 1
+
+
+def test_rectangle_nodes_are_multiples_of_32():
+    """A rectangle takes n/32 Gauss-Legendre panels per side: any other n
+    is refused, and doubling n doubles the panels, so no level repeats."""
+    box = riesz.Contour("rectangle", 0.5 + 0.5j, lo=0j, hi=1 + 1j)
+    for n in (0, 16, 48, -32):
+        with pytest.raises(ValueError, match="multiple of 32"):
+            box.points(n)
+    coarse, fine = box.points(32), box.points(64)
+    assert coarse.shape == (2, 32) and fine.shape == (2, 64)
+    assert not np.isin(coarse[0], fine[0]).all()
+    # the weights of each side sum to its edge vector at every level
+    for z, dz in (coarse, fine):
+        np.testing.assert_allclose(dz.reshape(4, -1).sum(axis=1),
+                                   [1, 1j, -1, -1j], atol=1e-15)
+
+
 def test_near_critical_damping_cluster():
     """Near a = 2 pi the lowest pair nearly collides; the clusterer must
     merge it and the projection rank must count both members."""
@@ -169,16 +209,33 @@ def test_direct_projections_match_quadrature(small_ops, small_resolution):
     assert out["max_commutator"] < 1e-9
 
 
-def test_critical_damping_jordan_pair():
+def _counting_dgeev(monkeypatch) -> list:
+    """Count the real ?geev calls of the Riesz check in the returned list."""
+    calls = []
+    dgeev = scipy.linalg.lapack.dgeev
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dgeev(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeev", counting)
+    return calls
+
+
+def test_critical_damping_jordan_pair(monkeypatch):
     """At a = 2 sqrt(mu_1) the lowest pair of the discrete pencil forms a
-    Jordan block; its cluster still projects onto a rank-2 subspace."""
+    Jordan block; its cluster still projects onto a rank-2 subspace.  The
+    frame is i times a real matrix, so the vectors come from the real
+    ?geev."""
     undamped = ds.build_operator_set(64, RHO1, ds.constant(0.0, "damping"),
                                      MIN)
     a = 2 * np.sqrt(undamped.H1_eigvals[0])
     ops = ds.build_operator_set(64, RHO1, ds.constant(a, "damping"), MIN)
     spec = ds.eigen_dirac(ops)
     clusters = riesz.cluster_eigenvalues(spec, ops)
+    geev = _counting_dgeev(monkeypatch)
     out = riesz.verify_resolution_of_identity(clusters, ops.dirac_frame())
+    assert geev == [1]
     pair = min(clusters,
                key=lambda c: abs(c.contour.center + 0.5j * a))
     assert len(pair.members) == 2
@@ -304,6 +361,79 @@ def test_probe_bound_dominates_quadrature_distance(small_ops,
     direct = max(np.linalg.norm(riesz.riesz_projection(op, c.contour)
                                 - c.L @ c.R, 2) for c in sample)
     assert out["max_quadrature_deviation"] >= direct
+
+
+def _complex_eig(op):
+    return scipy.linalg.eig(op, left=True, right=True)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("tag", ["min", "max", "zero0", "omega:1,0",
+                                 "omega:-1,0"])
+def test_real_frames_match_the_complex_eig(monkeypatch, n, tag):
+    """Where the frame is i M with M real, one real ?geev of M gives the
+    vectors: partitions, ranks and the Schur count are those of the complex
+    eig, and every record is within 1e-11 of it."""
+    ops = ds.build_operator_set(n, *ds.random_coefficients(5),
+                                ds.parse_bc(tag))
+    spec = ds.eigen_dirac(ops)
+    op = ops.dirac_frame()
+    assert not op.real.any()
+    ref = riesz.cluster_eigenvalues(spec, ops)
+    with monkeypatch.context() as m:
+        m.setattr(riesz, "_eigenvectors", _complex_eig)
+        expected = riesz.verify_resolution_of_identity(ref, op)
+    got = riesz.cluster_eigenvalues(spec, ops)
+    geev = _counting_dgeev(monkeypatch)
+    out = riesz.verify_resolution_of_identity(got, op)
+    assert geev == [1]
+    assert [(c.members, c.rank) for c in got] == \
+        [(c.members, c.rank) for c in ref]
+    for key in ("total_rank", "schur_clusters", "quadrature_samples"):
+        assert out[key] == expected[key], key
+    for key, value in expected.items():
+        assert abs(out[key] - value) <= 1e-11, key
+    for a, b in zip(got, ref):
+        assert abs(a.idempotency_defect - b.idempotency_defect) <= 1e-11
+        assert abs(a.s - b.s) <= 1e-11
+        assert np.abs(a.L @ a.R - b.L @ b.R).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("tag", ["omega:0,1", "omega:0.5,0.3"])
+def test_complex_frames_never_reach_the_real_geev(monkeypatch, n, tag):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("real ?geev on a complex frame")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeev", forbidden)
+    op, clusters, out = _resolution(n, tag, ds.random_coefficients(5))
+    assert op.real.any()
+    assert out["sum_defect"] < 1e-10
+    assert out["total_rank"] == len(op)
+
+
+@pytest.mark.parametrize("n", [24, 32])
+@pytest.mark.parametrize("tag", ["min", "omega:0,1"])
+def test_oracle_circles_settle_in_one_band_lu(monkeypatch, n, tag):
+    """Each sampled circle is integrated on a quarter of its radius, gap/16,
+    where the 16- and 32-node rules of the first solve already agree: the
+    whole oracle is one band LU of 32 nodes per sampled circle."""
+    ops = ds.build_operator_set(n, *ds.random_coefficients(n),
+                                ds.parse_bc(tag))
+    clusters = riesz.cluster_eigenvalues(ds.eigen_dirac(ops), ops)
+    sample = riesz._oracle_sample(clusters)
+    assert sample and all(c.contour.kind == "circle" for c in sample)
+    nodes = []
+
+    def counting(layout, z):
+        nodes.append(len(z))
+        return band_lu(layout, z)
+
+    monkeypatch.setattr(riesz, "band_lu", counting)
+    out = riesz.verify_resolution_of_identity(clusters, ops.dirac_frame())
+    assert nodes == [32 * len(sample)]
+    assert out["quadrature_samples"] == len(sample)
+    assert out["max_quadrature_deviation"] < 1e-11
 
 
 def _reference_clusters(spec, ops):
